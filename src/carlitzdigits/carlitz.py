@@ -72,12 +72,11 @@ class AdditivePoly:
 
     def apply(self, x: Poly) -> Poly:
         """Evaluate at a polynomial argument."""
-        q = self.spec.q
         acc = Poly.zero(self.spec)
         xp = x
         for i, c in enumerate(self.coeffs):
             if i:
-                xp = _poly_pow(xp, q)
+                xp = _q_power(xp, 1)
             acc = acc + c * xp
         return acc
 
@@ -109,17 +108,6 @@ def _q_power(f: Poly, i: int) -> Poly:
     for k, a in enumerate(f.coeffs):
         out[k * step] = a
     return Poly(f.spec, tuple(out))
-
-
-def _poly_pow(f: Poly, e: int) -> Poly:
-    acc = Poly.one(f.spec)
-    base = f
-    while e:
-        if e & 1:
-            acc = acc * base
-        base = base * base
-        e >>= 1
-    return acc
 
 
 def carlitz_poly(operand: Poly) -> AdditivePoly:

@@ -11,13 +11,15 @@ generating polynomials built from the first r = N/(q-1) digits H_1..H_r of
 for unit characters lam of F_q^x (lam~ the conjugate, lam~(0) = 0, lc the
 leading coefficient).  When deg G >= deg P, products of their values at
 roots of unity give the plus part and the relative part of the class number
-of any subfield of the P-th cyclotomic function field.  Everything is
-computed in Z[zeta_N]; products collapse to rational integers, and that
-collapse is asserted, not assumed.
+of any subfield of the P-th cyclotomic function field.  Each product runs
+over Galois orbits of characters, one per order t, so it is a product of
+exact norms N_{Q(zeta_t)/Q} (cycint.norm); floats only guard.
 
-Independent routes kept alongside the digit route: the classical character
-sum formulas over monic polynomials of degree < d (no hypothesis on deg G),
-and point counting on the hyperelliptic model for the quadratic subfield.
+Independent routes kept alongside the digit route, sharing no product code
+with it: the classical character sum formulas over monic polynomials of
+degree < d (no hypothesis on deg G), whose Z[zeta_N] products must collapse
+to rational integers, and point counting on the hyperelliptic model for the
+quadratic subfield.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .chars import DirichletChar, ResidueCtx, build_context, restriction, subfield
-from .cycint import CycloInt, exponent_sum, int_poly_resultant, root_of_unity
+from .cycint import CycloInt, exponent_sum, norm, root_of_unity
 from .errors import ExactnessError, HypothesisError
 from .ffq import FieldElement, FieldSpec, UnitCharacter, quadratic_character
-from .numutil import prime_factors
+from .numutil import divisors, prime_factors
 from .polyring import (
     Poly,
     all_polys_below,
@@ -148,19 +150,20 @@ def full_degree_identity(ctx: ResidueCtx, chi: DirichletChar):
     return lhs, rhs
 
 
-def _twisted_factor(ctx: ResidueCtx, dp: DigitPolynomials, chi: DirichletChar) -> CycloInt:
-    """Twisted polynomial of lam = chi restricted to scalars, at chi(G).
+def _twisted_terms(ctx: ResidueCtx, dp: DigitPolynomials, chi: DirichletChar) -> list[int]:
+    """Exponents of zeta_N in the twisted polynomial of lam = chi restricted
+    to scalars, at chi(G); one per nonzero digit.
 
     Coefficients live in Z[zeta_{q-1}]; they are lifted along
     zeta_{q-1} = zeta_N^r before evaluating at zeta_N^j.
     """
-    lam = restriction(chi)
-    exps = dp.twisted_exponents(lam)
-    terms = []
-    for k, e in enumerate(exps):
-        if e is not None:
-            terms.append((ctx.r * e + chi.j * k, 1))
-    return exponent_sum(ctx.N, terms)
+    exps = dp.twisted_exponents(restriction(chi))
+    return [(ctx.r * e + chi.j * k) % ctx.N for k, e in enumerate(exps) if e is not None]
+
+
+def _twisted_factor(ctx: ResidueCtx, dp: DigitPolynomials, chi: DirichletChar) -> CycloInt:
+    """Twisted polynomial of lam = chi restricted to scalars, at chi(G)."""
+    return exponent_sum(ctx.N, ((x, 1) for x in _twisted_terms(ctx, dp, chi)))
 
 
 def window_twist_identity(ctx: ResidueCtx, chi: DirichletChar):
@@ -215,9 +218,15 @@ def _collapse(value: CycloInt, what: str) -> int:
     return v
 
 
+def _root_sum(n: int, weighted_exponents) -> complex:
+    """Floating sum of w * exp(2 pi i e / n) over (e, w) pairs."""
+    return sum(w * cmath.exp(2j * cmath.pi * (e % n) / n) for e, w in weighted_exponents)
+
+
 def _advisory_check(factors, exact: int, what: str) -> None:
     """Compare the floating product of factors against the exact integer.
 
+    Factors are complex numbers or anything with a complex value (CycloInt).
     Accumulated in log space so large products cannot overflow.  This is
     an advisory cross-check: a violation is an internal error.
     """
@@ -225,7 +234,7 @@ def _advisory_check(factors, exact: int, what: str) -> None:
         return
     total = 0j
     for f in factors:
-        z = f.complex_eval()
+        z = complex(f)
         if z == 0:
             raise ExactnessError(f"{what}: advisory factor evaluated to zero")
         total += cmath.log(z)
@@ -240,12 +249,12 @@ def _advisory_check(factors, exact: int, what: str) -> None:
 
 
 def h_plus_from_digits(ctx: ResidueCtx, l: int) -> int:
-    """Class number of the real subfield L+ from the degree polynomial.
+    """Class number of the real subfield L+ from the degree polynomial F.
 
-    h = (-1)^(m-1) * product of the degree polynomial over the nontrivial
-    m-th roots of unity, m = gcd(l, r).  The product is computed both as a
-    resultant against (u^m - 1)/(u - 1) and as an exact product in
-    Z[zeta_N]; the two must agree.  Needs deg G >= deg P and m > 1.
+    h = (-1)^(m-1) * product of F over the nontrivial m-th roots of unity,
+    m = gcd(l, r).  The roots of exact order t form one Galois orbit, so the
+    product is that of the norms N_{Q(zeta_t)/Q}(F(zeta_t)) over t | m,
+    t > 1.  Needs deg G >= deg P and m > 1.
     """
     desc = subfield(ctx, l)
     _require_big_base(ctx)
@@ -253,18 +262,11 @@ def h_plus_from_digits(ctx: ResidueCtx, l: int) -> int:
     if m == 1:
         raise HypothesisError("L+ is the rational base field (m = 1); nothing to compute")
     F = digit_polynomials(ctx).degree_poly
-    step = ctx.N // m
-    factors = [_eval_int_poly_at_root(F, ctx.N, step * t) for t in range(1, m)]
-    prod = CycloInt.one(ctx.N)
-    for f in factors:
-        prod = prod * f
-    value = _collapse(prod, "plus-part product")
-    res = int_poly_resultant((1,) * m, F)
-    if res != value:
-        raise ExactnessError(
-            f"resultant route ({res}) and product route ({value}) disagree for the plus part"
-        )
-    _advisory_check(factors, value, "plus-part product")
+    value = 1
+    for t in divisors(m)[1:]:
+        value *= norm(t, F)
+    values = [_root_sum(m, ((s * k, c) for k, c in enumerate(F) if c)) for s in range(1, m)]
+    _advisory_check(values, value, "plus-part product")
     sign = 1 if m % 2 else -1
     return sign * value
 
@@ -272,22 +274,28 @@ def h_plus_from_digits(ctx: ResidueCtx, l: int) -> int:
 def h_minus_from_digits(ctx: ResidueCtx, l: int) -> int:
     """Relative class number h_L / h_{L+} from twisted polynomials.
 
-    Product over chi in X_L^- (grouped by restriction to scalars) of the
-    twisted polynomial at chi(G).  Needs deg G >= deg P and n > 1.
+    Product over chi in X_L^- of the twisted polynomial at chi(G).  X_L^- is
+    the set of characters of exact order t for t | l, t not dividing m, and
+    each such set is one Galois orbit, so the product is that of the norms
+    N_{Q(zeta_t)/Q} of the value at chi_{N/t}, written in Z[zeta_t].  Needs
+    deg G >= deg P and n > 1.
     """
     desc = subfield(ctx, l)
     _require_big_base(ctx)
     if desc.n == 1:
         raise HypothesisError("L equals its real subfield (n = 1); nothing to compute")
     dp = digit_polynomials(ctx)
-    factors = []
-    for j in desc.chis_minus:
-        factors.append(_twisted_factor(ctx, dp, ctx.char(j)))
-    prod = CycloInt.one(ctx.N)
-    for f in factors:
-        prod = prod * f
-    value = _collapse(prod, "minus-part product")
-    _advisory_check(factors, value, "minus-part product")
+    terms = {j: _twisted_terms(ctx, dp, ctx.char(j)) for j in desc.chis_minus}
+    value = 1
+    for t in divisors(l):
+        if desc.m % t:
+            j = ctx.N // t  # every exponent of chi_j's value is a multiple of j
+            vec = [0] * t
+            for x in terms[j]:
+                vec[x // j] += 1
+            value *= norm(t, vec)
+    values = [_root_sum(ctx.N, ((x, 1) for x in xs)) for xs in terms.values()]
+    _advisory_check(values, value, "minus-part product")
     return value
 
 

@@ -19,6 +19,7 @@ from .carlitz import carlitz_poly
 from .chars import build_context
 from .classnum import (
     CSV_COLUMNS,
+    ClassNumberReport,
     canonical_primitive_lift,
     compute_report,
     digit_degree_sum,
@@ -460,11 +461,7 @@ def cmd_sweep(args) -> int:
         per_p = [_sweep_job(job) for job in jobs]
     rows = [row for chunk in per_p for row in chunk]
     all_agree = all(row["agree"] for row in rows)
-    table = [[
-        row["q"], row["d"], row["P"], row["G"], row["l"], row["m"], row["n"],
-        row["h_plus"], row["h_minus"], row["h"],
-        "+".join(row["methods"]), str(row["agree"]).lower(),
-    ] for row in rows]
+    table = [ClassNumberReport.from_json_dict(row).csv_row() for row in rows]
     if args.format == "json":
         _emit(args, _json_text(rows))
     elif args.format == "csv":

@@ -6,6 +6,8 @@ Since Phi_n is the minimal polynomial of zeta_n over Q, a rational integer
 has exactly one representation (everything in coordinate 0), which is what
 makes ``as_integer`` a sound collapse test for class number products.
 
+``norm`` (the digit route's exact norm) works on plain int lists, not CycloInt.
+
 complex_eval is advisory only: it maps a value to floating complex for
 cross-checking magnitudes, never for producing results.
 """
@@ -165,6 +167,8 @@ class CycloInt:
             acc = acc * z + c
         return acc
 
+    __complex__ = complex_eval
+
 
 def root_of_unity(n: int, k: int = 1) -> CycloInt:
     """zeta_n^k as an element of Z[zeta_n]."""
@@ -180,6 +184,35 @@ def exponent_sum(n: int, weighted_exponents) -> CycloInt:
     for e, w in weighted_exponents:
         vec[e % n] += w
     return CycloInt(n, _reduce(n, vec))
+
+
+def norm(t: int, coeffs) -> int:
+    """N_{Q(zeta_t)/Q} of sum_k coeffs[k] * zeta_t^k, exactly.
+
+    The determinant of multiplication by the value on the basis
+    1, zeta_t, ..., zeta_t^(phi(t)-1).  Both the reduction of the input
+    (Horner) and the phi(t) columns use one step, multiplication by zeta_t:
+    shift up, then subtract the top coefficient times Phi_t.
+    """
+    phi = cyclotomic_poly(t)
+    deg = len(phi) - 1
+
+    def times_zeta(v: list[int]) -> list[int]:
+        top = v[-1]
+        out = [0] + v[:-1]
+        if top:
+            for i in range(deg):
+                out[i] -= top * phi[i]
+        return out
+
+    v = [0] * deg
+    for c in reversed(coeffs):
+        v = times_zeta(v)
+        v[0] += c
+    columns = [v]
+    for _ in range(deg - 1):
+        columns.append(times_zeta(columns[-1]))
+    return _bareiss_det(columns)
 
 
 def int_poly_resultant(f, g) -> int:

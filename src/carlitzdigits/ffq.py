@@ -39,40 +39,6 @@ BUILTIN_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 
-# -- dense F_p[x] helpers on plain int lists (ascending), used only for
-#    modulus validation so FieldSpec does not depend on the Poly type --
-
-def _fp_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fp_mod(f: list[int], g: list[int], p: int) -> list[int]:
-    f = list(f)
-    dg = len(g) - 1
-    inv = pow(g[-1], p - 2, p)
-    while len(_fp_trim(f)) - 1 >= dg:
-        c = f[-1] * inv % p
-        k = len(f) - 1 - dg
-        for i, b in enumerate(g):
-            f[k + i] = (f[k + i] - c * b) % p
-        _fp_trim(f)
-    return f
-
-
-def _fp_is_irreducible(mod: tuple[int, ...], p: int) -> bool:
-    # trial division by monic polynomials of degree up to deg(mod)/2;
-    # deg(mod) is tiny here, so brute force is fine
-    d = len(mod) - 1
-    for s in range(1, d // 2 + 1):
-        for idx in range(p**s):
-            cand = [idx // p**i % p for i in range(s)] + [1]
-            if not _fp_mod(list(mod), cand, p):
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     """Description of F_q, q = p^a. The modulus is present exactly when a > 1."""
@@ -102,7 +68,10 @@ class FieldSpec:
         mod = tuple(c % self.p for c in mod)
         if len(mod) != self.a + 1 or mod[-1] != 1:
             raise ValueError("modulus must be monic of degree a")
-        if not _fp_is_irreducible(mod, self.p):
+        from .polyring import Poly, is_irreducible  # polyring imports this module
+
+        prime = FieldSpec(self.p)
+        if not is_irreducible(Poly(prime, tuple(prime.element(c) for c in mod))):
             raise ValueError("modulus is reducible over F_p")
         object.__setattr__(self, "modulus", mod)
 

@@ -78,7 +78,8 @@ def test_apply_is_linear():
 def test_apply_matches_coefficients():
     rng = random.Random(65)
     for _ in range(40):
-        spec = FieldSpec.from_order(rng.choice((2, 3)))
+        # q = 4 tests Frobenius over an extension field
+        spec = FieldSpec.from_order(rng.choice((2, 3, 4, 5)))
         I = random_poly(rng, spec, rng.randint(0, 3))
         rho = carlitz_poly(I)
         x = random_poly(rng, spec, rng.randint(0, 2))
@@ -86,7 +87,10 @@ def test_apply_matches_coefficients():
         for i, c in enumerate(rho.coeffs):
             xp = x
             for _ in range(i):
-                xp = xp * xp if spec.q == 2 else xp * xp * xp
+                power = Poly.one(spec)
+                for _ in range(spec.q):
+                    power = power * xp
+                xp = power
             direct = direct + c * xp
         assert rho.apply(x) == direct
 

@@ -8,6 +8,7 @@ from carlitzdigits.chars import build_context, restriction, subfield
 from carlitzdigits.classnum import (
     CSV_COLUMNS,
     ClassNumberReport,
+    _twisted_factor,
     canonical_primitive_lift,
     compute_report,
     digit_degree_sum,
@@ -22,7 +23,7 @@ from carlitzdigits.classnum import (
     window_degree_identity,
     window_twist_identity,
 )
-from carlitzdigits.cycint import exponent_sum, int_poly_resultant
+from carlitzdigits.cycint import CycloInt, exponent_sum, int_poly_resultant
 from carlitzdigits.errors import HypothesisError
 from carlitzdigits.ffq import FieldSpec
 from carlitzdigits.numutil import prime_factors
@@ -312,8 +313,8 @@ def test_both_class_number_routes_agree(ctx_pool):
 
 
 def test_resultant_route_equals_product_route(ctx_pool):
-    """h+ recomputed as an explicit integer resultant; the library also
-    cross-checks internally and would raise ExactnessError on mismatch."""
+    """Differential test of h+ against the full Sylvester resultant
+    res((u^m - 1)/(u - 1), F), which the library does not compute."""
     rng = random.Random(54)
     cases = 0
     pool = list(ctx_pool)
@@ -331,5 +332,30 @@ def test_resultant_route_equals_product_route(ctx_pool):
             h = h_plus_from_digits(ctx, l)
             sign = 1 if m % 2 else -1
             assert h == sign * int_poly_resultant((1,) * m, F)
+            cases += 1
+    assert cases >= 100
+
+
+def test_h_minus_equals_product_route(ctx_pool):
+    """h- as norms over Galois orbits against the exact Z[zeta_N] product
+    of the twisted factor over every chi in X_L^-."""
+    rng = random.Random(55)
+    cases = 0
+    pool = list(ctx_pool)
+    while cases < 100:
+        ctx = pool.pop() if pool else random_context(rng, e_range=(2, 4))
+        if ctx.e < ctx.d:
+            continue
+        dp = digit_polynomials(ctx)
+        for l in range(1, ctx.N + 1):
+            if ctx.N % l:
+                continue
+            desc = subfield(ctx, l)
+            if desc.n == 1:
+                continue
+            prod = CycloInt.one(ctx.N)
+            for j in desc.chis_minus:
+                prod = prod * _twisted_factor(ctx, dp, ctx.char(j))
+            assert prod.as_integer() == h_minus_from_digits(ctx, l)
             cases += 1
     assert cases >= 100

@@ -9,6 +9,7 @@ from carlitzdigits.cycint import (
     cyclotomic_poly,
     exponent_sum,
     int_poly_resultant,
+    norm,
     root_of_unity,
 )
 
@@ -163,6 +164,27 @@ def test_resultant_edge_cases():
     assert int_poly_resultant((5,), (7,)) == 1
     assert int_poly_resultant((3,), (1, 2, 1)) == 9
     assert int_poly_resultant((1, 2, 1), (3,)) == 9
+
+
+def test_norm_matches_resultant_and_conjugates():
+    """norm(t, v) against the Sylvester resultant res(Phi_t, v) and the
+    product of v over the primitive t-th roots of unity; t <= 40 includes
+    non-cyclic (Z/t)^x such as t = 8, 12, 15, 24."""
+    rng = random.Random(25)
+    for t in range(1, 41):
+        assert norm(t, [0] * rng.randint(1, t + 1)) == 0
+        for _ in range(6):
+            v = [rng.randint(-1, 1) for _ in range(rng.randint(1, t + 3))]
+            exact = norm(t, v)
+            assert exact == int_poly_resultant(cyclotomic_poly(t), v)
+            prod = 1 + 0j
+            for a in range(1, t + 1):
+                if math.gcd(a, t) == 1:
+                    prod *= int_poly_eval(v, cmath.exp(2j * cmath.pi * a / t))
+            if abs(exact) < 2**40:
+                assert round(prod.real) == exact and abs(prod.imag) < 0.5
+            else:
+                assert abs(prod - exact) <= 1e-9 * abs(exact)
 
 
 def test_bad_coordinate_count():

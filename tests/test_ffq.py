@@ -36,6 +36,8 @@ def test_bad_modulus_rejected():
     with pytest.raises(ValueError):
         FieldSpec(2, 2, (1, 0, 1))  # x^2+1 = (x+1)^2 over F_2
     with pytest.raises(ValueError):
+        FieldSpec(2, 4, (1, 0, 1, 0, 1))  # (x^2+x+1)^2: no root, still reducible
+    with pytest.raises(ValueError):
         FieldSpec(3, 2, (1, 1))  # wrong degree
 
 
