@@ -17,16 +17,18 @@ exact norms N_{Q(zeta_t)/Q} (cycint.norm); floats only guard.
 
 Independent routes kept alongside the digit route, sharing no product code
 with it: the classical character sum formulas over monic polynomials of
-degree < d (no hypothesis on deg G), whose Z[zeta_N] products must collapse
-to rational integers, and point counting on the hyperelliptic model for the
-quadratic subfield.
+degree < d (no hypothesis on deg G), taken as one Galois-orbit product in
+Z[zeta_t] per character order t (products of conjugates under
+CycloInt.galois), each of which must collapse to a rational integer, and
+point counting on the hyperelliptic model for the quadratic subfield.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .chars import DirichletChar, ResidueCtx, build_context, restriction, subfield
@@ -53,13 +55,17 @@ class DigitPolynomials:
     ctx: ResidueCtx
     digits: tuple[Poly, ...]
     degree_poly: tuple[int, ...]
+    _twist_memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def twisted_exponents(self, lam: UnitCharacter) -> tuple[int | None, ...]:
         """Coefficient exponents of the lam-twisted polynomial.
 
         Entry k-1 is the exponent of zeta_{q-1} in lam(lc(G)) * lam~(lc(H_k)),
-        or None where H_k = 0 (the coefficient 0).
+        or None where H_k = 0 (the coefficient 0).  Memoized per lam.
         """
+        cached = self._twist_memo.get(lam)
+        if cached is not None:
+            return cached
         base_exp = lam.exponent(self.ctx.G.leading_coeff())
         modulus = max(lam.spec.q - 1, 1)
         out: list[int | None] = []
@@ -68,7 +74,8 @@ class DigitPolynomials:
                 out.append(None)
             else:
                 out.append((base_exp - lam.exponent(h.leading_coeff())) % modulus)
-        return tuple(out)
+        result = self._twist_memo[lam] = tuple(out)
+        return result
 
     def twisted_poly(self, lam: UnitCharacter) -> tuple[CycloInt, ...]:
         """Coefficients of the lam-twisted polynomial in Z[zeta_{q-1}]."""
@@ -305,32 +312,87 @@ class CharSumClassNumbers(NamedTuple):
     h: int
 
 
+def _char_sum_window(ctx: ResidueCtx) -> tuple[tuple[int, int], ...]:
+    """(dlog, deg) for every monic I of degree < d, computed once per ctx."""
+    cached = getattr(ctx, "_window_memo", None)
+    if cached is None:
+        cached = ctx._window_memo = tuple(_monic_window(ctx, 0))
+    return cached
+
+
+def _orbit_product(x: CycloInt) -> CycloInt:
+    """prod over u in (Z/t)^x of sigma_u(x), t = x.n.
+
+    Climbs a subgroup chain H of (Z/t)^x, keeping y = prod_{h in H}
+    sigma_h(x).  For each g not in H, with k least such that g^k is in H,
+    y becomes prod_{j<k} sigma_{g^j}(y) = P(k), taken by doubling:
+    P(2n) = P(n) * sigma_{g^n}(P(n)) and P(n+1) = y * sigma_g(P(n)).
+    """
+    t = x.n
+    H = {1}
+    y = x
+    for g in range(2, t):
+        if g in H or math.gcd(g, t) != 1:
+            continue
+        k, gk = 1, g
+        while gk not in H:
+            k, gk = k + 1, gk * g % t
+        p, n = y, 1
+        for bit in bin(k)[3:]:
+            p, n = p * p.galois(pow(g, n, t)), 2 * n
+            if bit == "1":
+                p, n = y * p.galois(g), n + 1
+        y = p
+        H = {h * pow(g, j, t) % t for h in H for j in range(k)}
+    return y
+
+
+def _orbit_value(ctx: ResidueCtx, t: int) -> int:
+    """Product of the character sums over the characters of exact order t.
+
+    chi_j with j = u*N/t sends I to zeta_t^(u * dlog I), so the window
+    folded by dlog mod t is the sum at u = 1 in Z[zeta_t], and the orbit's
+    product is the product of its Galois conjugates.  Order t lies in X_L^+
+    exactly when t | r (m = gcd(l, r)): there the sum is -sum chi(I) deg I,
+    elsewhere sum chi(I).  Memoized on the ctx, whatever l asks for it.
+    """
+    memo = getattr(ctx, "_orbit_memo", None)
+    if memo is None:
+        memo = ctx._orbit_memo = {}
+    if t not in memo:
+        window = _char_sum_window(ctx)
+        if ctx.r % t:
+            x = exponent_sum(t, ((k, 1) for k, _ in window))
+        else:
+            x = exponent_sum(t, ((k, -s) for k, s in window if s))
+        memo[t] = _collapse(_orbit_product(x), f"character sum orbit of order {t}")
+    return memo[t]
+
+
 def h_from_char_sums(ctx: ResidueCtx, l: int) -> CharSumClassNumbers:
     """Class number of the degree-l subfield by the character sum formulas.
 
     h+ is the product over nontrivial chi in X_L^+ of -sum chi(I) deg I,
     h- the product over chi in X_L^- of sum chi(I), both over monic I of
-    degree < d.  No hypothesis on deg G; this is the digit route's oracle.
+    degree < d.  The characters of exact order t form one Galois orbit, so
+    each part is a product of orbit products in Z[zeta_t] (t | m, t > 1
+    for h+; t | l, t not dividing m for h-), each of which must collapse to
+    a rational integer.  No hypothesis on deg G; this is the digit route's
+    oracle.
     """
     desc = subfield(ctx, l)
-    window = list(_monic_window(ctx, 0))
-    plus_factors = []
-    for j in desc.chis_plus:
-        if j == 0:
-            continue
-        s1 = exponent_sum(ctx.N, ((j * k, s) for k, s in window if s))
-        plus_factors.append(-s1)
-    minus_factors = []
-    for j in desc.chis_minus:
-        minus_factors.append(exponent_sum(ctx.N, ((j * k, 1) for k, _ in window)))
-    hp = CycloInt.one(ctx.N)
-    for f in plus_factors:
-        hp = hp * f
-    hm = CycloInt.one(ctx.N)
-    for f in minus_factors:
-        hm = hm * f
-    h_plus = _collapse(hp, "character sum plus part")
-    h_minus = _collapse(hm, "character sum minus part")
+    h_plus = h_minus = 1
+    for t in divisors(l)[1:]:
+        if desc.m % t:
+            h_minus *= _orbit_value(ctx, t)
+        else:
+            h_plus *= _orbit_value(ctx, t)
+    window = _char_sum_window(ctx)
+    plus_factors = [
+        _root_sum(ctx.N, ((j * k, -s) for k, s in window if s))
+        for j in desc.chis_plus if j
+    ]
+    minus_factors = [_root_sum(ctx.N, ((j * k, 1) for k, _ in window)) for j in desc.chis_minus]
     _advisory_check(plus_factors, h_plus, "character sum plus part")
     _advisory_check(minus_factors, h_minus, "character sum minus part")
     return CharSumClassNumbers(h_plus, h_minus, h_plus * h_minus)

@@ -145,6 +145,11 @@ def cmd_period(args) -> int:
 def cmd_classnum(args) -> int:
     spec = _field_of(args)
     P = parse_poly(spec, args.P)
+    order = spec.q ** (len(P.coeffs) - 1) - 1
+    if order > SWEEP_ORDER_BOUND:
+        raise ResourceLimitError(
+            f"q^deg P - 1 = {order} exceeds the classnum bound {SWEEP_ORDER_BOUND}"
+        )
     G = canonical_primitive_lift(P) if args.G is None else parse_poly(spec, args.G)
     ctx = build_context(P, G)
     report = compute_report(
@@ -532,6 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_class = subs.add_parser(
         "classnum", help="divisor class number of a subfield of the P-th "
                          "cyclotomic function field",
+        description=f"Requests whose group order q^deg P - 1 exceeds {SWEEP_ORDER_BOUND}\n"
+                    "are refused with exit code 4.",
         epilog=GRAMMAR_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
     _add_field_args(p_class)
     p_class.add_argument("--P", required=True, help="monic irreducible polynomial")

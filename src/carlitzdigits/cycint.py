@@ -6,7 +6,8 @@ Since Phi_n is the minimal polynomial of zeta_n over Q, a rational integer
 has exactly one representation (everything in coordinate 0), which is what
 makes ``as_integer`` a sound collapse test for class number products.
 
-``norm`` (the digit route's exact norm) works on plain int lists, not CycloInt.
+``norm`` (the digit route's exact norm) works on plain int lists, not CycloInt;
+``CycloInt.galois`` serves the character-sum route's Galois-orbit products.
 
 complex_eval is advisory only: it maps a value to floating complex for
 cross-checking magnitudes, never for producing results.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass
 
 from .numutil import divisors
@@ -153,6 +155,15 @@ class CycloInt:
         for i, c in enumerate(self.coeffs):
             vec[i * k] += c
         return CycloInt(m, _reduce(m, vec))
+
+    def galois(self, u: int) -> "CycloInt":
+        """Image under sigma_u: zeta_n -> zeta_n^u, for gcd(u, n) = 1."""
+        if math.gcd(u, self.n) != 1:
+            raise ValueError(f"{u} is not a unit mod {self.n}")
+        vec = [0] * self.n
+        for i, c in enumerate(self.coeffs):
+            vec[u * i % self.n] += c
+        return CycloInt(self.n, _reduce(self.n, vec))
 
     def as_integer(self) -> int | None:
         """The rational integer this value equals, or None."""

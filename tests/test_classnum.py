@@ -8,6 +8,7 @@ from carlitzdigits.chars import build_context, restriction, subfield
 from carlitzdigits.classnum import (
     CSV_COLUMNS,
     ClassNumberReport,
+    _orbit_product,
     _twisted_factor,
     canonical_primitive_lift,
     compute_report,
@@ -23,8 +24,8 @@ from carlitzdigits.classnum import (
     window_degree_identity,
     window_twist_identity,
 )
-from carlitzdigits.cycint import CycloInt, exponent_sum, int_poly_resultant
-from carlitzdigits.errors import HypothesisError
+from carlitzdigits.cycint import CycloInt, cyclotomic_poly, exponent_sum, int_poly_resultant
+from carlitzdigits.errors import ExactnessError, HypothesisError
 from carlitzdigits.ffq import FieldSpec
 from carlitzdigits.numutil import prime_factors
 from carlitzdigits.polyring import (
@@ -359,3 +360,57 @@ def test_h_minus_equals_product_route(ctx_pool):
             assert prod.as_integer() == h_minus_from_digits(ctx, l)
             cases += 1
     assert cases >= 100
+
+
+def test_orbit_product_is_the_norm():
+    """The Galois-orbit product against res(Phi_t, v) for every t <= 40,
+    which includes non-cyclic (Z/t)^x such as t = 8, 12, 15, 24."""
+    rng = random.Random(56)
+    for t in range(1, 41):
+        for _ in range(4):
+            v = [rng.randint(-2, 2) for _ in range(rng.randint(1, t + 3))]
+            got = _orbit_product(exponent_sum(t, enumerate(v))).as_integer()
+            assert got == int_poly_resultant(cyclotomic_poly(t), v)
+
+
+def _char_sum_product_route(ctx, l):
+    """(h+, h-) as exact Z[zeta_N] products of one character sum per chi."""
+    desc = subfield(ctx, l)
+    window = [(ctx.dlog[I], s) for s in range(ctx.d) for I in monic_polys(ctx.spec, s)]
+    hp = CycloInt.one(ctx.N)
+    for j in desc.chis_plus:
+        if j:
+            hp = hp * -exponent_sum(ctx.N, ((j * k, s) for k, s in window))
+    hm = CycloInt.one(ctx.N)
+    for j in desc.chis_minus:
+        hm = hm * exponent_sum(ctx.N, ((j * k, 1) for k, _ in window))
+    return hp.as_integer(), hm.as_integer()
+
+
+def test_char_sums_equal_product_route(ctx_pool):
+    """Orbit products in Z[zeta_t] against the per-character Z[zeta_N]
+    product over X_L^+ and X_L^-, including N = 80 and N = 120."""
+    contexts = list(ctx_pool)
+    for q, P in ((3, "T^4+T+2"), (11, "T^2+T+7")):
+        spec = FieldSpec.from_order(q)
+        P = parse_poly(spec, P)
+        contexts.append(build_context(P, canonical_primitive_lift(P)))
+    assert {80, 120} <= {ctx.N for ctx in contexts}
+    cases = 0
+    for ctx in contexts:
+        for l in range(1, ctx.N + 1):
+            if ctx.N % l == 0:
+                cs = h_from_char_sums(ctx, l)
+                assert (cs.h_plus, cs.h_minus) == _char_sum_product_route(ctx, l)
+                cases += 1
+    assert cases >= 100
+
+
+def test_char_sums_need_true_conjugates(monkeypatch):
+    """With sigma_u replaced by the identity the orbit products are powers,
+    not norms, and must fail the integer collapse."""
+    spec = FieldSpec.from_order(EX3["q"])
+    ctx = build_context(parse_poly(spec, EX3["P"]), parse_poly(spec, EX3["G"]))
+    monkeypatch.setattr(CycloInt, "galois", lambda self, u: self)
+    with pytest.raises(ExactnessError):
+        h_from_char_sums(ctx, 26)

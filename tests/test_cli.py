@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 from carlitzdigits.digits import DigitExpansion, digit_expand
 from carlitzdigits.ffq import FieldSpec
@@ -183,6 +184,16 @@ def test_sweep_json_and_text():
 def test_sweep_resource_bound():
     res = run_cli("sweep", "--q", "2", "--d", "20")
     assert res.returncode == 4
+    assert "bound" in res.stderr
+
+
+def test_classnum_resource_bound():
+    # 7^8 - 1 = 5764800: refused before any power table is built
+    start = time.monotonic()
+    res = run_cli("classnum", "--q", "7", "--P", "T^8+T+3", "--l", "2")
+    assert time.monotonic() - start < 10
+    assert res.returncode == 4
+    assert res.stdout == ""
     assert "bound" in res.stderr
 
 

@@ -190,3 +190,23 @@ def test_norm_matches_resultant_and_conjugates():
 def test_bad_coordinate_count():
     with pytest.raises(ValueError):
         CycloInt(4, (1, 2, 3))
+
+
+def test_galois_conjugation():
+    """sigma_u against evaluation at zeta_n^u, multiplicativity and
+    sigma_u(sigma_v(x)) = sigma_uv(x), for every n <= 40."""
+    rng = random.Random(26)
+    for n in range(1, 41):
+        deg = len(cyclotomic_poly(n)) - 1
+        units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
+        for _ in range(3):
+            x = CycloInt(n, tuple(rng.randint(-4, 4) for _ in range(deg)))
+            y = CycloInt(n, tuple(rng.randint(-4, 4) for _ in range(deg)))
+            u, v = rng.choice(units), rng.choice(units)
+            want = int_poly_eval(x.coeffs, cmath.exp(2j * cmath.pi * u / n))
+            assert abs(complex(x.galois(u)) - want) < 1e-9 * (1 + abs(want))
+            assert (x * y).galois(u) == x.galois(u) * y.galois(u)
+            assert x.galois(v).galois(u) == x.galois(u * v)
+        assert x.galois(1) == x
+    with pytest.raises(ValueError):
+        root_of_unity(12, 1).galois(4)
