@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ffq import FieldSpec
-from .polyring import Poly, format_poly
+from .polyring import Poly, _make, format_poly
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,9 @@ def _q_power(f: Poly, i: int) -> Poly:
     if i == 0 or f.is_zero():
         return f
     step = f.spec.q**i
-    out = [f.spec.zero] * ((len(f.coeffs) - 1) * step + 1)
-    for k, a in enumerate(f.coeffs):
-        out[k * step] = a
-    return Poly(f.spec, tuple(out))
+    out = [0] * ((len(f.ints) - 1) * step + 1)
+    out[::step] = f.ints
+    return _make(f.spec, out)
 
 
 def carlitz_poly(operand: Poly) -> AdditivePoly:
@@ -117,20 +116,12 @@ def carlitz_poly(operand: Poly) -> AdditivePoly:
     rho <- rho_T o rho + a_j * x, using rho_T(y) = T*y + y^q.
     """
     spec = operand.spec
-    t_poly = Poly(spec, (spec.zero, spec.one))
     rho = AdditivePoly.zero(spec)
-    for a in reversed(operand.coeffs):
-        coeffs = list(rho.coeffs)
-        # rho_T o rho: c'_i = T*c_i + c_{i-1}^q
-        twisted = [Poly.zero(spec)] * (len(coeffs) + 1 if coeffs else 0)
-        for i, c in enumerate(coeffs):
-            twisted[i] = twisted[i] + t_poly * c
-            twisted[i + 1] = twisted[i + 1] + _q_power(c, 1)
-        if not a.is_zero():
-            const = Poly(spec, (a,))
-            if twisted:
-                twisted[0] = twisted[0] + const
-            else:
-                twisted = [const]
+    for a in reversed(operand.ints):
+        # rho_T o rho: c'_i = T*c_i + c_{i-1}^q, then a_j * x
+        twisted = [Poly.zero(spec)] + [_q_power(c, 1) for c in rho.coeffs]
+        for i, c in enumerate(rho.coeffs):
+            twisted[i] = twisted[i] + _make(spec, (0,) + c.ints)
+        twisted[0] = twisted[0] + _make(spec, (a,))
         rho = AdditivePoly(spec, tuple(twisted))
     return rho

@@ -71,7 +71,7 @@ def build_context(P: Poly, G: Poly) -> ResidueCtx:
     if P.spec != G.spec:
         raise ValueError("P and G live over different fields")
     spec = P.spec
-    d = len(P.coeffs) - 1
+    d = len(P.ints) - 1
     if d < 1 or not P.is_monic():
         raise HypothesisError("P must be monic of positive degree")
     if not is_irreducible(P):
@@ -88,11 +88,12 @@ def build_context(P: Poly, G: Poly) -> ResidueCtx:
             )
     powers = []
     dlog = {}
+    g = G % P
     cur = Poly.one(spec) % P
     for k in range(N):
         powers.append(cur)
         dlog[cur] = k
-        cur = (cur * G) % P
+        cur = (cur * g) % P
     if cur != Poly.one(spec) % P:
         raise PrimitivityError("G does not have order N mod P")
     r = N // (spec.q - 1)
@@ -101,7 +102,7 @@ def build_context(P: Poly, G: Poly) -> ResidueCtx:
         raise RuntimeError("G^r must reduce to a scalar")
     unit_gen = wpoly.constant_coeff()
     return ResidueCtx(
-        P=P, G=G, d=d, e=len(G.coeffs) - 1, N=N, r=r,
+        P=P, G=G, d=d, e=len(G.ints) - 1, N=N, r=r,
         powers=tuple(powers), dlog=dlog, unit_gen=unit_gen,
     )
 
@@ -110,7 +111,7 @@ def deg_map(ctx: ResidueCtx, k: int) -> int:
     """Degree of the canonical representative of G^k, 0 <= k < N."""
     if not 0 <= k < ctx.N:
         raise ValueError("exponent out of range")
-    return len(ctx.powers[k].coeffs) - 1
+    return len(ctx.powers[k].ints) - 1
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from typing import NamedTuple
 from .chars import DirichletChar, ResidueCtx, build_context, restriction, subfield
 from .cycint import CycloInt, exponent_sum, norm, root_of_unity
 from .errors import ExactnessError, HypothesisError
-from .ffq import FieldElement, FieldSpec, UnitCharacter, quadratic_character
+from .ffq import FieldSpec, UnitCharacter, quadratic_character
 from .numutil import divisors, prime_factors
 from .polyring import (
     Poly,
@@ -100,7 +100,7 @@ def digit_polynomials(ctx: ResidueCtx) -> DigitPolynomials:
         if not rem.is_zero():
             raise ExactnessError("digit closed form left a remainder")
         digits.append(quo)
-        degs.append(len(quo.coeffs) - 1 if quo.coeffs else 0)
+        degs.append(len(quo.ints) - 1 if quo.ints else 0)
     result = DigitPolynomials(ctx=ctx, digits=tuple(digits), degree_poly=tuple(degs))
     ctx._digit_memo = result
     return result
@@ -225,9 +225,16 @@ def _collapse(value: CycloInt, what: str) -> int:
     return v
 
 
+@functools.lru_cache(maxsize=32)
+def _roots(n: int) -> tuple[complex, ...]:
+    """exp(2 pi i k / n) for 0 <= k < n, as floats."""
+    return tuple(cmath.exp(2j * cmath.pi * k / n) for k in range(n))
+
+
 def _root_sum(n: int, weighted_exponents) -> complex:
     """Floating sum of w * exp(2 pi i e / n) over (e, w) pairs."""
-    return sum(w * cmath.exp(2j * cmath.pi * (e % n) / n) for e, w in weighted_exponents)
+    roots = _roots(n)
+    return sum(w * roots[e % n] for e, w in weighted_exponents)
 
 
 def _advisory_check(factors, exact: int, what: str) -> None:
@@ -430,7 +437,7 @@ def canonical_primitive_lift(P: Poly) -> Poly:
     G is primitive mod P exactly because g0 is.
     """
     spec = P.spec
-    d = len(P.coeffs) - 1
+    d = len(P.ints) - 1
     N = spec.q**d - 1
     primes = prime_factors(N) if N > 1 else ()
     one = Poly.one(spec) % P
@@ -456,7 +463,7 @@ def point_count_class_number(P: Poly) -> int:
     q = spec.q
     if q % 2 == 0:
         raise HypothesisError("point counting needs q odd")
-    d = len(P.coeffs) - 1
+    d = len(P.ints) - 1
     if not 2 <= d <= 5:
         raise HypothesisError("point counting supports 2 <= deg P <= 5")
     if not P.is_monic() or not is_irreducible(P):
@@ -469,15 +476,10 @@ def point_count_class_number(P: Poly) -> int:
     power_sums = []
     for i in range(1, genus + 1):
         ext, embed = _extension_with_embedding(spec, i)
-        coeffs = [embed(c) for c in P.coeffs]
-        total = 0
-        for t in ext.elements():
-            acc = ext.zero
-            for c in reversed(coeffs):
-                acc = acc * t + c
-            if negate:
-                acc = -acc
-            total += quadratic_character(acc)
+        model = Poly(ext, [embed(c) for c in P.coeffs])
+        if negate:
+            model = -model
+        total = sum(quadratic_character(model.evaluate(t)) for t in ext.elements())
         n_points = q**i + total + infinity
         power_sums.append(q**i + 1 - n_points)
     s1 = power_sums[0]
@@ -502,7 +504,7 @@ def _default_modulus(p: int, k: int) -> tuple[int, ...]:
     base = FieldSpec(p)
     for cand in monic_polys(base, k):
         if is_irreducible(cand):
-            return tuple(c.coeffs[0] for c in cand.coeffs)
+            return cand.ints
     raise AssertionError("irreducibles of every degree exist")
 
 
@@ -518,24 +520,11 @@ def _extension_with_embedding(spec: FieldSpec, i: int):
     if spec.a == 1:
         return ext, lambda c, _ext=ext: _ext.element(c.coeffs[0])
     # embed by sending the generator to a root of the base modulus
-    root = None
-    for x in ext.elements():
-        acc = ext.zero
-        for mc in reversed(spec.modulus):
-            acc = acc * x + ext.element(mc)
-        if acc.is_zero():
-            root = x
-            break
+    modulus = Poly(ext, spec.modulus)
+    root = next((x for x in ext.elements() if modulus.evaluate(x).is_zero()), None)
     if root is None:
         raise ExactnessError("base modulus has no root in the extension")
-
-    def embed(c: FieldElement, _root=root, _ext=ext):
-        acc = _ext.zero
-        for cc in reversed(c.coeffs):
-            acc = acc * _root + _ext.element(cc)
-        return acc
-
-    return ext, embed
+    return ext, lambda c, _ext=ext, _root=root: Poly(_ext, c.coeffs).evaluate(_root)
 
 
 # -- reports --

@@ -34,7 +34,13 @@ from .classnum import (
     window_degree_identity,
     window_twist_identity,
 )
-from .digits import digit_closed_form, digit_expand, digit_period, twisted_digit_sum
+from .digits import (
+    ORDER_STEP_BOUND,
+    digit_closed_form,
+    digit_expand,
+    digit_period,
+    twisted_digit_sum,
+)
 from .errors import (
     ExactnessError,
     HypothesisError,
@@ -59,6 +65,12 @@ polynomial grammar (one grammar everywhere):
   or an ascending coefficient list, e.g. "2,2,0,1" for the same polynomial.
   Over an extension field F_{p^a} each coefficient is a parenthesized list
   of F_p coordinates, e.g. "(1,2)*T^2+(0,1)".
+"""
+
+ORDER_BOUND_HELP = f"""\
+The period is the order of G modulo the denominator (--P, --den or --M).
+For a reducible one it is found by stepping powers of G; past {ORDER_STEP_BOUND}
+steps the request is refused with exit code 4.
 """
 
 
@@ -145,7 +157,7 @@ def cmd_period(args) -> int:
 def cmd_classnum(args) -> int:
     spec = _field_of(args)
     P = parse_poly(spec, args.P)
-    order = spec.q ** (len(P.coeffs) - 1) - 1
+    order = spec.q ** (len(P.ints) - 1) - 1
     if order > SWEEP_ORDER_BOUND:
         raise ResourceLimitError(
             f"q^deg P - 1 = {order} exceeds the classnum bound {SWEEP_ORDER_BOUND}"
@@ -261,10 +273,10 @@ def _check_identities(ck: _Checks, ctx, label: str) -> None:
     buckets: dict[int, list] = {s: [] for s in range(ctx.d)}
     for k in range(ctx.r):
         gk = ctx.powers[k]
-        buckets[len(gk.coeffs) - 1].append(gk.monic())
+        buckets[len(gk.ints) - 1].append(gk.monic())
     for s in range(ctx.d):
-        got = sorted(tuple(c.index() for c in f.coeffs) for f in buckets[s])
-        want = sorted(tuple(c.index() for c in f.coeffs) for f in monic_polys(ctx.spec, s))
+        got = sorted(f.ints for f in buckets[s])
+        want = sorted(f.ints for f in monic_polys(ctx.spec, s))
         if got != want:
             ok_multiset = False
     ck.add(f"{label}: power-table classes match monic polynomials degree by degree",
@@ -358,7 +370,7 @@ def run_verification(seed: int) -> _Checks:
         g = digit_period(M, G)
         cur = Poly.one(spec)
         brute = None
-        for k in range(1, spec.q ** (len(M.coeffs) - 1) + 1):
+        for k in range(1, spec.q ** (len(M.ints) - 1) + 1):
             cur = (cur * G) % M
             if cur == Poly.one(spec) % M:
                 brute = k
@@ -511,6 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_expand = subs.add_parser(
         "expand", help="digit expansion of a rational function in base G",
+        description=ORDER_BOUND_HELP,
         epilog=GRAMMAR_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
     _add_field_args(p_expand)
     p_expand.add_argument("--G", required=True, help="base polynomial, deg >= 1")
@@ -526,6 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_period = subs.add_parser(
         "period", help="period of the digit expansion of 1/M in base G",
+        description=ORDER_BOUND_HELP,
         epilog=GRAMMAR_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
     _add_field_args(p_period)
     p_period.add_argument("--M", required=True, help="modulus polynomial")

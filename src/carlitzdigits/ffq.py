@@ -71,7 +71,7 @@ class FieldSpec:
         from .polyring import Poly, is_irreducible  # polyring imports this module
 
         prime = FieldSpec(self.p)
-        if not is_irreducible(Poly(prime, tuple(prime.element(c) for c in mod))):
+        if not is_irreducible(Poly(prime, mod)):
             raise ValueError("modulus is reducible over F_p")
         object.__setattr__(self, "modulus", mod)
 

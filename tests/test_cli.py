@@ -218,3 +218,13 @@ def test_extension_field_expansion():
 
 def test_parse_error_exit():
     assert run_cli("period", "--q", "3", "--M", "x^2", "--G", "T").returncode == 2
+
+
+def test_order_stepping_bound():
+    # a reducible degree-16 modulus over F_9: stepping would take ~10^15 powers
+    start = time.monotonic()
+    res = run_cli("expand", "--q", "9", "--den", "T^16+T+2", "--G", "T+1", "--terms", "3")
+    assert time.monotonic() - start < 10
+    assert res.returncode == 4
+    assert res.stdout == ""
+    assert "bound" in res.stderr

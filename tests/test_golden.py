@@ -1,0 +1,37 @@
+"""CLI outputs pinned byte for byte, exit codes included.
+
+Each file under tests/golden/ holds the standard output of one request, as
+written by `python -m carlitzdigits <argv> > tests/golden/<name>.txt`.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from carlitzdigits.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "verify_paper_seed0": ["verify-paper", "--seed", "0"],
+    "verify_paper_seed7_json": ["verify-paper", "--seed", "7", "--format", "json"],
+    "sweep_q4_d3_charsum": ["sweep", "--q", "4", "--d", "3", "--verify", "charsum"],
+    "sweep_q5_d2_json": ["sweep", "--q", "5", "--d", "2", "--verify", "charsum",
+                         "--verify", "pointcount", "--format", "json"],
+    "classnum_q9_cubic": ["classnum", "--q", "9", "--P", "T^3+T+(1,1)", "--l", "2",
+                          "--verify", "charsum", "--verify", "pointcount"],
+    "carlitz_q4": ["carlitz", "--q", "4", "--I", "(0,1)*T^3+T+(1,1)"],
+    "expand_q9_json": ["expand", "--q", "9", "--G", "(0,1)*T^2+T+(1,2)", "--num", "T+(2,1)",
+                       "--den", "T^4+(1,1)*T+2", "--terms", "12", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_is_pinned(name):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(CASES[name])
+    assert code == 0
+    assert buf.getvalue().encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes()

@@ -1,0 +1,213 @@
+"""Differential tests of the int-coded polynomial core against a schoolbook
+over FieldElement arithmetic, the definition of F_q."""
+
+import random
+
+import pytest
+
+from carlitzdigits.carlitz import carlitz_poly
+from carlitzdigits.ffq import FieldSpec
+from carlitzdigits.polyring import (
+    KRONECKER_MIN_LEN,
+    Poly,
+    is_irreducible,
+    mod_pow,
+    monic_polys,
+    parse_poly,
+    poly,
+    poly_gcd,
+)
+
+QS = (2, 3, 4, 5, 7, 8, 9)
+FIELDS = [FieldSpec.from_order(q) for q in QS] + [FieldSpec(5, 2, (2, 1, 1))]
+FIELD_IDS = [f"q{q}" for q in QS] + ["q25-explicit-modulus"]
+
+
+# -- the oracle: element lists, ascending, no trailing zeros --
+
+def trim(v):
+    v = list(v)
+    while v and v[-1].is_zero():
+        v.pop()
+    return v
+
+
+def ref_add(spec, a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [spec.zero] * (n - len(a))
+    b = list(b) + [spec.zero] * (n - len(b))
+    return trim(x + y for x, y in zip(a, b))
+
+
+def ref_mul(spec, a, b):
+    if not a or not b:
+        return []
+    out = [spec.zero] * (len(a) + len(b) - 1)
+    nb = [(j, y) for j, y in enumerate(b) if not y.is_zero()]
+    for i, x in enumerate(a):
+        if not x.is_zero():
+            for j, y in nb:
+                out[i + j] = out[i + j] + x * y
+    return trim(out)
+
+
+def ref_divmod(spec, a, b):
+    dg = len(b) - 1
+    rem = list(a)
+    if len(rem) - 1 < dg:
+        return [], trim(rem)
+    inv = b[-1].inverse()
+    quo = [spec.zero] * (len(rem) - dg)
+    for k in range(len(rem) - dg - 1, -1, -1):
+        c = rem[k + dg] * inv
+        quo[k] = c
+        for i, y in enumerate(b):
+            rem[k + i] = rem[k + i] - c * y
+    return trim(quo), trim(rem[:dg])
+
+
+def ref_mod_pow(spec, base, e, m):
+    result = ref_divmod(spec, [spec.one], m)[1]
+    acc = ref_divmod(spec, base, m)[1]
+    while e:
+        if e & 1:
+            result = ref_divmod(spec, ref_mul(spec, result, acc), m)[1]
+        acc = ref_divmod(spec, ref_mul(spec, acc, acc), m)[1]
+        e >>= 1
+    return result
+
+
+def ref_gcd(spec, f, g):
+    while g:
+        f, g = g, ref_divmod(spec, f, g)[1]
+    if not f:
+        return f
+    inv = f[-1].inverse()
+    return [c * inv for c in f]
+
+
+def ref_irreducible(spec, f):
+    d = len(f) - 1
+    return all(
+        ref_divmod(spec, f, list(g.coeffs))[1]
+        for s in range(1, d // 2 + 1)
+        for g in monic_polys(spec, s)
+    )
+
+
+def rand_elems(rng, spec, length):
+    """length coefficients, the last nonzero; length 0 is the zero list."""
+    v = [spec.from_index(rng.randrange(spec.q)) for _ in range(length)]
+    if v:
+        v[-1] = spec.from_index(rng.randrange(1, spec.q))
+    return v
+
+
+def lengths(rng):
+    """Lengths on both sides of the Kronecker crossover, zero and
+    constants included, up to degree 300."""
+    small = (0, 1, KRONECKER_MIN_LEN - 1, KRONECKER_MIN_LEN, KRONECKER_MIN_LEN + 1)
+    out = [(x, y) for x in small for y in (1, 5, rng.randint(2, 40))]
+    out += [(rng.randint(0, 301), rng.randint(0, 60)) for _ in range(4)]
+    out += [(301, rng.randint(100, 301))]
+    return out
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=FIELD_IDS)
+def test_products_and_sums_match_oracle(spec):
+    rng = random.Random(spec.q)
+    for la, lb in lengths(rng):
+        a, b = rand_elems(rng, spec, la), rand_elems(rng, spec, lb)
+        fa, fb = Poly(spec, a), Poly(spec, b)
+        assert list((fa * fb).coeffs) == ref_mul(spec, a, b)
+        assert list((fb * fa).coeffs) == ref_mul(spec, b, a)
+        assert list((fa + fb).coeffs) == ref_add(spec, a, b)
+        assert list((fa - fb).coeffs) == ref_add(spec, a, [-c for c in b])
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=FIELD_IDS)
+def test_divmod_matches_oracle(spec):
+    rng = random.Random(100 + spec.q)
+    for la, lb in lengths(rng):
+        a, b = rand_elems(rng, spec, la), rand_elems(rng, spec, max(lb, 1))
+        quo, rem = divmod(Poly(spec, a), Poly(spec, b))
+        rq, rr = ref_divmod(spec, a, b)
+        assert list(quo.coeffs) == rq
+        assert list(rem.coeffs) == rr
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=FIELD_IDS)
+def test_mod_pow_and_gcd_match_oracle(spec):
+    rng = random.Random(200 + spec.q)
+    for _ in range(6):
+        m = rand_elems(rng, spec, rng.randint(1, 13))
+        base = rand_elems(rng, spec, rng.randint(0, 20))
+        e = rng.choice((0, 1, 2, rng.randrange(10**6)))
+        got = mod_pow(Poly(spec, base), e, Poly(spec, m))
+        assert list(got.coeffs) == ref_mod_pow(spec, base, e, m)
+    for _ in range(6):
+        common = rand_elems(rng, spec, rng.randint(0, 20))
+        f = ref_mul(spec, common, rand_elems(rng, spec, rng.randint(0, 40)))
+        g = ref_mul(spec, common, rand_elems(rng, spec, rng.randint(0, 40)))
+        got = poly_gcd(Poly(spec, f), Poly(spec, g))
+        assert list(got.coeffs) == ref_gcd(spec, f, g)
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=FIELD_IDS)
+def test_irreducibility_matches_oracle(spec):
+    rng = random.Random(300 + spec.q)
+    max_degree = 6 if spec.q <= 5 else 4
+    seen = set()
+    for _ in range(12):
+        f = rand_elems(rng, spec, rng.randint(2, max_degree + 1))
+        if rng.randrange(3) == 0:  # a product, reducible by construction
+            f = ref_mul(spec, f[:2] or [spec.one], rand_elems(rng, spec, 3))
+        verdict = is_irreducible(Poly(spec, f))
+        assert verdict == ref_irreducible(spec, f)
+        seen.add(verdict)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=FIELD_IDS)
+def test_constructors_agree(spec):
+    rng = random.Random(400 + spec.q)
+    for length in (0, 1, 2, 7, 40):
+        elems = tuple(rand_elems(rng, spec, length))
+        f = Poly(spec, elems)
+        assert f.coeffs == elems
+        padded = Poly(spec, elems + (spec.zero, spec.zero))
+        via_text = parse_poly(spec, str(f))
+        via_poly = poly(spec, *elems)
+        # the same polynomial out of the int kernels
+        via_arith = (f + Poly.one(spec)) - Poly.one(spec)
+        for g in (padded, via_text, via_poly, via_arith):
+            assert g == f and hash(g) == hash(f)
+            assert g.ints == tuple(c.index() for c in elems)
+        assert len({f, padded, via_text, via_poly, via_arith}) == 1
+    assert Poly(spec, (spec.one,)) != Poly(FieldSpec.from_order(11), (1,))
+
+
+def ref_power(spec, f, k):
+    out = [spec.one]
+    for _ in range(k):
+        out = ref_mul(spec, out, f)
+    return out
+
+
+@pytest.mark.parametrize("q, deg_i", [(2, 12), (3, 8)])
+def test_carlitz_action_at_output_degree_ten_thousand(q, deg_i):
+    spec = FieldSpec.from_order(q)
+    rng = random.Random(500 + q)
+    I = Poly(spec, rand_elems(rng, spec, deg_i + 1))
+    f1 = rand_elems(rng, spec, 3)
+    f2 = rand_elems(rng, spec, 2)
+    rho = carlitz_poly(I)
+    out = rho.apply(Poly(spec, f1))
+    assert out.degree() >= 8000
+    assert rho.apply(Poly(spec, f1) + Poly(spec, f2)) == out + rho.apply(Poly(spec, f2))
+    want, fp = [], f1
+    for i, c in enumerate(rho.coeffs):
+        if i:
+            fp = ref_power(spec, fp, q)
+        want = ref_add(spec, want, ref_mul(spec, list(c.coeffs), fp))
+    assert list(out.coeffs) == want
