@@ -13,7 +13,11 @@ leading coefficient).  When deg G >= deg P, products of their values at
 roots of unity give the plus part and the relative part of the class number
 of any subfield of the P-th cyclotomic function field.  Each product runs
 over Galois orbits of characters, one per order t, so it is a product of
-exact norms N_{Q(zeta_t)/Q} (cycint.norm); floats only guard.
+exact norms N_{Q(zeta_t)/Q} (cycint.norm); floats only guard.  Each route
+memoizes its exact values per order t and its guard values per character,
+the digit route on its DigitPolynomials and the character sums on the
+ResidueCtx, so a table over every l | N takes each once while every row
+still checks its product against all its characters.
 
 Independent routes kept alongside the digit route, sharing no product code
 with it: the classical character sum formulas over monic polynomials of
@@ -56,6 +60,10 @@ class DigitPolynomials:
     digits: tuple[Poly, ...]
     degree_poly: tuple[int, ...]
     _twist_memo: dict = field(default_factory=dict, init=False, repr=False)
+    # the digit route's memos, apart from the character-sum oracle's on ctx
+    _norm_memo: dict = field(default_factory=dict, init=False, repr=False)
+    _plus_memo: dict = field(default_factory=dict, init=False, repr=False)
+    _minus_memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def twisted_exponents(self, lam: UnitCharacter) -> tuple[int | None, ...]:
         """Coefficient exponents of the lam-twisted polynomial.
@@ -262,6 +270,51 @@ def _advisory_check(factors, exact: int, what: str) -> None:
         )
 
 
+def _plus_values(dp: DigitPolynomials, m: int) -> list[complex]:
+    """Floating F(zeta_m^s) for 0 < s < m, F the degree polynomial.
+
+    Memoized per m, whatever l asks for it: each value is taken from the
+    m-th roots table, so the same character under another m is another
+    floating value.
+    """
+    if m not in dp._plus_memo:
+        F = dp.degree_poly
+        dp._plus_memo[m] = [
+            _root_sum(m, ((s * k, c) for k, c in enumerate(F) if c)) for s in range(1, m)
+        ]
+    return dp._plus_memo[m]
+
+
+def _minus_terms(dp: DigitPolynomials, j: int) -> tuple[list[int], complex]:
+    """The twisted terms of chi_j (exponents of zeta_N) and their floating
+    sum, memoized per j."""
+    if j not in dp._minus_memo:
+        xs = _twisted_terms(dp.ctx, dp, dp.ctx.char(j))
+        dp._minus_memo[j] = (xs, _root_sum(dp.ctx.N, ((x, 1) for x in xs)))
+    return dp._minus_memo[j]
+
+
+def _digit_norm(dp: DigitPolynomials, t: int) -> int:
+    """Norm N_{Q(zeta_t)/Q} of the digit route's value at the characters of
+    exact order t, memoized per t, whatever l asks for it.
+
+    Order t lies in X_L^+ exactly when t | r (m = gcd(l, r)): there the
+    value is F(zeta_t), F the degree polynomial; elsewhere it is the twisted
+    polynomial at chi_{N/t}, written in Z[zeta_t].
+    """
+    if t not in dp._norm_memo:
+        ctx = dp.ctx
+        if ctx.r % t == 0:
+            dp._norm_memo[t] = norm(t, dp.degree_poly)
+        else:
+            j = ctx.N // t  # every exponent of chi_j's value is a multiple of j
+            vec = [0] * t
+            for x in _minus_terms(dp, j)[0]:
+                vec[x // j] += 1
+            dp._norm_memo[t] = norm(t, vec)
+    return dp._norm_memo[t]
+
+
 def h_plus_from_digits(ctx: ResidueCtx, l: int) -> int:
     """Class number of the real subfield L+ from the degree polynomial F.
 
@@ -275,12 +328,11 @@ def h_plus_from_digits(ctx: ResidueCtx, l: int) -> int:
     m = desc.m
     if m == 1:
         raise HypothesisError("L+ is the rational base field (m = 1); nothing to compute")
-    F = digit_polynomials(ctx).degree_poly
+    dp = digit_polynomials(ctx)
     value = 1
     for t in divisors(m)[1:]:
-        value *= norm(t, F)
-    values = [_root_sum(m, ((s * k, c) for k, c in enumerate(F) if c)) for s in range(1, m)]
-    _advisory_check(values, value, "plus-part product")
+        value *= _digit_norm(dp, t)
+    _advisory_check(_plus_values(dp, m), value, "plus-part product")
     sign = 1 if m % 2 else -1
     return sign * value
 
@@ -299,16 +351,11 @@ def h_minus_from_digits(ctx: ResidueCtx, l: int) -> int:
     if desc.n == 1:
         raise HypothesisError("L equals its real subfield (n = 1); nothing to compute")
     dp = digit_polynomials(ctx)
-    terms = {j: _twisted_terms(ctx, dp, ctx.char(j)) for j in desc.chis_minus}
     value = 1
     for t in divisors(l):
         if desc.m % t:
-            j = ctx.N // t  # every exponent of chi_j's value is a multiple of j
-            vec = [0] * t
-            for x in terms[j]:
-                vec[x // j] += 1
-            value *= norm(t, vec)
-    values = [_root_sum(ctx.N, ((x, 1) for x in xs)) for xs in terms.values()]
+            value *= _digit_norm(dp, t)
+    values = [_minus_terms(dp, j)[1] for j in desc.chis_minus]
     _advisory_check(values, value, "minus-part product")
     return value
 
@@ -376,6 +423,21 @@ def _orbit_value(ctx: ResidueCtx, t: int) -> int:
     return memo[t]
 
 
+def _char_sum_value(ctx: ResidueCtx, j: int) -> complex:
+    """Floating character sum at chi_j, memoized on the ctx: -sum chi(I) deg I
+    when chi_j lies in X_L^+ (its order divides r), sum chi(I) otherwise."""
+    memo = getattr(ctx, "_char_sum_memo", None)
+    if memo is None:
+        memo = ctx._char_sum_memo = {}
+    if j not in memo:
+        window = _char_sum_window(ctx)
+        if j * ctx.r % ctx.N:
+            memo[j] = _root_sum(ctx.N, ((j * k, 1) for k, _ in window))
+        else:
+            memo[j] = _root_sum(ctx.N, ((j * k, -s) for k, s in window if s))
+    return memo[j]
+
+
 def h_from_char_sums(ctx: ResidueCtx, l: int) -> CharSumClassNumbers:
     """Class number of the degree-l subfield by the character sum formulas.
 
@@ -394,12 +456,8 @@ def h_from_char_sums(ctx: ResidueCtx, l: int) -> CharSumClassNumbers:
             h_minus *= _orbit_value(ctx, t)
         else:
             h_plus *= _orbit_value(ctx, t)
-    window = _char_sum_window(ctx)
-    plus_factors = [
-        _root_sum(ctx.N, ((j * k, -s) for k, s in window if s))
-        for j in desc.chis_plus if j
-    ]
-    minus_factors = [_root_sum(ctx.N, ((j * k, 1) for k, _ in window)) for j in desc.chis_minus]
+    plus_factors = [_char_sum_value(ctx, j) for j in desc.chis_plus if j]
+    minus_factors = [_char_sum_value(ctx, j) for j in desc.chis_minus]
     _advisory_check(plus_factors, h_plus, "character sum plus part")
     _advisory_check(minus_factors, h_minus, "character sum minus part")
     return CharSumClassNumbers(h_plus, h_minus, h_plus * h_minus)

@@ -6,7 +6,13 @@ Since Phi_n is the minimal polynomial of zeta_n over Q, a rational integer
 has exactly one representation (everything in coordinate 0), which is what
 makes ``as_integer`` a sound collapse test for class number products.
 
-``norm`` (the digit route's exact norm) works on plain int lists, not CycloInt;
+``norm`` (the digit route's exact norm) and ``int_poly_resultant`` work on
+plain int lists, not CycloInt, through one modular resultant: Euclid in
+F_p[x] for primes p just below 2^62 (certified by ``numutil.is_prime``),
+the residues joined by CRT until the product of the primes exceeds twice
+a proven bound on the answer (Hadamard's bound on the Sylvester
+determinant for ``int_poly_resultant``, a Parseval/AM-GM bound for
+``norm``), and the symmetric residue returned.
 ``CycloInt.galois`` serves the character-sum route's Galois-orbit products.
 
 complex_eval is advisory only: it maps a value to floating complex for
@@ -20,7 +26,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .numutil import divisors
+from .numutil import divisors, is_prime
 
 
 @functools.lru_cache(maxsize=None)
@@ -200,38 +206,39 @@ def exponent_sum(n: int, weighted_exponents) -> CycloInt:
 def norm(t: int, coeffs) -> int:
     """N_{Q(zeta_t)/Q} of sum_k coeffs[k] * zeta_t^k, exactly.
 
-    The determinant of multiplication by the value on the basis
-    1, zeta_t, ..., zeta_t^(phi(t)-1).  Both the reduction of the input
-    (Horner) and the phi(t) columns use one step, multiplication by zeta_t:
-    shift up, then subtract the top coefficient times Phi_t.
+    This is res(Phi_t, b) for b the input folded mod x^t - 1 (Phi_t divides
+    x^t - 1 and is monic, so the resultant is the product of b over the
+    primitive t-th roots of unity).  Parseval over all t-th roots and
+    AM-GM over the phi(t) primitive ones bound the value:
+    |N|^2 <= (t * sum b_j^2 / phi(t))^phi(t).  b is reduced mod Phi_t
+    over Z once, through the nonzero terms of Phi_t only, before the
+    modular resultant.
     """
     phi = cyclotomic_poly(t)
     deg = len(phi) - 1
-
-    def times_zeta(v: list[int]) -> list[int]:
-        top = v[-1]
-        out = [0] + v[:-1]
-        if top:
-            for i in range(deg):
-                out[i] -= top * phi[i]
-        return out
-
-    v = [0] * deg
-    for c in reversed(coeffs):
-        v = times_zeta(v)
-        v[0] += c
-    columns = [v]
-    for _ in range(deg - 1):
-        columns.append(times_zeta(columns[-1]))
-    return _bareiss_det(columns)
+    b = [0] * t
+    for k, c in enumerate(coeffs):
+        b[k % t] += c
+    bound_sq = -(-(t * sum(c * c for c in b)) ** deg // deg**deg)
+    low = [(i, a) for i, a in enumerate(phi[:deg]) if a]
+    for k in range(t - 1, deg - 1, -1):
+        c = b.pop()
+        if c:
+            for i, a in low:
+                b[k - deg + i] -= c * a
+    b = _trim_int(b)
+    if not b:
+        return 0
+    return _modular_resultant(list(phi), b, bound_sq)
 
 
 def int_poly_resultant(f, g) -> int:
     """Resultant of integer polynomials (ascending coefficients).
 
     Convention: res(f, g) = lc(f)^deg(g) * product of g over the roots of f.
-    Computed as the Sylvester determinant by fraction-free (Bareiss)
-    elimination, so the value is exact.
+    Computed mod primes and joined by CRT under the Hadamard bound on the
+    Sylvester determinant, |res| <= ||f||_2^deg(g) * ||g||_2^deg(f), so
+    the value is exact.
     """
     f = _trim_int(f)
     g = _trim_int(g)
@@ -244,14 +251,8 @@ def int_poly_resultant(f, g) -> int:
         return f[0] ** dg
     if dg == 0:
         return g[0] ** df
-    size = df + dg
-    rows = []
-    frev, grev = list(reversed(f)), list(reversed(g))
-    for i in range(dg):
-        rows.append([0] * i + frev + [0] * (size - df - 1 - i))
-    for i in range(df):
-        rows.append([0] * i + grev + [0] * (size - dg - 1 - i))
-    return _bareiss_det(rows)
+    bound_sq = sum(c * c for c in f) ** dg * sum(c * c for c in g) ** df
+    return _modular_resultant(f, g, bound_sq)
 
 
 def _trim_int(f) -> list[int]:
@@ -261,22 +262,66 @@ def _trim_int(f) -> list[int]:
     return f
 
 
-def _bareiss_det(m: list[list[int]]) -> int:
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+@functools.lru_cache(maxsize=None)
+def _crt_prime(k: int) -> int:
+    """The k-th prime below 2^62, counting down from the largest (k >= 0)."""
+    n = (1 << 62) + 1 if k == 0 else _crt_prime(k - 1)
+    n -= 2
+    while not is_prime(n):
+        n -= 2
+    return n
+
+
+def _modular_resultant(f: list[int], g: list[int], bound_sq: int) -> int:
+    """res(f, g) for deg f, deg g >= 0, given |res(f, g)|^2 <= bound_sq.
+
+    Residues mod primes not dividing lc(f) * lc(g) (so the degrees survive
+    reduction) are joined by CRT until the modulus M satisfies
+    M^2 > 4 * bound_sq; the symmetric residue in (-M/2, M/2] is then exact.
+    """
+    lead = f[-1] * g[-1]
+    residue, modulus, k = 0, 1, 0
+    while modulus * modulus <= 4 * bound_sq:
+        p = _crt_prime(k)
+        k += 1
+        if lead % p == 0:
+            continue
+        r = _resultant_mod(f, g, p)
+        residue += modulus * ((r - residue) * pow(modulus, -1, p) % p)
+        modulus *= p
+    return residue - modulus if 2 * residue > modulus else residue
+
+
+def _resultant_mod(f: list[int], g: list[int], p: int) -> int:
+    """res(f, g) mod p by Euclid in F_p[x]; p must not divide lc(f) * lc(g).
+
+    Uses res(a, b) = (-1)^(deg a * deg b) res(b, a) and, for deg a <= deg b,
+    res(a, b) = lc(a)^(deg b - deg r) res(a, r) with r = b mod a.
+    Coefficients are kept highest first; inside one division they are
+    left unreduced (each step adds less than p^2) until its last step.
+    """
+    a = [c % p for c in reversed(f)]
+    b = [c % p for c in reversed(g)]
+    acc = 1
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        if da > db:
+            if da & db & 1:
+                acc = -acc
+            a, b, da, db = b, a, db, da
+        if da == 0:
+            return acc * pow(a[0], db, p) % p
+        inv = pow(a[0], -1, p)
+        tail = a[1:]
+        while len(b) > da + 1:
+            c = b[0] * inv % p
+            b = [x - c * y for x, y in zip(b[1:], tail)] + b[da + 1:]
+        c = b[0] * inv % p
+        b = [(x - c * y) % p for x, y in zip(b[1:], tail)]
+        k = 0
+        while k < da and not b[k]:
+            k += 1
+        if k == da:
+            return 0
+        b = b[k:]
+        acc = acc * pow(a[0], db - (len(b) - 1), p) % p

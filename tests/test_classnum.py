@@ -1,15 +1,19 @@
 import json
 import math
 import random
+import time
 
 import pytest
 
+from carlitzdigits import classnum
 from carlitzdigits.chars import build_context, restriction, subfield
 from carlitzdigits.classnum import (
     CSV_COLUMNS,
     ClassNumberReport,
     _orbit_product,
+    _root_sum,
     _twisted_factor,
+    _twisted_terms,
     canonical_primitive_lift,
     compute_report,
     digit_degree_sum,
@@ -27,7 +31,7 @@ from carlitzdigits.classnum import (
 from carlitzdigits.cycint import CycloInt, cyclotomic_poly, exponent_sum, int_poly_resultant
 from carlitzdigits.errors import ExactnessError, HypothesisError
 from carlitzdigits.ffq import FieldSpec
-from carlitzdigits.numutil import prime_factors
+from carlitzdigits.numutil import divisors, prime_factors
 from carlitzdigits.polyring import (
     Poly,
     all_polys_below,
@@ -416,3 +420,67 @@ def test_char_sums_need_true_conjugates(monkeypatch):
     monkeypatch.setattr(CycloInt, "galois", lambda self, u: self)
     with pytest.raises(ExactnessError):
         h_from_char_sums(ctx, 26)
+
+
+def test_resultant_of_long_degree_polynomial():
+    """res(u + 1, F) = F(-1) for the degree polynomial of P = T^4+T+1 over
+    F_7 (deg F = 399, a 400-square Sylvester matrix) in bounded time."""
+    spec = FieldSpec.from_order(7)
+    P = parse_poly(spec, "T^4+T+1")
+    F = digit_polynomials(build_context(P, canonical_primitive_lift(P))).degree_poly
+    assert len(F) == 400
+    start = time.monotonic()
+    value = int_poly_resultant((1, 1), F)
+    assert time.monotonic() - start < 10
+    assert value == sum(c * (-1) ** k for k, c in enumerate(F)) == -12
+
+
+@pytest.mark.parametrize("bad_t", [4, 16])
+def test_digit_norm_guard(monkeypatch, bad_t):
+    """A wrong digit-route norm for one order t (4 divides r, 16 does not)
+    fails the float guard in every row whose product includes t, also on a
+    second pass over the table when every memo is warm."""
+    spec = FieldSpec.from_order(3)
+    P = parse_poly(spec, "T^4+T+2")
+    ctx = build_context(P, canonical_primitive_lift(P))
+    true_norm = classnum.norm
+    monkeypatch.setattr(
+        classnum, "norm", lambda t, v: 2 * true_norm(t, v) if t == bad_t else true_norm(t, v)
+    )
+    hit = 0
+    for _ in range(2):
+        for l in divisors(ctx.N):
+            # a plus order (t | r) enters where t | m, a minus order where t | l
+            reach = math.gcd(l, ctx.r) if ctx.r % bad_t == 0 else l
+            if reach % bad_t == 0:
+                hit += 1
+                with pytest.raises(ExactnessError):
+                    compute_report(ctx, l)
+            else:
+                compute_report(ctx, l)
+    assert hit >= 4
+
+
+def test_guard_values_memoized_per_character(ctx_pool):
+    """After every row of a table, each memoized guard value is bit for bit
+    the floating sum a row would evaluate afresh, and the character-sum
+    memo holds each nontrivial character once."""
+    for ctx in [c for c in ctx_pool if c.e >= c.d][:8]:
+        for l in divisors(ctx.N):
+            compute_report(ctx, l, verify_charsum=True)
+        dp = digit_polynomials(ctx)
+        window = [(ctx.dlog[I], s) for s in range(ctx.d) for I in monic_polys(ctx.spec, s)]
+        for m, zs in dp._plus_memo.items():
+            assert zs == [
+                _root_sum(m, ((s * k, c) for k, c in enumerate(dp.degree_poly) if c))
+                for s in range(1, m)
+            ]
+        for j, (xs, z) in dp._minus_memo.items():
+            assert xs == _twisted_terms(ctx, dp, ctx.char(j))
+            assert z == _root_sum(ctx.N, ((x, 1) for x in xs))
+        for j, z in ctx._char_sum_memo.items():
+            if j in subfield(ctx, ctx.N).chis_plus:
+                assert z == _root_sum(ctx.N, ((j * k, -s) for k, s in window if s))
+            else:
+                assert z == _root_sum(ctx.N, ((j * k, 1) for k, _ in window))
+        assert len(ctx._char_sum_memo) == ctx.N - 1

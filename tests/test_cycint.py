@@ -6,6 +6,7 @@ import pytest
 
 from carlitzdigits.cycint import (
     CycloInt,
+    _crt_prime,
     cyclotomic_poly,
     exponent_sum,
     int_poly_resultant,
@@ -31,6 +32,76 @@ def int_poly_eval(f, x):
     for c in reversed(f):
         acc = acc * x + c
     return acc
+
+
+def bareiss_det(m):
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    m = [list(row) for row in m]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def sylvester_resultant(f, g):
+    """Reference res(f, g): the Sylvester determinant by Bareiss elimination,
+    with the package's convention and edge cases."""
+    f, g = list(f), list(g)
+    while f and f[-1] == 0:
+        f.pop()
+    while g and g[-1] == 0:
+        g.pop()
+    if not f or not g:
+        return 0
+    df, dg = len(f) - 1, len(g) - 1
+    if df == 0 and dg == 0:
+        return 1
+    if df == 0:
+        return f[0] ** dg
+    if dg == 0:
+        return g[0] ** df
+    size = df + dg
+    frev, grev = f[::-1], g[::-1]
+    rows = [[0] * i + frev + [0] * (size - df - 1 - i) for i in range(dg)]
+    rows += [[0] * i + grev + [0] * (size - dg - 1 - i) for i in range(df)]
+    return bareiss_det(rows)
+
+
+def bareiss_norm(t, coeffs):
+    """Reference N_{Q(zeta_t)/Q}: the Bareiss determinant of multiplication
+    by the value on the basis 1, zeta_t, ..., zeta_t^(phi(t)-1)."""
+    phi = cyclotomic_poly(t)
+    deg = len(phi) - 1
+
+    def times_zeta(v):
+        top = v[-1]
+        out = [0] + v[:-1]
+        for i in range(deg):
+            out[i] -= top * phi[i]
+        return out
+
+    v = [0] * deg
+    for c in reversed(coeffs):
+        v = times_zeta(v)
+        v[0] += c
+    columns = [v]
+    for _ in range(deg - 1):
+        columns.append(times_zeta(columns[-1]))
+    return bareiss_det(columns)
 
 
 def test_cyclotomic_poly_pinned():
@@ -166,17 +237,72 @@ def test_resultant_edge_cases():
     assert int_poly_resultant((1, 2, 1), (3,)) == 9
 
 
+def test_resultant_matches_sylvester_bareiss():
+    """The modular resultant against the Sylvester determinant: non-monic
+    inputs whose leading coefficients the first CRT primes divide, entries
+    up to 2^200 (many primes), and zero and constant inputs."""
+    rng = random.Random(27)
+    p0, p1, p2 = _crt_prime(0), _crt_prime(1), _crt_prime(2)
+    leads = (p0, p0 * p1, -p1 * p2, 3 * p0 * p1 * p2, 2, -1)
+    for _ in range(60):
+        f = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))] + [rng.choice(leads)]
+        g = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))] + [rng.choice(leads)]
+        assert int_poly_resultant(f, g) == sylvester_resultant(f, g)
+    for _ in range(60):
+        bits = rng.choice((1, 30, 64, 130, 200))
+        big = lambda: rng.randint(-(2**bits), 2**bits)
+        f = [big() for _ in range(rng.randint(1, 7))]
+        g = [big() for _ in range(rng.randint(1, 7))]
+        assert int_poly_resultant(f, g) == sylvester_resultant(f, g)
+    small = ((), (0,), (0, 0), (5,), (-3, 0), (0, 1), (2, -1, 4), (0, 0, 7))
+    for f in small:
+        for g in small:
+            assert int_poly_resultant(f, g) == sylvester_resultant(f, g)
+
+
+def test_norm_matches_bareiss_every_order():
+    """norm(t, v) against the Bareiss determinant of multiplication by v for
+    every t <= 130 (124 and 127 included), on digit-like vectors: entries
+    0-7, lengths up to 127."""
+    rng = random.Random(28)
+    for t in range(1, 131):
+        assert norm(t, [0] * rng.randint(1, 127)) == 0
+        length = 127 if t in (124, 127) else rng.randint(1, 127)
+        v = [rng.randint(0, 7) for _ in range(length)]
+        assert norm(t, v) == bareiss_norm(t, v)
+
+
+def test_bounds_attained():
+    """Inputs at which each bound is attained, with |answer| = 0.55 p for
+    the first CRT prime p: stopping after that prime, under a bound too
+    small by a factor of 2 or more, returns the wrong residue.
+    Hadamard: the Sylvester rows of x + c and c*x - 1 are orthogonal.
+    Parseval/AM-GM at t = 2 and 4: b = c - c*x^(t/2) vanishes at 1 and -1."""
+    p = _crt_prime(0)
+    c = math.isqrt(11 * p // 20)
+    assert int_poly_resultant((c, 1), (-1, c)) == -(1 + c * c)
+    c = 11 * p // 40
+    assert norm(2, (c, -c)) == 2 * c
+    assert norm(4, (c, 0, -c, 0)) == 4 * c * c
+
+
+def test_crt_primes():
+    """The CRT primes are the ten primes just below 2^62, largest first."""
+    gaps = (57, 87, 117, 143, 153, 167, 171, 195, 203, 273)
+    assert [2**62 - _crt_prime(k) for k in range(10)] == list(gaps)
+
+
 def test_norm_matches_resultant_and_conjugates():
-    """norm(t, v) against the Sylvester resultant res(Phi_t, v) and the
-    product of v over the primitive t-th roots of unity; t <= 40 includes
-    non-cyclic (Z/t)^x such as t = 8, 12, 15, 24."""
+    """norm(t, v) against the Sylvester determinant of res(Phi_t, v) by
+    Bareiss elimination and the product of v over the primitive t-th roots
+    of unity; t <= 40 includes non-cyclic (Z/t)^x such as t = 8, 12, 15, 24."""
     rng = random.Random(25)
     for t in range(1, 41):
         assert norm(t, [0] * rng.randint(1, t + 1)) == 0
         for _ in range(6):
             v = [rng.randint(-1, 1) for _ in range(rng.randint(1, t + 3))]
             exact = norm(t, v)
-            assert exact == int_poly_resultant(cyclotomic_poly(t), v)
+            assert exact == sylvester_resultant(cyclotomic_poly(t), v)
             prod = 1 + 0j
             for a in range(1, t + 1):
                 if math.gcd(a, t) == 1:

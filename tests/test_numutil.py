@@ -1,3 +1,5 @@
+import pytest
+
 from carlitzdigits.numutil import divisors, factorize, is_prime, prime_factors
 
 
@@ -10,6 +12,17 @@ def brute_is_prime(n):
 def test_is_prime_matches_brute_force():
     for n in range(0, 500):
         assert is_prime(n) == brute_is_prime(n)
+
+
+def test_is_prime_large():
+    """Strong pseudoprimes to the first 9 and the first 12 prime bases are
+    rejected; at the bound of exactness the test refuses."""
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2**61 - 1) and not is_prime(2**62 - 1)
+    assert is_prime(2**62 - 57) and not is_prime(2**62 - 59)
+    with pytest.raises(ValueError):
+        is_prime(3317044064679887385961981)
 
 
 def test_factorize_reconstructs_and_uses_primes():
