@@ -3,13 +3,14 @@ primitive base.
 
 With P monic irreducible of degree d the unit group is cyclic of order
 N = q^d - 1.  A base G that generates it fixes an isomorphism k -> G^k, and
-every character is chi_j: G^k -> zeta_N^(j*k).  The context precomputes the
-full power table and its inverse (discrete log), so character values are
-exponent lookups.
+every character is chi_j: G^k -> zeta_N^(j*k).
 
 Scalars sit inside the unit group as the subgroup of order q - 1 generated
 by w = G^r, r = N/(q-1); restriction to scalars therefore lands on unit
 characters indexed against w, not against the canonical generator of F_q^x.
+The context is the r-step long division G * G^(k-1) = H_k * P + G^k of 1/P
+in base G; a residue's discrete log is that of its monic part plus r times
+that of its leading coefficient against w.
 
 Subgroups of the character group come from subfields: for l | N the field
 fixed by the index-l subgroup H_L has character group X_L = {chi : chi^l = 1}.
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .cycint import CycloInt, root_of_unity
 from .errors import HypothesisError, PrimitivityError, ResourceLimitError
-from .ffq import FieldElement, UnitCharacter
+from .ffq import FieldElement, UnitCharacter, dlog, mult_order
 from .numutil import prime_factors
 from .polyring import Poly, is_irreducible, mod_pow
 
@@ -34,7 +35,8 @@ _N_BOUND = 2**63
 
 @dataclass(eq=False)
 class ResidueCtx:
-    """Power table of a primitive base G modulo irreducible P."""
+    """G^0..G^(r-1) mod P (powers), the digits H_1..H_r of 1/P in base G,
+    the discrete logs of the monic residues (dlog) and w = G^r (unit_gen)."""
 
     P: Poly
     G: Poly
@@ -43,8 +45,10 @@ class ResidueCtx:
     N: int
     r: int
     powers: tuple[Poly, ...]
+    digits: tuple[Poly, ...]
     dlog: dict
     unit_gen: FieldElement
+    _subfield_memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def spec(self):
@@ -58,15 +62,28 @@ class ResidueCtx:
         rem = poly % self.P
         if rem.is_zero():
             return None
-        return self.dlog[rem]
+        t = dlog(rem.leading_coeff(), self.unit_gen)
+        return (self.dlog[rem.monic()] + self.r * t) % self.N
+
+
+def primitivity_witness(G: Poly, P: Poly) -> int | None:
+    """The least prime ell | q^deg P - 1 = N with G^(N/ell) = 1 mod P; None
+    when G, a unit mod the irreducible P, is primitive."""
+    N = P.spec.q ** (len(P.ints) - 1) - 1
+    one = Poly.one(P.spec) % P
+    for ell in prime_factors(N) if N > 1 else ():
+        if mod_pow(G, N // ell, P) == one:
+            return ell
+    return None
 
 
 def build_context(P: Poly, G: Poly) -> ResidueCtx:
-    """Validate (P, G) and precompute the power table.
+    """Validate (P, G) and run the r-step long division of 1/P in base G.
 
     P must be monic irreducible; G must be a unit mod P of full order N,
     which is checked prime-by-prime so a failure names a witness ell with
-    G^(N/ell) = 1.
+    G^(N/ell) = 1.  The division confirms it: w = G^r generates F_q^x and the
+    monic parts of G^0..G^(r-1) are distinct, so G has order r(q-1) = N.
     """
     if P.spec != G.spec:
         raise ValueError("P and G live over different fields")
@@ -81,37 +98,37 @@ def build_context(P: Poly, G: Poly) -> ResidueCtx:
         raise ResourceLimitError(f"unit group order {N} exceeds the 64-bit bound")
     if (G % P).is_zero():
         raise HypothesisError("requires gcd(G, P) = 1")
-    for ell in prime_factors(N) if N > 1 else ():
-        if mod_pow(G, N // ell, P) == Poly.one(spec) % P:
-            raise PrimitivityError(
-                f"G is not primitive mod P: its order divides N/{ell}", witness=ell
-            )
-    powers = []
-    dlog = {}
-    g = G % P
-    cur = Poly.one(spec) % P
-    for k in range(N):
-        powers.append(cur)
-        dlog[cur] = k
-        cur = (cur * g) % P
-    if cur != Poly.one(spec) % P:
-        raise PrimitivityError("G does not have order N mod P")
+    ell = primitivity_witness(G, P)
+    if ell is not None:
+        raise PrimitivityError(
+            f"G is not primitive mod P: its order divides N/{ell}", witness=ell
+        )
     r = N // (spec.q - 1)
-    wpoly = powers[r % N]
-    if wpoly.degree() != 0:
-        raise RuntimeError("G^r must reduce to a scalar")
-    unit_gen = wpoly.constant_coeff()
+    powers = []
+    digits = []
+    cur = Poly.one(spec)
+    for _ in range(r):
+        powers.append(cur)
+        h, cur = divmod(G * cur, P)
+        digits.append(h)
+    if len(cur.ints) != 1 or mult_order(cur.constant_coeff()) != spec.q - 1:
+        raise PrimitivityError("G^r is not a scalar generating F_q^x")
+    unit_gen = cur.constant_coeff()
+    logs = {g.monic(): (k - r * dlog(g.leading_coeff(), unit_gen)) % N
+            for k, g in enumerate(powers)}
+    if len(logs) != r:
+        raise PrimitivityError("G does not have order N mod P")
     return ResidueCtx(
-        P=P, G=G, d=d, e=len(G.ints) - 1, N=N, r=r,
-        powers=tuple(powers), dlog=dlog, unit_gen=unit_gen,
+        P=P, G=G, d=d, e=len(G.ints) - 1, N=N, r=r, powers=tuple(powers),
+        digits=tuple(digits), dlog=logs, unit_gen=unit_gen,
     )
 
 
 def deg_map(ctx: ResidueCtx, k: int) -> int:
-    """Degree of the canonical representative of G^k, 0 <= k < N."""
+    """Degree of the canonical representative of G^k = w^(k//r) G^(k%r)."""
     if not 0 <= k < ctx.N:
         raise ValueError("exponent out of range")
-    return len(ctx.powers[k].ints) - 1
+    return len(ctx.powers[k % ctx.r].ints) - 1
 
 
 @dataclass(frozen=True)
@@ -192,9 +209,12 @@ class SubfieldDescriptor:
 
 
 def subfield(ctx: ResidueCtx, l: int) -> SubfieldDescriptor:
-    """Descriptor for the subfield of degree l over the base field; l | N."""
+    """Descriptor for the subfield of degree l over the base field; l | N.
+    Memoized on the ctx."""
     if l < 1 or ctx.N % l:
         raise HypothesisError(f"l = {l} does not divide N = {ctx.N}")
+    if l in ctx._subfield_memo:
+        return ctx._subfield_memo[l]
     q = ctx.spec.q
     m = math.gcd(l, ctx.r)
     n = l // m
@@ -221,7 +241,8 @@ def subfield(ctx: ResidueCtx, l: int) -> SubfieldDescriptor:
     unit_chars = tuple(
         UnitCharacter(ctx.spec, s, ctx.unit_gen) for s in sorted(alpha_exponents)
     )
-    return SubfieldDescriptor(
+    desc = ctx._subfield_memo[l] = SubfieldDescriptor(
         ctx=ctx, l=l, m=m, n=n, chis=chis, chis_plus=chis_plus,
         chis_minus=chis_minus, unit_chars=unit_chars, alpha_exponents=alpha_exponents,
     )
+    return desc

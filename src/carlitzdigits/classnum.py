@@ -35,17 +35,17 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .chars import DirichletChar, ResidueCtx, build_context, restriction, subfield
+from .chars import (DirichletChar, ResidueCtx, build_context, primitivity_witness,
+                    restriction, subfield)
 from .cycint import CycloInt, exponent_sum, norm, root_of_unity
 from .errors import ExactnessError, HypothesisError
 from .ffq import FieldSpec, UnitCharacter, quadratic_character
-from .numutil import divisors, prime_factors
+from .numutil import divisors
 from .polyring import (
     Poly,
     all_polys_below,
     format_poly,
     is_irreducible,
-    mod_pow,
     monic_polys,
 )
 
@@ -71,19 +71,14 @@ class DigitPolynomials:
         Entry k-1 is the exponent of zeta_{q-1} in lam(lc(G)) * lam~(lc(H_k)),
         or None where H_k = 0 (the coefficient 0).  Memoized per lam.
         """
-        cached = self._twist_memo.get(lam)
-        if cached is not None:
-            return cached
-        base_exp = lam.exponent(self.ctx.G.leading_coeff())
-        modulus = max(lam.spec.q - 1, 1)
-        out: list[int | None] = []
-        for h in self.digits:
-            if h.is_zero():
-                out.append(None)
-            else:
-                out.append((base_exp - lam.exponent(h.leading_coeff())) % modulus)
-        result = self._twist_memo[lam] = tuple(out)
-        return result
+        if lam not in self._twist_memo:
+            base_exp = lam.exponent(self.ctx.G.leading_coeff())
+            modulus = max(lam.spec.q - 1, 1)
+            self._twist_memo[lam] = tuple(
+                None if h.is_zero() else (base_exp - lam.exponent(h.leading_coeff())) % modulus
+                for h in self.digits
+            )
+        return self._twist_memo[lam]
 
     def twisted_poly(self, lam: UnitCharacter) -> tuple[CycloInt, ...]:
         """Coefficients of the lam-twisted polynomial in Z[zeta_{q-1}]."""
@@ -95,23 +90,12 @@ class DigitPolynomials:
 
 
 def digit_polynomials(ctx: ResidueCtx) -> DigitPolynomials:
-    """Digits H_1..H_r through the closed form, off the ctx power table."""
+    """The ctx's digits H_1..H_r with their degree polynomial, memoized."""
     cached = getattr(ctx, "_digit_memo", None)
-    if cached is not None:
-        return cached
-    digits = []
-    degs = []
-    for k in range(1, ctx.r + 1):
-        gk1 = ctx.powers[(k - 1) % ctx.N]
-        gk = ctx.powers[k % ctx.N]
-        quo, rem = divmod(ctx.G * gk1 - gk, ctx.P)
-        if not rem.is_zero():
-            raise ExactnessError("digit closed form left a remainder")
-        digits.append(quo)
-        degs.append(len(quo.ints) - 1 if quo.ints else 0)
-    result = DigitPolynomials(ctx=ctx, digits=tuple(digits), degree_poly=tuple(degs))
-    ctx._digit_memo = result
-    return result
+    if cached is None:
+        degs = tuple(len(h.ints) - 1 if h.ints else 0 for h in ctx.digits)
+        cached = ctx._digit_memo = DigitPolynomials(ctx=ctx, digits=ctx.digits, degree_poly=degs)
+    return cached
 
 
 def _eval_int_poly_at_root(coeffs, n: int, j: int) -> CycloInt:
@@ -262,7 +246,8 @@ def _advisory_check(factors, exact: int, what: str) -> None:
         total += cmath.log(z)
     if exact == 0:
         raise ExactnessError(f"{what}: exact value is zero")
-    target = cmath.log(complex(exact))
+    # math.log takes the int exactly; complex(exact) overflows past ~1.8e308
+    target = complex(math.log(abs(exact)), math.pi if exact < 0 else 0.0)
     diff = cmath.exp(total - target)
     if abs(diff - 1) > _ADVISORY_REL_TOL:
         raise ExactnessError(
@@ -494,15 +479,8 @@ def canonical_primitive_lift(P: Poly) -> Poly:
     The result is monic of degree d = deg P, so deg G >= deg P holds and
     G is primitive mod P exactly because g0 is.
     """
-    spec = P.spec
-    d = len(P.ints) - 1
-    N = spec.q**d - 1
-    primes = prime_factors(N) if N > 1 else ()
-    one = Poly.one(spec) % P
-    for cand in all_polys_below(spec, d):
-        if cand.is_zero():
-            continue
-        if all(mod_pow(cand, N // ell, P) != one for ell in primes):
+    for cand in all_polys_below(P.spec, len(P.ints) - 1):
+        if not cand.is_zero() and primitivity_witness(cand, P) is None:
             return cand + P
     raise ExactnessError("no primitive residue found; unit groups are cyclic")
 

@@ -17,11 +17,13 @@ from carlitzdigits.errors import (
     PrimitivityError,
     ResourceLimitError,
 )
+from carlitzdigits.digits import digit_closed_form, digit_expand
 from carlitzdigits.ffq import FieldSpec
 from carlitzdigits.polyring import (
     Poly,
     gen,
     is_irreducible,
+    mod_pow,
     monic_polys,
     parse_poly,
     poly,
@@ -30,21 +32,31 @@ from carlitzdigits.polyring import (
 from conftest import EX1, EX3, random_poly
 
 
+def _power(ctx, k):
+    """G^k mod P by repeated squaring, apart from the context's division."""
+    return mod_pow(ctx.G, k, ctx.P)
+
+
 def test_context_basics(ctx1):
     assert ctx1.d == 2 and ctx1.e == 2
     assert ctx1.N == 8 and ctx1.r == 4
-    assert len(ctx1.powers) == 8
+    assert len(ctx1.powers) == ctx1.r == len(ctx1.digits) == len(ctx1.dlog)
     assert ctx1.powers[0] == Poly.one(ctx1.spec)
     # w = G^r is a scalar of full order q - 1
-    assert ctx1.powers[4].degree() == 0
+    assert _power(ctx1, 4).degree() == 0
     assert ctx1.unit_gen == ctx1.spec.element(2)
+    assert _power(ctx1, 4) == Poly(ctx1.spec, (ctx1.unit_gen,))
 
 
 def test_power_table_is_bijective(ctx1, ctx2, ctx3):
     for ctx in (ctx1, ctx2, ctx3):
-        assert len(set(ctx.powers)) == ctx.N
+        seen = {_power(ctx, k) for k in range(ctx.N)}
+        assert len(seen) == ctx.N
         for k, p in enumerate(ctx.powers):
-            assert ctx.dlog[p] == k
+            assert p == _power(ctx, k)
+        for k in range(ctx.N):
+            p = _power(ctx, k)
+            assert ctx.dlog_of(p) == k
             assert p.is_zero() is False
             assert p.degree() < ctx.d
 
@@ -54,7 +66,7 @@ def test_dlog_is_homomorphic(ctx3):
     for _ in range(100):
         a = rng.randrange(ctx3.N)
         b = rng.randrange(ctx3.N)
-        prod = (ctx3.powers[a] * ctx3.powers[b]) % ctx3.P
+        prod = (_power(ctx3, a) * _power(ctx3, b)) % ctx3.P
         assert ctx3.dlog_of(prod) == (a + b) % ctx3.N
     assert ctx3.dlog_of(ctx3.P) is None
     assert ctx3.dlog_of(Poly.zero(ctx3.spec)) is None
@@ -104,7 +116,7 @@ def test_deg_map(ctx1):
     assert deg_map(ctx1, 0) == 0
     assert deg_map(ctx1, 1) == 1
     for k in range(ctx1.N):
-        assert deg_map(ctx1, k) == ctx1.powers[k].degree()
+        assert deg_map(ctx1, k) == _power(ctx1, k).degree()
         if k % ctx1.r == 0:
             assert deg_map(ctx1, k) == 0
     with pytest.raises(ValueError):
@@ -118,14 +130,15 @@ def test_char_values(ctx1):
     chi = ctx1.char(3)
     assert chi.value_at_base() == root_of_unity(N, 3)
     for k in range(N):
-        assert chi.value(ctx1.powers[k]) == root_of_unity(N, 3 * k)
+        assert chi.value(_power(ctx1, k)) == root_of_unity(N, 3 * k)
     assert chi.value(ctx1.P).is_zero()
     assert chi.value(ctx1.P * ctx1.G).is_zero()
     assert chi.exponent_at(ctx1.P) is None
     conj = chi.conjugate()
     assert conj.j == N - 3
     for k in range(N):
-        assert (chi.value(ctx1.powers[k]) * conj.value(ctx1.powers[k])) == CycloInt.one(N)
+        gk = _power(ctx1, k)
+        assert (chi.value(gk) * conj.value(gk)) == CycloInt.one(N)
 
 
 def test_char_is_multiplicative(ctx3):
@@ -134,7 +147,7 @@ def test_char_is_multiplicative(ctx3):
         j = rng.randrange(ctx3.N)
         chi = ctx3.char(j)
         a, b = rng.randrange(ctx3.N), rng.randrange(ctx3.N)
-        pa, pb = ctx3.powers[a], ctx3.powers[b]
+        pa, pb = _power(ctx3, a), _power(ctx3, b)
         assert chi.value((pa * pb) % ctx3.P) == chi.value(pa) * chi.value(pb)
 
 
@@ -231,15 +244,53 @@ def test_subfield_structure_all_divisors(ctx1, ctx2, ctx3):
 
 
 def test_monic_reps_partition(ctx_pool):
-    """The canonical reps of G^0..G^(N-1), scaled monic, cover the monic
-    polynomials of degree < d exactly q - 1 times each (scalar fibers)."""
+    """The monic parts of G^0..G^(r-1) are the monic polynomials of degree
+    < d, each exactly once, and G^r is a scalar."""
     for ctx in ctx_pool:
         seen = {}
-        for p in ctx.powers:
-            key = p.monic().coeffs
+        for k in range(ctx.r):
+            key = _power(ctx, k).monic().ints
             seen[key] = seen.get(key, 0) + 1
         expected = {}
         for s in range(ctx.d):
             for mp in monic_polys(ctx.spec, s):
-                expected[mp.coeffs] = ctx.spec.q - 1
+                expected[mp.ints] = 1
         assert seen == expected
+        assert _power(ctx, ctx.r).degree() == 0
+        assert sorted(p.monic().ints for p in ctx.powers) == sorted(expected)
+
+
+def _e_below_d_context():
+    """A context with deg G < deg P, by fixed search over F_3."""
+    spec = FieldSpec.from_order(3)
+    P = parse_poly(spec, "T^3+2*T+1")
+    for G in monic_polys(spec, 2):
+        try:
+            return build_context(P, G)
+        except PrimitivityError:
+            continue
+    raise AssertionError("some monic quadratic is primitive mod P")
+
+
+def test_division_matches_digits_module(ctx_pool, ctx2):
+    """The context's one long division against digit_closed_form and
+    digit_expand, and dlog_of against repeated squaring at every k < N."""
+    small = _e_below_d_context()
+    assert small.e < small.d and ctx2.spec.q == 2 and ctx2.r == ctx2.N
+    for ctx in ctx_pool + [ctx2, small]:
+        one = Poly.one(ctx.spec)
+        assert len(ctx.digits) == ctx.r
+        assert digit_expand(one, ctx.P, ctx.G, ctx.r).digits == ctx.digits
+        for k in range(1, ctx.r + 1):
+            assert digit_closed_form(ctx.P, ctx.G, k) == ctx.digits[k - 1]
+        for k in range(ctx.N):
+            assert ctx.dlog_of(_power(ctx, k)) == k
+
+
+def test_subfield_is_memoized(ctx3):
+    desc = subfield(ctx3, 13)
+    assert subfield(ctx3, 13) is desc
+    assert subfield(ctx3, 2) is not desc
+    for _ in range(2):
+        with pytest.raises(HypothesisError):
+            subfield(ctx3, 5)

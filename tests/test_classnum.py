@@ -435,6 +435,17 @@ def test_resultant_of_long_degree_polynomial():
     assert value == sum(c * (-1) ** k for k, c in enumerate(F)) == -12
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_advisory_check_beyond_float_range(sign):
+    # |exact| = 10^400 has no complex() value; the guard works in log space
+    exact = sign * 10**400
+    factors = [complex(sign * 1e100)] + [complex(1e100)] * 3
+    classnum._advisory_check(factors, exact, "control")
+    for wrong in (2 * exact, -exact):
+        with pytest.raises(ExactnessError):
+            classnum._advisory_check(factors, wrong, "control")
+
+
 @pytest.mark.parametrize("bad_t", [4, 16])
 def test_digit_norm_guard(monkeypatch, bad_t):
     """A wrong digit-route norm for one order t (4 divides r, 16 does not)

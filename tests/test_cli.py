@@ -197,6 +197,16 @@ def test_classnum_resource_bound():
     assert "bound" in res.stderr
 
 
+def test_classnum_product_beyond_float_range():
+    # h+ has 690 digits, far past the largest double
+    res = run_cli("classnum", "--q", "2", "--P", "T^9+T^4+1", "--l", "511",
+                  "--verify", "charsum")
+    assert res.returncode == 0, res.stderr
+    assert "agree = true\n" in res.stdout
+    h_plus = next(line for line in res.stdout.splitlines() if line.startswith("h_plus = "))
+    assert len(h_plus) - len("h_plus = ") == 690
+
+
 def test_output_file(tmp_path):
     target = tmp_path / "digits.txt"
     res = run_cli("expand", "--q", "3", "--G", "T^2+T+2", "--P", "T^2+1",

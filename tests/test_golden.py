@@ -22,6 +22,11 @@ CASES = {
                          "--verify", "pointcount", "--format", "json"],
     "classnum_q9_cubic": ["classnum", "--q", "9", "--P", "T^3+T+(1,1)", "--l", "2",
                           "--verify", "charsum", "--verify", "pointcount"],
+    "classnum_q7_quartic_json": ["classnum", "--q", "7", "--P", "T^4+T+1", "--l", "2",
+                                 "--verify", "charsum", "--verify", "pointcount",
+                                 "--format", "json"],
+    "sweep_q7_d2": ["sweep", "--q", "7", "--d", "2", "--verify", "charsum",
+                    "--verify", "pointcount"],
     "carlitz_q4": ["carlitz", "--q", "4", "--I", "(0,1)*T^3+T+(1,1)"],
     "expand_q9_json": ["expand", "--q", "9", "--G", "(0,1)*T^2+T+(1,2)", "--num", "T+(2,1)",
                        "--den", "T^4+(1,1)*T+2", "--terms", "12", "--format", "json"],
