@@ -9,8 +9,8 @@ Scalars sit inside the unit group as the subgroup of order q - 1 generated
 by w = G^r, r = N/(q-1); restriction to scalars therefore lands on unit
 characters indexed against w, not against the canonical generator of F_q^x.
 The context is the r-step long division G * G^(k-1) = H_k * P + G^k of 1/P
-in base G; a residue's discrete log is that of its monic part plus r times
-that of its leading coefficient against w.
+in base G (digits.long_division); a residue's discrete log is that of its
+monic part plus r times that of its leading coefficient against w.
 
 Subgroups of the character group come from subfields: for l | N the field
 fixed by the index-l subgroup H_L has character group X_L = {chi : chi^l = 1}.
@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .cycint import CycloInt, root_of_unity
+from .digits import long_division
 from .errors import HypothesisError, PrimitivityError, ResourceLimitError
 from .ffq import FieldElement, UnitCharacter, dlog, mult_order
 from .numutil import prime_factors
@@ -104,13 +106,11 @@ def build_context(P: Poly, G: Poly) -> ResidueCtx:
             f"G is not primitive mod P: its order divides N/{ell}", witness=ell
         )
     r = N // (spec.q - 1)
-    powers = []
-    digits = []
-    cur = Poly.one(spec)
-    for _ in range(r):
-        powers.append(cur)
-        h, cur = divmod(G * cur, P)
+    powers, digits = [Poly.one(spec)], []
+    for h, cur in islice(long_division(G, P, powers[0]), r):
         digits.append(h)
+        powers.append(cur)
+    cur = powers.pop()  # G^r
     if len(cur.ints) != 1 or mult_order(cur.constant_coeff()) != spec.q - 1:
         raise PrimitivityError("G^r is not a scalar generating F_q^x")
     unit_gen = cur.constant_coeff()

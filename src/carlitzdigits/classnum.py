@@ -13,11 +13,12 @@ leading coefficient).  When deg G >= deg P, products of their values at
 roots of unity give the plus part and the relative part of the class number
 of any subfield of the P-th cyclotomic function field.  Each product runs
 over Galois orbits of characters, one per order t, so it is a product of
-exact norms N_{Q(zeta_t)/Q} (cycint.norm); floats only guard.  Each route
-memoizes its exact values per order t and its guard values per character,
-the digit route on its DigitPolynomials and the character sums on the
-ResidueCtx, so a table over every l | N takes each once while every row
-still checks its product against all its characters.
+exact norms N_{Q(zeta_t)/Q} (cycint.norm); floats only guard, each guard
+value at its character's own order t.  Each route memoizes its exact values
+per order t and its guard values per character, the digit route on its
+DigitPolynomials and the character sums on the ResidueCtx, so a table over
+every l | N takes each once while every row still checks its product
+against all its characters.
 
 Independent routes kept alongside the digit route, sharing no product code
 with it: the classical character sum formulas over monic polynomials of
@@ -62,8 +63,7 @@ class DigitPolynomials:
     _twist_memo: dict = field(default_factory=dict, init=False, repr=False)
     # the digit route's memos, apart from the character-sum oracle's on ctx
     _norm_memo: dict = field(default_factory=dict, init=False, repr=False)
-    _plus_memo: dict = field(default_factory=dict, init=False, repr=False)
-    _minus_memo: dict = field(default_factory=dict, init=False, repr=False)
+    _value_memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def twisted_exponents(self, lam: UnitCharacter) -> tuple[int | None, ...]:
         """Coefficient exponents of the lam-twisted polynomial.
@@ -255,28 +255,20 @@ def _advisory_check(factors, exact: int, what: str) -> None:
         )
 
 
-def _plus_values(dp: DigitPolynomials, m: int) -> list[complex]:
-    """Floating F(zeta_m^s) for 0 < s < m, F the degree polynomial.
-
-    Memoized per m, whatever l asks for it: each value is taken from the
-    m-th roots table, so the same character under another m is another
-    floating value.
-    """
-    if m not in dp._plus_memo:
-        F = dp.degree_poly
-        dp._plus_memo[m] = [
-            _root_sum(m, ((s * k, c) for k, c in enumerate(F) if c)) for s in range(1, m)
-        ]
-    return dp._plus_memo[m]
-
-
-def _minus_terms(dp: DigitPolynomials, j: int) -> tuple[list[int], complex]:
-    """The twisted terms of chi_j (exponents of zeta_N) and their floating
-    sum, memoized per j."""
-    if j not in dp._minus_memo:
-        xs = _twisted_terms(dp.ctx, dp, dp.ctx.char(j))
-        dp._minus_memo[j] = (xs, _root_sum(dp.ctx.N, ((x, 1) for x in xs)))
-    return dp._minus_memo[j]
+def _digit_value(dp: DigitPolynomials, j: int) -> complex:
+    """Floating digit-route value at chi_j over the roots of its order t,
+    memoized per j: F(zeta_N^j), F the degree polynomial, when t | r (chi_j
+    in X_L^+), else the twisted polynomial of chi_j's own restriction."""
+    if j not in dp._value_memo:
+        ctx = dp.ctx
+        g = math.gcd(j, ctx.N)
+        t = ctx.N // g  # zeta_N^j = zeta_t^(j/g); every exponent is a multiple of g
+        if ctx.r % t == 0:
+            terms = ((j // g * k, c) for k, c in enumerate(dp.degree_poly) if c)
+        else:
+            terms = ((x // g, 1) for x in _twisted_terms(ctx, dp, ctx.char(j)))
+        dp._value_memo[j] = _root_sum(t, terms)
+    return dp._value_memo[j]
 
 
 def _digit_norm(dp: DigitPolynomials, t: int) -> int:
@@ -285,7 +277,7 @@ def _digit_norm(dp: DigitPolynomials, t: int) -> int:
 
     Order t lies in X_L^+ exactly when t | r (m = gcd(l, r)): there the
     value is F(zeta_t), F the degree polynomial; elsewhere it is the twisted
-    polynomial at chi_{N/t}, written in Z[zeta_t].
+    polynomial at chi_j, j = N/t, folded into Z[zeta_t].
     """
     if t not in dp._norm_memo:
         ctx = dp.ctx
@@ -294,7 +286,7 @@ def _digit_norm(dp: DigitPolynomials, t: int) -> int:
         else:
             j = ctx.N // t  # every exponent of chi_j's value is a multiple of j
             vec = [0] * t
-            for x in _minus_terms(dp, j)[0]:
+            for x in _twisted_terms(ctx, dp, ctx.char(j)):
                 vec[x // j] += 1
             dp._norm_memo[t] = norm(t, vec)
     return dp._norm_memo[t]
@@ -317,7 +309,8 @@ def h_plus_from_digits(ctx: ResidueCtx, l: int) -> int:
     value = 1
     for t in divisors(m)[1:]:
         value *= _digit_norm(dp, t)
-    _advisory_check(_plus_values(dp, m), value, "plus-part product")
+    values = [_digit_value(dp, j) for j in desc.chis_plus if j]
+    _advisory_check(values, value, "plus-part product")
     sign = 1 if m % 2 else -1
     return sign * value
 
@@ -340,7 +333,7 @@ def h_minus_from_digits(ctx: ResidueCtx, l: int) -> int:
     for t in divisors(l):
         if desc.m % t:
             value *= _digit_norm(dp, t)
-    values = [_minus_terms(dp, j)[1] for j in desc.chis_minus]
+    values = [_digit_value(dp, j) for j in desc.chis_minus]
     _advisory_check(values, value, "minus-part product")
     return value
 
@@ -409,17 +402,20 @@ def _orbit_value(ctx: ResidueCtx, t: int) -> int:
 
 
 def _char_sum_value(ctx: ResidueCtx, j: int) -> complex:
-    """Floating character sum at chi_j, memoized on the ctx: -sum chi(I) deg I
-    when chi_j lies in X_L^+ (its order divides r), sum chi(I) otherwise."""
+    """Floating character sum at chi_j over the roots of its order t,
+    memoized on the ctx: -sum chi(I) deg I when chi_j lies in X_L^+ (t | r),
+    sum chi(I) otherwise."""
     memo = getattr(ctx, "_char_sum_memo", None)
     if memo is None:
         memo = ctx._char_sum_memo = {}
     if j not in memo:
         window = _char_sum_window(ctx)
-        if j * ctx.r % ctx.N:
-            memo[j] = _root_sum(ctx.N, ((j * k, 1) for k, _ in window))
+        g = math.gcd(j, ctx.N)
+        t, u = ctx.N // g, j // g  # chi_j(I) = zeta_t^(u * dlog I)
+        if ctx.r % t:
+            memo[j] = _root_sum(t, ((u * k, 1) for k, _ in window))
         else:
-            memo[j] = _root_sum(ctx.N, ((j * k, -s) for k, s in window if s))
+            memo[j] = _root_sum(t, ((u * k, -s) for k, s in window if s))
     return memo[j]
 
 

@@ -7,15 +7,17 @@ part, and each step multiplies the fractional remainder by G and splits off
 its polynomial part again.  All arithmetic is exact on reduced numerator /
 denominator pairs; nothing here is floating point.
 
-For f = 1/M with gcd(G, M) = 1 the digits are also given in closed form by
-H_k = (G * G_{k-1} - G_k) / M, where G_k is the canonical representative of
-G^k mod M, and the digit stream is purely periodic with period equal to the
-multiplicative order of G modulo M.
+For f = 1/M with gcd(G, M) = 1 each step G * G_{k-1} = H_k * M + G_k, G_k
+the canonical representative of G^k mod M, is one division (long_division).
+The closed form H_k = (G * G_{k-1} - G_k) / M, G_{k-1} by modular powering,
+is the independent path; the digit stream is purely periodic with period
+equal to the multiplicative order of G modulo M.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import ExactnessError, HypothesisError, ResourceLimitError
 from .ffq import FieldElement, FieldSpec
@@ -62,6 +64,14 @@ class DigitExpansion:
         )
 
 
+def long_division(base: Poly, m: Poly, cur: Poly):
+    """Yield (H_k, G_k) for k = 1, 2, ... from G_0 = cur: one division
+    base * G_{k-1} = H_k * m + G_k per step, without end."""
+    while True:
+        hk, cur = divmod(base * cur, m)
+        yield hk, cur
+
+
 def digit_expand(f1: Poly, f2: Poly, base: Poly, n: int) -> DigitExpansion:
     """First n digits (plus H_0) of F1/F2 in base G, by exact division.
 
@@ -79,16 +89,12 @@ def digit_expand(f1: Poly, f2: Poly, base: Poly, n: int) -> DigitExpansion:
     if not g0.is_zero() and g0.degree() != 0:
         num, den = f1 // g0, f2 // g0
     h0, rem = divmod(num, den)
-    digits = []
-    cur = rem
-    for _ in range(n):
-        hk, cur = divmod(base * cur, den)
-        digits.append(hk)
+    digits = tuple(hk for hk, _ in islice(long_division(base, den, rem), n))
     period = None
     if len(den.ints) - 1 >= 1 and not rem.is_zero():
         if poly_gcd(base, den).degree() == 0:
             period = _order_mod(base, den)
-    return DigitExpansion(base, f1, f2, h0, tuple(digits), period)
+    return DigitExpansion(base, f1, f2, h0, digits, period)
 
 
 def _order_mod(g: Poly, m: Poly) -> int:
@@ -110,19 +116,16 @@ def _order_mod(g: Poly, m: Poly) -> int:
         if mod_pow(g, t, m) != one:
             raise ExactnessError("order finding failed; is gcd(G, M) = 1?")
         return t
-    cur = g % m
-    count = 1
     bound = spec.q**d
-    while cur != one:
-        cur = (cur * g) % m
-        count += 1
+    for count, (_, cur) in enumerate(long_division(g, m, one), start=1):
         if count > bound:
             raise ExactnessError("order finding did not terminate; is gcd(G, M) = 1?")
         if count > ORDER_STEP_BOUND:
             raise ResourceLimitError(
                 f"the order of G mod a reducible M exceeds the step bound {ORDER_STEP_BOUND}"
             )
-    return count
+        if cur == one:
+            return count
 
 
 def digit_period(m: Poly, base: Poly) -> int:
@@ -140,16 +143,12 @@ def digit_period(m: Poly, base: Poly) -> int:
 
 
 def digit_closed_form(m: Poly, base: Poly, k: int) -> Poly:
-    """H_k of 1/M in base G via H_k = (G * G_{k-1} - G_k) / M."""
+    """H_k of 1/M in base G via H_k = (G * G_{k-1} - G_k) / M, G_{k-1} by
+    modular powering: the floor quotient, as G_k is the remainder."""
     _require_coprime_pair(m, base)
     if k < 1:
         raise ValueError("digit index starts at 1")
-    gk1 = mod_pow(base, k - 1, m)
-    t = base * gk1
-    gk = t % m
-    quo, rem = divmod(t - gk, m)
-    if not rem.is_zero():
-        raise ExactnessError("closed form division left a remainder")
+    quo = (base * mod_pow(base, k - 1, m)) // m
     if len(quo.ints) - 1 >= len(base.ints) - 1:
         raise ExactnessError("closed form digit escapes the digit set")
     if len(base.ints) >= len(m.ints) and quo.is_zero():
@@ -169,15 +168,10 @@ def twisted_digit_sum(m: Poly, base: Poly, alpha: FieldElement) -> Poly:
     _require_coprime_pair(m, base)
     g = _order_mod(base, m)
     total = Poly.zero(m.spec)
-    cur = Poly.one(m.spec) % m
     ak = m.spec.one
-    for _ in range(g):
-        t = base * cur
-        nxt = t % m
-        hk = (t - nxt) // m
+    for hk, _ in islice(long_division(base, m, Poly.one(m.spec) % m), g):
         ak = ak * alpha
         total = total + hk.scale(ak)
-        cur = nxt
     return total
 
 

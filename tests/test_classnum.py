@@ -472,26 +472,87 @@ def test_digit_norm_guard(monkeypatch, bad_t):
     assert hit >= 4
 
 
+def _guard_tables():
+    """EX3 (N = 26) and the canonical tables of N = 80 and N = 124."""
+    spec = FieldSpec.from_order(EX3["q"])
+    contexts = [build_context(parse_poly(spec, EX3["P"]), parse_poly(spec, EX3["G"]))]
+    for q, P in ((3, "T^4+T+2"), (5, "T^3+T+1")):
+        spec = FieldSpec.from_order(q)
+        P = parse_poly(spec, P)
+        contexts.append(build_context(P, canonical_primitive_lift(P)))
+    assert [ctx.N for ctx in contexts] == [26, 80, 124]
+    return contexts
+
+
+def test_roots_divide_row_degree(monkeypatch):
+    """A row of degree l reads roots tables of orders dividing l only: each
+    character of X_L is guarded at its own order, never at N."""
+    true_roots = classnum._roots
+    requested = []
+    monkeypatch.setattr(classnum, "_roots", lambda n: requested.append(n) or true_roots(n))
+    calls = 0
+    for ctx in _guard_tables():
+        for l in divisors(ctx.N):
+            requested.clear()
+            compute_report(ctx, l, verify_charsum=True)
+            assert all(l % n == 0 for n in requested), (ctx.N, l, requested)
+            calls += len(requested)
+    assert calls > 0
+
+
+@pytest.mark.parametrize("bad_t", [4, 16])
+def test_char_sum_guard(monkeypatch, bad_t):
+    """A wrong orbit product for one order t (4 divides r, 16 does not)
+    fails the oracle's float guard in every row whose product includes t,
+    also on a second pass over the table when every memo is warm."""
+    spec = FieldSpec.from_order(3)
+    P = parse_poly(spec, "T^4+T+2")
+    ctx = build_context(P, canonical_primitive_lift(P))
+    true_product = classnum._orbit_product
+
+    def product(x):
+        y = true_product(x)
+        return y + y if x.n == bad_t else y
+
+    monkeypatch.setattr(classnum, "_orbit_product", product)
+    hit = 0
+    for _ in range(2):
+        for l in divisors(ctx.N):
+            if l % bad_t == 0:
+                hit += 1
+                with pytest.raises(ExactnessError):
+                    h_from_char_sums(ctx, l)
+            else:
+                h_from_char_sums(ctx, l)
+    assert hit == (12 if bad_t == 4 else 4)
+
+
 def test_guard_values_memoized_per_character(ctx_pool):
     """After every row of a table, each memoized guard value is bit for bit
-    the floating sum a row would evaluate afresh, and the character-sum
-    memo holds each nontrivial character once."""
+    the floating sum at the character's own order t a row would evaluate
+    afresh, within 1e-12 (relative) of the same sum over the N-th roots,
+    and each route's memo holds every nontrivial character once."""
     for ctx in [c for c in ctx_pool if c.e >= c.d][:8]:
         for l in divisors(ctx.N):
             compute_report(ctx, l, verify_charsum=True)
         dp = digit_polynomials(ctx)
         window = [(ctx.dlog[I], s) for s in range(ctx.d) for I in monic_polys(ctx.spec, s)]
-        for m, zs in dp._plus_memo.items():
-            assert zs == [
-                _root_sum(m, ((s * k, c) for k, c in enumerate(dp.degree_poly) if c))
-                for s in range(1, m)
-            ]
-        for j, (xs, z) in dp._minus_memo.items():
-            assert xs == _twisted_terms(ctx, dp, ctx.char(j))
-            assert z == _root_sum(ctx.N, ((x, 1) for x in xs))
-        for j, z in ctx._char_sum_memo.items():
-            if j in subfield(ctx, ctx.N).chis_plus:
-                assert z == _root_sum(ctx.N, ((j * k, -s) for k, s in window if s))
-            else:
-                assert z == _root_sum(ctx.N, ((j * k, 1) for k, _ in window))
-        assert len(ctx._char_sum_memo) == ctx.N - 1
+        F = dp.degree_poly
+        for memo, route in ((dp._value_memo, "digits"), (ctx._char_sum_memo, "charsum")):
+            assert len(memo) == ctx.N - 1
+            for j, z in memo.items():
+                g = math.gcd(j, ctx.N)
+                t, u = ctx.N // g, j // g
+                plus = ctx.r % t == 0
+                if route == "digits" and plus:
+                    terms = [(j * k, c) for k, c in enumerate(F) if c]
+                elif route == "digits":
+                    terms = [(x, 1) for x in _twisted_terms(ctx, dp, ctx.char(j))]
+                elif plus:
+                    terms = [(j * k, -s) for k, s in window if s]
+                else:
+                    terms = [(j * k, 1) for k, _ in window]
+                assert all(e % g == 0 for e, _ in terms)
+                assert z == _root_sum(t, ((e // g, w) for e, w in terms))
+                reference = _root_sum(ctx.N, terms)  # the N-th roots form
+                assert abs(z - reference) <= 1e-12 * abs(reference)

@@ -238,3 +238,16 @@ def test_order_stepping_bound():
     assert res.returncode == 4
     assert res.stdout == ""
     assert "bound" in res.stderr
+
+
+def test_carlitz_size_bound():
+    # T^30 over F_2 has 2^31 - 1 coefficient slots; T^20 has 2,097,151
+    start = time.monotonic()
+    res = run_cli("carlitz", "--q", "2", "--I", "T^30")
+    assert time.monotonic() - start < 1
+    assert res.returncode == 4
+    assert res.stdout == ""
+    assert "bound" in res.stderr
+    res = run_cli("carlitz", "--q", "2", "--I", "T^20")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.endswith(" + x^1048576\n")

@@ -23,7 +23,7 @@ from carlitzdigits.polyring import (
     poly_gcd,
 )
 
-from conftest import EX1, EX2, EX3, random_poly
+from conftest import EX1, EX2, EX3, random_irreducible, random_poly
 
 
 def pinned_setup(example):
@@ -173,6 +173,30 @@ def test_rudnick_and_twisted_sums():
             violated += 1
     assert satisfied >= 120
     assert violated > 0
+
+
+def test_twisted_sum_matches_closed_forms():
+    """The stepped period sum against sum_{k <= g} alpha^k H_k with each H_k
+    from digit_closed_form (G_{k-1} by modular powering), about half of the
+    moduli reducible."""
+    rng = random.Random(4077)
+    for case in range(60):
+        spec = FieldSpec.from_order(rng.choice((2, 3, 4, 5)))
+        if case % 2:
+            M = random_poly(rng, spec, rng.randint(1, 2))
+            M = M * random_poly(rng, spec, rng.randint(1, 2))
+        else:
+            M = random_irreducible(rng, spec, rng.randint(1, 3))
+        G = random_poly(rng, spec, rng.randint(1, 3))
+        while poly_gcd(G, M).degree() != 0:
+            G = random_poly(rng, spec, rng.randint(1, 3))
+        alpha = spec.from_index(rng.randrange(1, spec.q))
+        expected = Poly.zero(spec)
+        ak = spec.one
+        for k in range(1, digit_period(M, G) + 1):
+            ak = ak * alpha
+            expected = expected + digit_closed_form(M, G, k).scale(ak)
+        assert twisted_digit_sum(M, G, alpha) == expected
 
 
 def test_twisted_sum_counterexample():

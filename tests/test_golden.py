@@ -27,6 +27,11 @@ CASES = {
                                  "--format", "json"],
     "sweep_q7_d2": ["sweep", "--q", "7", "--d", "2", "--verify", "charsum",
                     "--verify", "pointcount"],
+    "classnum_q5_septic_charsum_json": ["classnum", "--q", "5", "--P", "T^7+T+1", "--l", "2",
+                                        "--verify", "charsum", "--format", "json"],
+    # (T^5+T^2+1)(T^6+T+1): the order of T is found by stepping
+    "period_q2_reducible": ["period", "--q", "2", "--M", "T^11+T^8+T^5+T^3+T^2+T+1",
+                            "--G", "T"],
     "carlitz_q4": ["carlitz", "--q", "4", "--I", "(0,1)*T^3+T+(1,1)"],
     "expand_q9_json": ["expand", "--q", "9", "--G", "(0,1)*T^2+T+(1,2)", "--num", "T+(2,1)",
                        "--den", "T^4+(1,1)*T+2", "--terms", "12", "--format", "json"],
