@@ -27,10 +27,10 @@ from itertools import islice
 
 from .cycint import CycloInt, root_of_unity
 from .digits import long_division
-from .errors import HypothesisError, PrimitivityError, ResourceLimitError
-from .ffq import FieldElement, UnitCharacter, dlog, mult_order
+from .errors import ExactnessError, HypothesisError, PrimitivityError, ResourceLimitError
+from .ffq import FieldElement, UnitCharacter, _dlog_table, dlog, mult_order
 from .numutil import prime_factors
-from .polyring import Poly, is_irreducible, mod_pow
+from .polyring import Poly, _field, _make, is_irreducible, mod_pow
 
 _N_BOUND = 2**63
 
@@ -82,10 +82,11 @@ def primitivity_witness(G: Poly, P: Poly) -> int | None:
 def build_context(P: Poly, G: Poly) -> ResidueCtx:
     """Validate (P, G) and run the r-step long division of 1/P in base G.
 
-    P must be monic irreducible; G must be a unit mod P of full order N,
-    which is checked prime-by-prime so a failure names a witness ell with
-    G^(N/ell) = 1.  The division confirms it: w = G^r generates F_q^x and the
-    monic parts of G^0..G^(r-1) are distinct, so G has order r(q-1) = N.
+    P must be monic irreducible; G must be a unit mod P of full order N.
+    The division proves that order: when w = G^r generates F_q^x and the
+    monic parts of G^0..G^(r-1) are distinct, G has order r(q-1) = N.  Only
+    when it does not is the least witness ell with G^(N/ell) = 1 computed,
+    and named by the PrimitivityError.
     """
     if P.spec != G.spec:
         raise ValueError("P and G live over different fields")
@@ -100,28 +101,41 @@ def build_context(P: Poly, G: Poly) -> ResidueCtx:
         raise ResourceLimitError(f"unit group order {N} exceeds the 64-bit bound")
     if (G % P).is_zero():
         raise HypothesisError("requires gcd(G, P) = 1")
-    ell = primitivity_witness(G, P)
-    if ell is not None:
-        raise PrimitivityError(
-            f"G is not primitive mod P: its order divides N/{ell}", witness=ell
-        )
     r = N // (spec.q - 1)
     powers, digits = [Poly.one(spec)], []
     for h, cur in islice(long_division(G, P, powers[0]), r):
         digits.append(h)
         powers.append(cur)
     cur = powers.pop()  # G^r
-    if len(cur.ints) != 1 or mult_order(cur.constant_coeff()) != spec.q - 1:
-        raise PrimitivityError("G^r is not a scalar generating F_q^x")
     unit_gen = cur.constant_coeff()
-    logs = {g.monic(): (k - r * dlog(g.leading_coeff(), unit_gen)) % N
-            for k, g in enumerate(powers)}
+    generates = len(cur.ints) == 1 and mult_order(unit_gen) == spec.q - 1
+    logs = _monic_logs(powers, unit_gen, r, N) if generates else {}
     if len(logs) != r:
-        raise PrimitivityError("G does not have order N mod P")
+        ell = primitivity_witness(G, P)
+        if ell is None:
+            raise ExactnessError("G fails the division's order check, yet no witness ell exists")
+        raise PrimitivityError(
+            f"G is not primitive mod P: its order divides N/{ell}", witness=ell
+        )
     return ResidueCtx(
         P=P, G=G, d=d, e=len(G.ints) - 1, N=N, r=r, powers=tuple(powers),
         digits=tuple(digits), dlog=logs, unit_gen=unit_gen,
     )
+
+
+def _monic_logs(powers, unit_gen: FieldElement, r: int, N: int) -> dict:
+    """monic part of G^k -> its log k - r * log_w(lc(G^k)) mod N; a power
+    with leading coefficient 1 is its own key."""
+    F = _field(unit_gen.spec)
+    lc_log = {x.index(): t for x, t in _dlog_table(unit_gen).items()}
+    logs = {}
+    for k, g in enumerate(powers):
+        lc = g.ints[-1]
+        if lc == 1:
+            logs[g] = k
+        else:
+            logs[_make(g.spec, F.scale(g.ints, F.inv(lc)))] = (k - r * lc_log[lc]) % N
+    return logs
 
 
 def deg_map(ctx: ResidueCtx, k: int) -> int:

@@ -22,7 +22,8 @@ from itertools import islice
 from .errors import ExactnessError, HypothesisError, ResourceLimitError
 from .ffq import FieldElement, FieldSpec
 from .numutil import prime_factors
-from .polyring import Poly, format_poly, is_irreducible, mod_pow, parse_poly, poly_gcd
+from .polyring import (Poly, _make, _Modulus, format_poly, is_irreducible, mod_pow, parse_poly,
+                       poly_gcd)
 
 # Order finding by stepping (reducible moduli) gives up after this many
 # powers with ResourceLimitError: about 2.3 s of CPU for a degree-16
@@ -66,10 +67,17 @@ class DigitExpansion:
 
 def long_division(base: Poly, m: Poly, cur: Poly):
     """Yield (H_k, G_k) for k = 1, 2, ... from G_0 = cur: one division
-    base * G_{k-1} = H_k * m + G_k per step, without end."""
+    base * G_{k-1} = H_k * m + G_k per step, without end.
+
+    The steps run on index lists through the modulus set up once
+    (polyring._Modulus); only the yielded values are made Polys."""
+    base._check(m)
+    cur._check(m)
+    spec, mod = m.spec, _Modulus(m)
+    product, b, c = mod.F.product, base.ints, cur.ints
     while True:
-        hk, cur = divmod(base * cur, m)
-        yield hk, cur
+        hk, c = mod.divmod(product(b, c))
+        yield _make(spec, hk), _make(spec, c)
 
 
 def digit_expand(f1: Poly, f2: Poly, base: Poly, n: int) -> DigitExpansion:

@@ -19,7 +19,11 @@ Karatsuba for large ones), and the slots are unpacked and reduced mod p.
 Every other product is a schoolbook, row by row over the nonzero
 coefficients of the sparser operand.  Over an extension field the
 coefficients go through exp/log tables of a generator and Zech logarithms,
-O(q) entries built once per field from FieldElement arithmetic.
+O(q) entries built once per field from FieldElement arithmetic.  Division
+by m is one loop on lists of ints (_Modulus), with the inverse of the
+leading coefficient and the negated low coefficients of m set up once:
+divmod, mod_pow and the long division of digits all run it, and wrap only
+their results in Poly.
 
 Enumeration of polynomials is lexicographic with the constant coefficient
 varying fastest, matching the element order of the coefficient field; there
@@ -281,22 +285,10 @@ class Poly:
 
     def __divmod__(self, other):
         self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        F = _field(self.spec)
-        b = other.ints
-        dg = len(b) - 1
-        if len(self.ints) - 1 < dg:
+        if len(self.ints) < len(other.ints):
             return Poly.zero(self.spec), self
-        minus_inv, low = F.mul(F.inv(b[-1]), F.minus_one), b[:-1]
-        rem = list(self.ints)
-        quo = [0] * (len(rem) - dg)  # negated until the end
-        for k in range(len(rem) - dg - 1, -1, -1):
-            c = F.mul(rem[k + dg], minus_inv)
-            if c:
-                quo[k] = c
-                rem[k : k + dg] = F.axpy(rem[k : k + dg], c, low)
-        return _make(self.spec, F.scale(quo, F.minus_one)), _make(self.spec, rem[:dg])
+        quo, rem = _Modulus(other).divmod(self.ints)
+        return _make(self.spec, quo), _make(self.spec, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -339,20 +331,56 @@ def valuation_inf(f1: Poly, f2: Poly) -> int:
     return len(f2.ints) - len(f1.ints)
 
 
+class _Modulus:
+    """Division by a fixed nonzero m on index lists: the field, the inverse
+    of the leading coefficient and the negated low coefficients are set up
+    once.  divmod is the one long-division loop of the package."""
+
+    __slots__ = ("F", "dg", "inv", "minus_low")
+
+    def __init__(self, m: Poly):
+        if not m.ints:
+            raise ZeroDivisionError("polynomial division by zero")
+        self.F = F = _field(m.spec)
+        self.dg = len(m.ints) - 1
+        self.inv = F.inv(m.ints[-1])
+        self.minus_low = F.scale(m.ints[:-1], F.minus_one)
+
+    def divmod(self, a) -> tuple[list[int], list[int]]:
+        """(quotient, remainder) of the index sequence a, the remainder
+        without trailing zeros."""
+        F, dg, inv, low = self.F, self.dg, self.inv, self.minus_low
+        rem = list(a)
+        quo = [0] * (len(rem) - dg)
+        for k in range(len(rem) - dg - 1, -1, -1):
+            c = F.mul(rem[k + dg], inv)
+            if c:
+                quo[k] = c
+                rem[k : k + dg] = F.axpy(rem[k : k + dg], c, low)
+        del rem[dg:]
+        while rem and not rem[-1]:
+            rem.pop()
+        return quo, rem
+
+
 def mod_pow(base: Poly, e: int, m: Poly) -> Poly:
     """base^e mod m for e >= 0 (e may be a big integer)."""
     if e < 0:
         raise ValueError("negative exponents are not supported")
-    if m.degree() == NEG_INF:
+    if m.is_zero():
         raise ZeroDivisionError("zero modulus")
-    result = Poly.one(base.spec) % m
-    acc = base % m
-    while e:
+    base._check(m)
+    mod = _Modulus(m)
+    product = mod.F.product
+    result = mod.divmod((1,))[1]
+    acc = mod.divmod(base.ints)[1]
+    while e:  # square-and-multiply, without the last squaring
         if e & 1:
-            result = (result * acc) % m
-        acc = (acc * acc) % m
+            result = mod.divmod(product(result, acc))[1]
         e >>= 1
-    return result
+        if e:
+            acc = mod.divmod(product(acc, acc))[1]
+    return _make(m.spec, result)
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:

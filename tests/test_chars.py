@@ -19,6 +19,7 @@ from carlitzdigits.errors import (
 )
 from carlitzdigits.digits import digit_closed_form, digit_expand
 from carlitzdigits.ffq import FieldSpec
+from carlitzdigits.numutil import prime_factors
 from carlitzdigits.polyring import (
     Poly,
     gen,
@@ -29,7 +30,7 @@ from carlitzdigits.polyring import (
     poly,
 )
 
-from conftest import EX1, EX3, random_poly
+from conftest import EX1, EX3, all_irreducibles, random_poly
 
 
 def _power(ctx, k):
@@ -83,15 +84,58 @@ def test_primitivity_failure_names_witness():
         build_context(P, Poly.one(spec))
 
 
+def _order(G, P):
+    """The order of G mod P by stepping its powers."""
+    one, cur, k = Poly.one(P.spec), G % P, 1
+    while cur != one:
+        cur, k = (cur * G) % P, k + 1
+    return k
+
+
+# (q, d): both closing checks of the division fail somewhere here (the
+# scalar G^r of too small an order, and colliding monic parts), q = 2
+# included, where every G^r is the scalar 1
+REFUSAL_FIELDS = ((2, 4), (3, 3), (4, 2), (4, 3), (5, 2), (7, 2), (9, 2))
+
+
+@pytest.mark.parametrize("q, d", REFUSAL_FIELDS)
+def test_non_primitive_base_refused_with_least_witness(q, d):
+    """For every prime ell | N, G = g^ell (g primitive) has order N/ell, and
+    products of two primes name the smaller one; the refusal names the least
+    prime ell with ord(G) | N/ell, found here by stepping."""
+    spec = FieldSpec.from_order(q)
+    P = all_irreducibles(spec, d)[-1]
+    N = q**d - 1
+    g = next(c for c in monic_polys(spec, d - 1) if _order(c, P) == N)
+    ells = sorted(prime_factors(N))
+    exponents = ells + [a * b for a, b in zip(ells, ells[1:])] + [N]
+    for k, x in enumerate(exponents):
+        G = mod_pow(g, x, P) + (P if k % 2 else Poly.zero(spec))
+        order = _order(G, P)
+        want = min(ell for ell in ells if (N // ell) % order == 0)
+        assert want == min(ell for ell in ells if x % ell == 0)
+        with pytest.raises(PrimitivityError) as info:
+            build_context(P, G)
+        assert info.value.witness == want
+        assert str(info.value) == f"G is not primitive mod P: its order divides N/{want}"
+    assert build_context(P, g).N == N
+
+
 def test_context_hypothesis_errors():
+    """Monic, then irreducible, then the order bound, then gcd(G, P) = 1,
+    then primitivity: each refusal names the first failing hypothesis."""
     spec = FieldSpec.from_order(3)
     t = gen(spec)
     P = parse_poly(spec, "T^2+1")
-    with pytest.raises(HypothesisError):
+    reducible = parse_poly(spec, "T^2+2")
+    with pytest.raises(HypothesisError, match="monic"):
         build_context(P.scale(spec.element(2)), t)  # not monic
-    with pytest.raises(HypothesisError):
-        build_context(parse_poly(spec, "T^2+2"), t)  # reducible
-    with pytest.raises(HypothesisError):
+    with pytest.raises(HypothesisError, match="monic"):
+        build_context(reducible.scale(spec.element(2)), reducible)
+    for G in (t, reducible, reducible * t, Poly.one(spec)):  # G = 0 mod P, G = 1
+        with pytest.raises(HypothesisError, match="irreducible"):
+            build_context(reducible, G)
+    with pytest.raises(HypothesisError, match="gcd"):
         build_context(P, P * t)  # gcd(G, P) != 1
     with pytest.raises(HypothesisError):
         build_context(poly(spec, 2), t)  # constant P
@@ -108,8 +152,9 @@ def test_resource_bound_refused():
         coeffs[k] = spec.one
     P = Poly(spec, tuple(coeffs))
     assert is_irreducible(P)
-    with pytest.raises(ResourceLimitError):
-        build_context(P, gen(spec))
+    for G in (gen(spec), P * gen(spec)):  # the bound comes before gcd(G, P) = 1
+        with pytest.raises(ResourceLimitError):
+            build_context(P, G)
 
 
 def test_deg_map(ctx1):

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import time
+
+from carlitzdigits import cli
 
 from carlitzdigits.digits import DigitExpansion, digit_expand
 from carlitzdigits.ffq import FieldSpec
@@ -251,3 +255,47 @@ def test_carlitz_size_bound():
     res = run_cli("carlitz", "--q", "2", "--I", "T^20")
     assert res.returncode == 0, res.stderr
     assert res.stdout.endswith(" + x^1048576\n")
+
+
+def _main_in_process(argv):
+    """(exit code, stdout, stderr) of one in-process cli.main call; an
+    argparse exit counts as its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_is_reused_across_calls():
+    """main builds its parser once; repeated calls answer as the first."""
+    verified = ["classnum", "--q", "5", "--P", "T^2+T+2", "--l", "2",
+                "--verify", "charsum", "--verify", "pointcount", "--format", "json"]
+    plain = ["classnum", "--q", "5", "--P", "T^2+T+2", "--l", "2", "--format", "json"]
+    bad = ["classnum", "--q", "5", "--l", "2"]  # --P missing
+    first = {name: _main_in_process(argv)
+             for name, argv in (("verified", verified), ("plain", plain), ("bad", bad))}
+    assert first["verified"][0] == 0 and first["plain"][0] == 0
+    assert json.loads(first["verified"][1])["methods"] == ["digits", "charsum", "pointcount"]
+    assert json.loads(first["plain"][1])["methods"] == ["digits"]
+    assert first["bad"][0] == 2 and first["bad"][1] == ""
+    for argv, name in ((verified, "verified"), (plain, "plain"), (bad, "bad"),
+                       (plain, "plain"), (verified, "verified")):
+        assert _main_in_process(argv) == first[name]
+    # --verify appends to a copy: the default list stays empty
+    assert cli._parser().parse_args(plain).verify == []
+    assert cli._parser() is cli._parser()
+
+
+def test_help_text_unchanged_by_reuse():
+    fresh = cli.build_parser()
+    code, text, _ = _main_in_process(["--help"])
+    assert code == 0 and text == fresh.format_help()
+    _main_in_process(["classnum", "--q", "3", "--P", "T^2+1", "--l", "2"])
+    assert _main_in_process(["--help"]) == (0, text, "")
+    code, sub_help, _ = _main_in_process(["classnum", "--help"])
+    assert code == 0 and "--verify {charsum,pointcount}" in sub_help
+    assert _main_in_process(["classnum", "--help"]) == (0, sub_help, "")
+    assert cli.build_parser() is not fresh

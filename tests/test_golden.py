@@ -1,7 +1,9 @@
 """CLI outputs pinned byte for byte, exit codes included.
 
 Each file under tests/golden/ holds the standard output of one request, as
-written by `python -m carlitzdigits <argv> > tests/golden/<name>.txt`.
+written by `python -m carlitzdigits <argv> > tests/golden/<name>.txt`, or
+for a refused request (REFUSALS) its standard error, as written by
+`python -m carlitzdigits <argv> 2> tests/golden/<name>.txt`.
 """
 
 import contextlib
@@ -45,3 +47,22 @@ def test_cli_output_is_pinned(name):
         code = main(CASES[name])
     assert code == 0
     assert buf.getvalue().encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+# name -> (argv, exit code); the request writes nothing to standard output
+REFUSALS = {
+    # N = 24; T+3 has order 8 mod P, so the least witness is ell = 3
+    "classnum_q5_not_primitive_stderr": (
+        ["classnum", "--q", "5", "--P", "T^2+T+1", "--G", "T+3", "--l", "2"], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_cli_refusal_is_pinned(name):
+    argv, want_code = REFUSALS[name]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == want_code
+    assert out.getvalue() == ""
+    assert err.getvalue().encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes()

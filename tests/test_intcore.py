@@ -2,10 +2,12 @@
 over FieldElement arithmetic, the definition of F_q."""
 
 import random
+from itertools import islice
 
 import pytest
 
 from carlitzdigits.carlitz import carlitz_poly
+from carlitzdigits.digits import long_division
 from carlitzdigits.ffq import FieldSpec
 from carlitzdigits.polyring import (
     KRONECKER_MIN_LEN,
@@ -151,6 +153,52 @@ def test_mod_pow_and_gcd_match_oracle(spec):
         g = ref_mul(spec, common, rand_elems(rng, spec, rng.randint(0, 40)))
         got = poly_gcd(Poly(spec, f), Poly(spec, g))
         assert list(got.coeffs) == ref_gcd(spec, f, g)
+
+
+def ref_long_division(spec, base, m, cur, n):
+    """n steps of base * G_{k-1} = H_k * m + G_k from G_0 = cur."""
+    out = []
+    for _ in range(n):
+        h, cur = ref_divmod(spec, ref_mul(spec, base, cur), m)
+        out.append((h, cur))
+    return out
+
+
+def kernel_cases(rng, spec):
+    """(m, base): a constant m, m of lengths around the Kronecker crossover
+    (so the reduced operands fall on both sides of it) and a longer one,
+    each with bases on both sides of the crossover and a base that m
+    divides.  Past F_3 some leading coefficient of m is its own inverse
+    and some is not."""
+    ks = KRONECKER_MIN_LEN
+    for lm in (1, ks, ks + 1, ks + 2, 12):
+        m = rand_elems(rng, spec, lm)
+        if spec.q > 2 and lm != ks:
+            m[-1] = spec.from_index(rng.randrange(2, spec.q))
+        bases = [rand_elems(rng, spec, n) for n in (ks - 1, ks, ks + 1, lm + 3)]
+        bases.append(ref_mul(spec, m, rand_elems(rng, spec, 2)))
+        for base in bases:
+            yield m, base
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=FIELD_IDS)
+def test_mod_pow_kernel_matches_oracle(spec):
+    rng = random.Random(600 + spec.q)
+    for m, base in kernel_cases(rng, spec):
+        for e in (0, 1, 2, 3, 5, rng.randrange(2**70, 2**71)):
+            got = mod_pow(Poly(spec, base), e, Poly(spec, m))
+            assert list(got.coeffs) == ref_mod_pow(spec, base, e, m)
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=FIELD_IDS)
+def test_long_division_kernel_matches_oracle(spec):
+    rng = random.Random(700 + spec.q)
+    for m, base in kernel_cases(rng, spec):
+        starts = ([], [spec.one], rand_elems(rng, spec, len(m) + 2))
+        for cur in starts:
+            steps = islice(long_division(Poly(spec, base), Poly(spec, m), Poly(spec, cur)), 9)
+            got = [(list(h.coeffs), list(g.coeffs)) for h, g in steps]
+            assert got == ref_long_division(spec, base, m, cur, 9)
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=FIELD_IDS)
