@@ -28,7 +28,7 @@ from itertools import islice
 from .cycint import CycloInt, root_of_unity
 from .digits import long_division
 from .errors import ExactnessError, HypothesisError, PrimitivityError, ResourceLimitError
-from .ffq import FieldElement, UnitCharacter, _dlog_table, dlog, mult_order
+from .ffq import FieldElement, UnitCharacter, _exp_log, _inverse_log, dlog, mult_order
 from .numutil import prime_factors
 from .polyring import Poly, _field, _make, is_irreducible, mod_pow
 
@@ -127,14 +127,14 @@ def _monic_logs(powers, unit_gen: FieldElement, r: int, N: int) -> dict:
     """monic part of G^k -> its log k - r * log_w(lc(G^k)) mod N; a power
     with leading coefficient 1 is its own key."""
     F = _field(unit_gen.spec)
-    lc_log = {x.index(): t for x, t in _dlog_table(unit_gen).items()}
+    log, base = _exp_log(unit_gen.spec)[1], _inverse_log(unit_gen)
     logs = {}
     for k, g in enumerate(powers):
         lc = g.ints[-1]
         if lc == 1:
             logs[g] = k
         else:
-            logs[_make(g.spec, F.scale(g.ints, F.inv(lc)))] = (k - r * lc_log[lc]) % N
+            logs[_make(g.spec, F.scale(g.ints, F.inv(lc)))] = (k - r * log[lc] * base) % N
     return logs
 
 

@@ -9,7 +9,8 @@ generating polynomials built from the first r = N/(q-1) digits H_1..H_r of
   twisted polynomial     lam(lc(G)) sum_k lam~(lc(H_k)) u^(k-1)
 
 for unit characters lam of F_q^x (lam~ the conjugate, lam~(0) = 0, lc the
-leading coefficient).  When deg G >= deg P, products of their values at
+leading coefficient; the digit route reads each lc(H_k) once, as E_k in
+DigitPolynomials.twist).  When deg G >= deg P, products of their values at
 roots of unity give the plus part and the relative part of the class number
 of any subfield of the P-th cyclotomic function field.  Each product runs
 over Galois orbits of characters, one per order t, so it is a product of
@@ -36,11 +37,10 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .chars import (DirichletChar, ResidueCtx, build_context, primitivity_witness,
-                    restriction, subfield)
+from .chars import DirichletChar, ResidueCtx, build_context, primitivity_witness, subfield
 from .cycint import CycloInt, exponent_sum, norm, root_of_unity
 from .errors import ExactnessError, HypothesisError
-from .ffq import FieldSpec, UnitCharacter, quadratic_character
+from .ffq import FieldSpec, UnitCharacter, _exp_log, _inverse_log, quadratic_character
 from .numutil import divisors
 from .polyring import (
     Poly,
@@ -55,38 +55,48 @@ _ADVISORY_REL_TOL = 1e-6
 
 @dataclass(eq=False)
 class DigitPolynomials:
-    """First r digits of 1/P in base G and their generating polynomials."""
+    """First r digits of 1/P in base G and their generating polynomials.
+
+    twist holds E_k = (k - 1) + r * log_w(lc(G) / lc(H_k)) < N, w = G^r, for
+    each H_k != 0: the twisted polynomial of chi_j's restriction to scalars,
+    at chi_j(G), is sum_k zeta_N^(j * E_k).
+    """
 
     ctx: ResidueCtx
     digits: tuple[Poly, ...]
     degree_poly: tuple[int, ...]
-    _twist_memo: dict = field(default_factory=dict, init=False, repr=False)
+    twist: tuple[int, ...] = field(init=False, repr=False)
     # the digit route's memos, apart from the character-sum oracle's on ctx
     _norm_memo: dict = field(default_factory=dict, init=False, repr=False)
     _value_memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        ctx = self.ctx
+        log = _exp_log(ctx.spec)[1]
+        n, base, lg = ctx.spec.q - 1, _inverse_log(ctx.unit_gen), log[ctx.G.ints[-1]]
+        self.twist = tuple(
+            k + ctx.r * ((lg - log[h.ints[-1]]) * base % n)
+            for k, h in enumerate(self.digits) if h.ints
+        )
 
     def twisted_exponents(self, lam: UnitCharacter) -> tuple[int | None, ...]:
         """Coefficient exponents of the lam-twisted polynomial.
 
         Entry k-1 is the exponent of zeta_{q-1} in lam(lc(G)) * lam~(lc(H_k)),
-        or None where H_k = 0 (the coefficient 0).  Memoized per lam.
+        or None where H_k = 0 (the coefficient 0); it is E_k // r times the
+        exponent of lam(w), and E_k mod r = k - 1.
         """
-        if lam not in self._twist_memo:
-            base_exp = lam.exponent(self.ctx.G.leading_coeff())
-            modulus = max(lam.spec.q - 1, 1)
-            self._twist_memo[lam] = tuple(
-                None if h.is_zero() else (base_exp - lam.exponent(h.leading_coeff())) % modulus
-                for h in self.digits
-            )
-        return self._twist_memo[lam]
+        r, n, c = self.ctx.r, lam.spec.q - 1, lam.exponent(self.ctx.unit_gen)
+        out: list[int | None] = [None] * len(self.digits)
+        for x in self.twist:
+            out[x % r] = x // r * c % n
+        return tuple(out)
 
     def twisted_poly(self, lam: UnitCharacter) -> tuple[CycloInt, ...]:
         """Coefficients of the lam-twisted polynomial in Z[zeta_{q-1}]."""
-        n = max(lam.spec.q - 1, 1)
-        out = []
-        for e in self.twisted_exponents(lam):
-            out.append(CycloInt.zero(n) if e is None else root_of_unity(n, e))
-        return tuple(out)
+        n = lam.spec.q - 1
+        return tuple(CycloInt.zero(n) if e is None else root_of_unity(n, e)
+                     for e in self.twisted_exponents(lam))
 
 
 def digit_polynomials(ctx: ResidueCtx) -> DigitPolynomials:
@@ -96,11 +106,6 @@ def digit_polynomials(ctx: ResidueCtx) -> DigitPolynomials:
         degs = tuple(len(h.ints) - 1 if h.ints else 0 for h in ctx.digits)
         cached = ctx._digit_memo = DigitPolynomials(ctx=ctx, digits=ctx.digits, degree_poly=degs)
     return cached
-
-
-def _eval_int_poly_at_root(coeffs, n: int, j: int) -> CycloInt:
-    """sum_k coeffs[k] * zeta_n^(j*k)."""
-    return exponent_sum(n, ((j * k, c) for k, c in enumerate(coeffs) if c))
 
 
 def _monic_window(ctx: ResidueCtx, lo: int):
@@ -124,7 +129,7 @@ def window_degree_identity(ctx: ResidueCtx, chi: DirichletChar):
     if not chi.restricts_to_scalars_trivially():
         raise HypothesisError("chi must be trivial on scalars")
     dp = digit_polynomials(ctx)
-    lhs = _eval_int_poly_at_root(dp.degree_poly, ctx.N, chi.j)
+    lhs = exponent_sum(ctx.N, ((chi.j * k, c) for k, c in enumerate(dp.degree_poly) if c))
     lo = ctx.d - ctx.e
     rhs = exponent_sum(
         ctx.N, ((chi.j * k, s - lo) for k, s in _monic_window(ctx, lo) if s - lo)
@@ -144,25 +149,14 @@ def full_degree_identity(ctx: ResidueCtx, chi: DirichletChar):
     if not chi.restricts_to_scalars_trivially():
         raise HypothesisError("chi must be trivial on scalars")
     dp = digit_polynomials(ctx)
-    lhs = _eval_int_poly_at_root(dp.degree_poly, ctx.N, chi.j)
+    lhs = exponent_sum(ctx.N, ((chi.j * k, c) for k, c in enumerate(dp.degree_poly) if c))
     rhs = exponent_sum(ctx.N, ((chi.j * k, s) for k, s in _monic_window(ctx, 0) if s))
     return lhs, rhs
 
 
-def _twisted_terms(ctx: ResidueCtx, dp: DigitPolynomials, chi: DirichletChar) -> list[int]:
-    """Exponents of zeta_N in the twisted polynomial of lam = chi restricted
-    to scalars, at chi(G); one per nonzero digit.
-
-    Coefficients live in Z[zeta_{q-1}]; they are lifted along
-    zeta_{q-1} = zeta_N^r before evaluating at zeta_N^j.
-    """
-    exps = dp.twisted_exponents(restriction(chi))
-    return [(ctx.r * e + chi.j * k) % ctx.N for k, e in enumerate(exps) if e is not None]
-
-
 def _twisted_factor(ctx: ResidueCtx, dp: DigitPolynomials, chi: DirichletChar) -> CycloInt:
     """Twisted polynomial of lam = chi restricted to scalars, at chi(G)."""
-    return exponent_sum(ctx.N, ((x, 1) for x in _twisted_terms(ctx, dp, chi)))
+    return exponent_sum(ctx.N, ((chi.j * x, 1) for x in dp.twist))
 
 
 def window_twist_identity(ctx: ResidueCtx, chi: DirichletChar):
@@ -266,7 +260,7 @@ def _digit_value(dp: DigitPolynomials, j: int) -> complex:
         if ctx.r % t == 0:
             terms = ((j // g * k, c) for k, c in enumerate(dp.degree_poly) if c)
         else:
-            terms = ((x // g, 1) for x in _twisted_terms(ctx, dp, ctx.char(j)))
+            terms = ((j // g * x, 1) for x in dp.twist)
         dp._value_memo[j] = _root_sum(t, terms)
     return dp._value_memo[j]
 
@@ -280,14 +274,12 @@ def _digit_norm(dp: DigitPolynomials, t: int) -> int:
     polynomial at chi_j, j = N/t, folded into Z[zeta_t].
     """
     if t not in dp._norm_memo:
-        ctx = dp.ctx
-        if ctx.r % t == 0:
+        if dp.ctx.r % t == 0:
             dp._norm_memo[t] = norm(t, dp.degree_poly)
         else:
-            j = ctx.N // t  # every exponent of chi_j's value is a multiple of j
-            vec = [0] * t
-            for x in _twisted_terms(ctx, dp, ctx.char(j)):
-                vec[x // j] += 1
+            vec = [0] * t  # chi_{N/t} sends the term of H_k to zeta_t^(E_k)
+            for x in dp.twist:
+                vec[x % t] += 1
             dp._norm_memo[t] = norm(t, vec)
     return dp._norm_memo[t]
 
@@ -491,6 +483,12 @@ def point_count_class_number(P: Poly) -> int:
     and the functional equation, and evaluates it at 1.  Needs q odd and
     2 <= d <= 5 (genus at most 2).
     """
+    return _point_count(P, proven_irreducible=False)
+
+
+def _point_count(P: Poly, proven_irreducible: bool) -> int:
+    """point_count_class_number; proven_irreducible skips the test of P,
+    which build_context made for the P of a ResidueCtx."""
     spec = P.spec
     q = spec.q
     if q % 2 == 0:
@@ -498,7 +496,7 @@ def point_count_class_number(P: Poly) -> int:
     d = len(P.ints) - 1
     if not 2 <= d <= 5:
         raise HypothesisError("point counting supports 2 <= deg P <= 5")
-    if not P.is_monic() or not is_irreducible(P):
+    if not proven_irreducible and not (P.is_monic() and is_irreducible(P)):
         raise HypothesisError("P must be monic irreducible")
     genus = (d - 1) // 2
     if genus == 0:
@@ -630,7 +628,7 @@ def compute_report(
     if verify_pointcount:
         if l != 2:
             raise HypothesisError("the point count oracle applies to the quadratic subfield (l = 2)")
-        pc = point_count_class_number(ctx.P)
+        pc = _point_count(ctx.P, proven_irreducible=True)
         methods.append("pointcount")
         agree = agree and pc == h
     return ClassNumberReport(

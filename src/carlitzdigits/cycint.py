@@ -62,16 +62,16 @@ def _int_poly_div_exact(f, g):
 
 
 def _reduce(n: int, vec: list[int]) -> tuple[int, ...]:
-    """Reduce an integer polynomial in zeta_n modulo Phi_n."""
+    """Reduce an integer polynomial in zeta_n mod Phi_n by its nonzero terms."""
     phi = cyclotomic_poly(n)
     deg = len(phi) - 1
+    terms = [(i - deg, a) for i, a in enumerate(phi[:deg]) if a]
     vec = list(vec)
     for k in range(len(vec) - 1, deg - 1, -1):
         c = vec[k]
         if c:
-            vec[k] = 0
-            for i in range(deg):
-                vec[k - deg + i] -= c * phi[i]
+            for i, a in terms:
+                vec[k + i] -= c * a
     out = vec[:deg]
     out += [0] * (deg - len(out))
     return tuple(out)

@@ -12,6 +12,10 @@ polynomial enumeration, sweep order) refers to that order.
 
 Moduli for small extension fields (q <= 64) are built in; any other
 extension field needs an explicit monic irreducible modulus.
+
+Each field has one exp/log table of F_q^x for its canonical generator,
+built on first use; every scalar discrete log reads it.  Orders, the
+canonical generator and the quadratic character are computed by powering.
 """
 
 from __future__ import annotations
@@ -259,26 +263,38 @@ def quadratic_character(x: FieldElement) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _dlog_table(generator: FieldElement) -> dict[FieldElement, int]:
-    spec = generator.spec
+def _exp_log(spec: FieldSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(exp, log) on indices, n = q - 1: exp[k] = w^k, w the canonical
+    generator, and log inverts it.  log[0] is the sentinel 2n - 1, and exp
+    reads 0 from 2n - 1 on, so exp takes any sum of two logs."""
     n = spec.q - 1
-    table = {}
-    cur = spec.one
-    for k in range(n):
-        if cur in table:
-            raise ValueError(f"{generator} does not generate the unit group")
-        table[cur] = k
-        cur = cur * generator
-    if cur != spec.one:
-        raise ValueError(f"{generator} does not generate the unit group")
-    return table
+    w = canonical_generator(spec)
+    powers, cur = [], spec.one
+    for _ in range(n):
+        powers.append(cur.index())
+        cur = cur * w
+    log = [2 * n - 1] * spec.q
+    for k, x in enumerate(powers):
+        log[x] = k
+    return tuple(powers + powers[: n - 1] + [0] * (2 * n)), tuple(log)
+
+
+def _inverse_log(w: FieldElement) -> int:
+    """1 / log w mod q - 1, so log_w x = log x * _inverse_log(w).  Refuses any
+    w but a generator, zero by name: its sentinel log is prime to q - 1."""
+    lw, n = _exp_log(w.spec)[1][w.index()], w.spec.q - 1
+    if w.is_zero() or math.gcd(lw, n) != 1:
+        raise ValueError(f"{w} does not generate the unit group")
+    return pow(lw, -1, n)
 
 
 def dlog(x: FieldElement, generator: FieldElement) -> int:
-    """Discrete log of x base a fixed generator of F_q^x."""
+    """Discrete log of x base a generator of F_q^x."""
     if x.is_zero():
         raise ValueError("zero has no discrete log")
-    return _dlog_table(generator)[x]
+    if x.spec != generator.spec:
+        raise ValueError("x and the generator lie in different fields")
+    return _exp_log(x.spec)[1][x.index()] * _inverse_log(generator) % (x.spec.q - 1)
 
 
 @dataclass(frozen=True)
@@ -297,16 +313,14 @@ class UnitCharacter:
     generator: FieldElement
 
     def __post_init__(self):
-        n = self.spec.q - 1
-        object.__setattr__(self, "s", self.s % n if n > 0 else 0)
-        _dlog_table(self.generator)  # validates the generator
+        object.__setattr__(self, "s", self.s % (self.spec.q - 1))
+        if self.generator.spec != self.spec:
+            raise ValueError("the generator lies in a different field")
+        _inverse_log(self.generator)
 
     @property
     def order(self) -> int:
-        n = self.spec.q - 1
-        if n == 0 or self.s == 0:
-            return 1
-        return n // math.gcd(self.s, n)
+        return (self.spec.q - 1) // math.gcd(self.s, self.spec.q - 1)
 
     def is_trivial(self) -> bool:
         return self.s == 0 or self.spec.q == 2
@@ -315,10 +329,7 @@ class UnitCharacter:
         """Exponent k with lambda(x) = zeta_{q-1}^k, or None when x = 0."""
         if x.is_zero():
             return None
-        n = self.spec.q - 1
-        if n == 1:
-            return 0
-        return self.s * dlog(x, self.generator) % n
+        return self.s * dlog(x, self.generator) % (self.spec.q - 1)
 
     def conjugate(self) -> "UnitCharacter":
         return UnitCharacter(self.spec, -self.s, self.generator)

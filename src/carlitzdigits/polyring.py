@@ -18,8 +18,8 @@ machine array item), the two ints are multiplied once (CPython switches to
 Karatsuba for large ones), and the slots are unpacked and reduced mod p.
 Every other product is a schoolbook, row by row over the nonzero
 coefficients of the sparser operand.  Over an extension field the
-coefficients go through exp/log tables of a generator and Zech logarithms,
-O(q) entries built once per field from FieldElement arithmetic.  Division
+coefficients go through the field's exp/log table (ffq._exp_log) and a
+table of Zech logarithms of q - 1 entries, built once per field.  Division
 by m is one loop on lists of ints (_Modulus), with the inverse of the
 leading coefficient and the negated low coefficients of m set up once:
 divmod, mod_pow and the long division of digits all run it, and wrap only
@@ -46,7 +46,7 @@ import sys
 from array import array
 
 from .errors import ParseError
-from .ffq import FieldElement, FieldSpec, canonical_generator
+from .ffq import FieldElement, FieldSpec, _exp_log
 from .numutil import prime_factors
 
 NEG_INF = float("-inf")
@@ -105,26 +105,16 @@ class _PrimeField:
 class _ExtensionField:
     """F_q, q = p^a with a > 1, on canonical indices.
 
-    With w the canonical generator and n = q - 1: exp[k] = w^k, log inverts
-    it, and zech[k] = log(1 + w^k).  log[0] is the sentinel 2n - 1, so a sum
-    of two logs is at most 2n - 2 unless a factor is zero, and exp reads 0
-    from 2n - 1 on; zech[k] is the sentinel where 1 + w^k = 0.
+    exp and log are the field's table of F_q^x (ffq._exp_log, log[0] the
+    sentinel 2n - 1, n = q - 1), and zech[k] = log(1 + w^k), w the
+    canonical generator; zech[k] is the sentinel where 1 + w^k = 0.
     """
 
     def __init__(self, spec: FieldSpec):
         n = spec.q - 1
-        w = canonical_generator(spec)
-        powers, cur = [], spec.one
-        for _ in range(n):
-            powers.append(cur.index())
-            cur = cur * w
-        zero = 2 * n - 1
-        self.log = log = [zero] * spec.q
-        for k, x in enumerate(powers):
-            log[x] = k
-        self.exp = powers + powers[: n - 1] + [0] * (2 * n)
-        self.zech = [log[(spec.one + spec.from_index(x)).index()] for x in powers]
-        self.minus_one = powers[n // 2] if spec.p % 2 else 1
+        self.exp, self.log = exp, log = _exp_log(spec)
+        self.zech = [log[(spec.one + spec.from_index(x)).index()] for x in exp[:n]]
+        self.minus_one = exp[n // 2] if spec.p % 2 else 1
         # coordinates add without carry; in characteristic 2 that is xor
         self.add = operator.xor if spec.p == 2 else self._zech_add
 

@@ -13,7 +13,6 @@ from carlitzdigits.classnum import (
     _orbit_product,
     _root_sum,
     _twisted_factor,
-    _twisted_terms,
     canonical_primitive_lift,
     compute_report,
     digit_degree_sum,
@@ -30,7 +29,7 @@ from carlitzdigits.classnum import (
 )
 from carlitzdigits.cycint import CycloInt, cyclotomic_poly, exponent_sum, int_poly_resultant
 from carlitzdigits.errors import ExactnessError, HypothesisError
-from carlitzdigits.ffq import FieldSpec
+from carlitzdigits.ffq import FieldElement, FieldSpec, mult_order, unit_character
 from carlitzdigits.numutil import divisors, prime_factors
 from carlitzdigits.polyring import (
     Poly,
@@ -248,8 +247,15 @@ def test_point_count_errors():
     with pytest.raises(HypothesisError):
         point_count_class_number(parse_poly(spec3, "T"))  # degree too small
     sq = parse_poly(spec3, "T^2+1")
-    with pytest.raises(HypothesisError):
+    with pytest.raises(HypothesisError, match="monic irreducible"):
         point_count_class_number(sq * sq)  # reducible
+    with pytest.raises(HypothesisError, match="monic irreducible"):
+        point_count_class_number(parse_poly(spec3, "2*T^2+2"))  # irreducible, not monic
+    # the checks run in order: q, then the degree, then P itself
+    with pytest.raises(HypothesisError, match="needs q odd"):
+        point_count_class_number(parse_poly(spec2, "T^6+T^2"))
+    with pytest.raises(HypothesisError, match="2 <= deg P <= 5"):
+        point_count_class_number(parse_poly(spec3, "2*T^6"))
 
 
 def test_char_sums_pinned(ctx1, ctx2, ctx3):
@@ -527,6 +533,65 @@ def test_char_sum_guard(monkeypatch, bad_t):
     assert hit == (12 if bad_t == 4 else 4)
 
 
+def _twisted_exponents_reference(dp, lam):
+    """The lam-twisted coefficient exponents digit by digit, from the
+    exponents of lam at lc(G) and lc(H_k)."""
+    n = max(lam.spec.q - 1, 1)
+    base = lam.exponent(dp.ctx.G.leading_coeff())
+    return tuple(
+        None if h.is_zero() else (base - lam.exponent(h.leading_coeff())) % n
+        for h in dp.digits
+    )
+
+
+def _twisted_terms_reference(ctx, j):
+    """Exponents of zeta_N in the twisted polynomial of chi_j's restriction
+    to scalars at chi_j(G), one per nonzero digit: each coefficient exponent
+    is lifted along zeta_{q-1} = zeta_N^r."""
+    exps = _twisted_exponents_reference(digit_polynomials(ctx), restriction(ctx.char(j)))
+    return [(ctx.r * e + j * k) % ctx.N for k, e in enumerate(exps) if e is not None]
+
+
+def test_twisted_exponents_match_per_digit_formula(ctx_pool):
+    """twisted_exponents(lam), derived from the per-context exponents E_k,
+    equals the per-digit formula for every s and every generator of F_q^x."""
+    cases = 0
+    for ctx in ctx_pool:
+        spec = ctx.spec
+        dp = digit_polynomials(ctx)
+        gens = [w for w in spec.elements() if w and mult_order(w) == spec.q - 1]
+        for w in gens:
+            for s in range(spec.q - 1):
+                lam = unit_character(spec, s, w)
+                assert dp.twisted_exponents(lam) == _twisted_exponents_reference(dp, lam)
+                cases += 1
+        for j in (1, ctx.N - 1):
+            want = _twisted_terms_reference(ctx, j)
+            assert [j * x % ctx.N for x in dp.twist] == want
+            assert _twisted_factor(ctx, dp, ctx.char(j)) == exponent_sum(
+                ctx.N, ((x, 1) for x in want)
+            )
+    assert cases > 200
+
+
+def test_full_table_builds_few_field_elements(monkeypatch):
+    """A whole (q, d) = (3, 6) table, every l | N with the character-sum
+    oracle, reads leading coefficients as table indices: it builds fewer
+    FieldElements than its r = 364 digits."""
+    spec = FieldSpec.from_order(3)
+    P = parse_poly(spec, "T^6+T+2")
+    built = []
+    true_init = FieldElement.__init__
+    monkeypatch.setattr(
+        FieldElement, "__init__", lambda *a, **k: built.append(1) or true_init(*a, **k)
+    )
+    ctx = build_context(P, canonical_primitive_lift(P))
+    for l in divisors(ctx.N):
+        compute_report(ctx, l, verify_charsum=True)
+    assert ctx.r == 364
+    assert len(built) < 64
+
+
 def test_guard_values_memoized_per_character(ctx_pool):
     """After every row of a table, each memoized guard value is bit for bit
     the floating sum at the character's own order t a row would evaluate
@@ -547,7 +612,7 @@ def test_guard_values_memoized_per_character(ctx_pool):
                 if route == "digits" and plus:
                     terms = [(j * k, c) for k, c in enumerate(F) if c]
                 elif route == "digits":
-                    terms = [(x, 1) for x in _twisted_terms(ctx, dp, ctx.char(j))]
+                    terms = [(x, 1) for x in _twisted_terms_reference(ctx, j)]
                 elif plus:
                     terms = [(j * k, -s) for k, s in window if s]
                 else:

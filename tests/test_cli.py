@@ -5,11 +5,11 @@ import subprocess
 import sys
 import time
 
-from carlitzdigits import cli
+from carlitzdigits import chars, classnum, cli, polyring
 
 from carlitzdigits.digits import DigitExpansion, digit_expand
 from carlitzdigits.ffq import FieldSpec
-from carlitzdigits.polyring import Poly, parse_poly
+from carlitzdigits.polyring import Poly, format_poly, parse_poly
 
 
 def run_cli(*argv):
@@ -299,3 +299,23 @@ def test_help_text_unchanged_by_reuse():
     assert code == 0 and "--verify {charsum,pointcount}" in sub_help
     assert _main_in_process(["classnum", "--help"]) == (0, sub_help, "")
     assert cli.build_parser() is not fresh
+
+
+def test_pointcount_request_tests_irreducibility_once(monkeypatch):
+    """build_context proves P irreducible; the point count oracle inside
+    compute_report does not test it again."""
+    true_test = polyring.is_irreducible
+    seen = []
+
+    def counting(f):
+        seen.append(format_poly(f))
+        return true_test(f)
+
+    for module in (polyring, chars, classnum, cli):
+        monkeypatch.setattr(module, "is_irreducible", counting)
+    code, out, err = _main_in_process(
+        ["classnum", "--q", "3", "--P", "T^4+T+2", "--l", "2", "--verify", "pointcount"]
+    )
+    assert (code, err) == (0, "")
+    assert "methods = digits+pointcount" in out
+    assert seen.count("T^4+T+2") == 1

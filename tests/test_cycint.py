@@ -7,6 +7,7 @@ import pytest
 from carlitzdigits.cycint import (
     CycloInt,
     _crt_prime,
+    _reduce,
     cyclotomic_poly,
     exponent_sum,
     int_poly_resultant,
@@ -110,6 +111,34 @@ def test_cyclotomic_poly_pinned():
     assert cyclotomic_poly(4) == (1, 0, 1)
     assert cyclotomic_poly(6) == (1, -1, 1)
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+
+
+def _reduce_dense(n, vec):
+    """Reduction mod Phi_n through every low coefficient of Phi_n."""
+    phi = cyclotomic_poly(n)
+    deg = len(phi) - 1
+    vec = list(vec)
+    for k in range(len(vec) - 1, deg - 1, -1):
+        c = vec[k]
+        if c:
+            vec[k] = 0
+            for i in range(deg):
+                vec[k - deg + i] -= c * phi[i]
+    out = vec[:deg]
+    return tuple(out + [0] * (deg - len(out)))
+
+
+def test_reduce_matches_dense_reduction():
+    """_reduce subtracts through the nonzero terms of Phi_n only; it agrees
+    with the dense reduction for every n <= 130, Phi_105 (a coefficient -2)
+    included, on vectors shorter and longer than phi(n)."""
+    assert -2 in cyclotomic_poly(105)
+    rng = random.Random(130)
+    for n in range(1, 131):
+        deg = len(cyclotomic_poly(n)) - 1
+        for length in (1, deg, n, 2 * n - 1, 2 * deg + 3):
+            vec = [rng.randint(-9, 9) for _ in range(length)]
+            assert _reduce(n, vec) == _reduce_dense(n, vec)
 
 
 def test_cyclotomic_poly_degree_and_product():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -7,6 +8,7 @@ from carlitzdigits.errors import HypothesisError, ParseError
 from carlitzdigits.ffq import (
     FieldElement,
     FieldSpec,
+    UnitCharacter,
     canonical_generator,
     dlog,
     mult_order,
@@ -141,6 +143,53 @@ def test_dlog_inverts_powers():
         g = canonical_generator(spec)
         for k in range(spec.q - 1):
             assert dlog(g**k, g) == k
+
+
+def test_dlog_matches_stepped_powers():
+    """dlog against the powers of w stepped one by one, for every generator
+    w and every x."""
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49):
+        spec = FieldSpec.from_order(q)
+        units = [x for x in spec.elements() if x]
+        for w in units:
+            if mult_order(w) != q - 1:
+                continue
+            stepped, cur = {}, spec.one
+            for k in range(q - 1):
+                stepped[cur] = k
+                cur = cur * w
+            assert cur == spec.one and len(stepped) == q - 1
+            for x in units:
+                assert dlog(x, w) == stepped[x]
+            with pytest.raises(ValueError, match="zero has no discrete log"):
+                dlog(spec.zero, w)
+
+
+def test_non_generators_refused():
+    """A nonzero non-generator and zero are refused as generators, by dlog
+    and by UnitCharacter; a zero argument is refused first."""
+    for q in (2, 3, 4, 5, 9):
+        spec = FieldSpec.from_order(q)
+        bad = [x for x in spec.elements() if x and mult_order(x) < q - 1] + [spec.zero]
+        for w in bad:
+            message = f"^{re.escape(str(w))} does not generate the unit group$"
+            with pytest.raises(ValueError, match=message):
+                unit_character(spec, 1, w)
+            with pytest.raises(ValueError, match="does not generate the unit group"):
+                dlog(spec.one, w)
+            with pytest.raises(ValueError, match="zero has no discrete log"):
+                dlog(spec.zero, w)
+
+
+def test_generator_from_another_field_refused():
+    f3, f5 = FieldSpec.from_order(3), FieldSpec.from_order(5)
+    g5 = canonical_generator(f5)
+    with pytest.raises(ValueError, match="different field"):
+        UnitCharacter(f3, 1, g5)
+    with pytest.raises(ValueError, match="different field"):
+        dlog(f3.element(2), g5)
+    with pytest.raises(ValueError, match="different field"):
+        unit_character(f3, 1).exponent(f5.element(2))
 
 
 def test_quadratic_character_values_and_multiplicativity():
