@@ -10,7 +10,9 @@ by w = G^r, r = N/(q-1); restriction to scalars therefore lands on unit
 characters indexed against w, not against the canonical generator of F_q^x.
 The context is the r-step long division G * G^(k-1) = H_k * P + G^k of 1/P
 in base G (digits.long_division); a residue's discrete log is that of its
-monic part plus r times that of its leading coefficient against w.
+monic part plus r times that of its leading coefficient against w.  Whether
+w generates F_q^x is read once, from the field's exp/log table that those
+logs use (gcd(log w, q - 1) = 1).
 
 Subgroups of the character group come from subfields: for l | N the field
 fixed by the index-l subgroup H_L has character group X_L = {chi : chi^l = 1}.
@@ -28,8 +30,8 @@ from itertools import islice
 from .cycint import CycloInt, root_of_unity
 from .digits import long_division
 from .errors import ExactnessError, HypothesisError, PrimitivityError, ResourceLimitError
-from .ffq import FieldElement, UnitCharacter, _exp_log, _inverse_log, dlog, mult_order
-from .numutil import prime_factors
+from .ffq import FieldElement, UnitCharacter, _exp_log, dlog
+from .numutil import least_witness
 from .polyring import Poly, _field, _make, is_irreducible, mod_pow
 
 _N_BOUND = 2**63
@@ -73,10 +75,7 @@ def primitivity_witness(G: Poly, P: Poly) -> int | None:
     when G, a unit mod the irreducible P, is primitive."""
     N = P.spec.q ** (len(P.ints) - 1) - 1
     one = Poly.one(P.spec) % P
-    for ell in prime_factors(N) if N > 1 else ():
-        if mod_pow(G, N // ell, P) == one:
-            return ell
-    return None
+    return least_witness(N, lambda e: mod_pow(G, e, P) == one)
 
 
 def build_context(P: Poly, G: Poly) -> ResidueCtx:
@@ -107,9 +106,10 @@ def build_context(P: Poly, G: Poly) -> ResidueCtx:
         digits.append(h)
         powers.append(cur)
     cur = powers.pop()  # G^r
-    unit_gen = cur.constant_coeff()
-    generates = len(cur.ints) == 1 and mult_order(unit_gen) == spec.q - 1
-    logs = _monic_logs(powers, unit_gen, r, N) if generates else {}
+    unit_gen, n = cur.constant_coeff(), spec.q - 1
+    lw = _exp_log(spec)[1][unit_gen.index()]  # w generates when prime to n
+    generates = len(cur.ints) == 1 and math.gcd(lw, n) == 1
+    logs = _monic_logs(powers, pow(lw, -1, n), r, N) if generates else {}
     if len(logs) != r:
         ell = primitivity_witness(G, P)
         if ell is None:
@@ -123,11 +123,11 @@ def build_context(P: Poly, G: Poly) -> ResidueCtx:
     )
 
 
-def _monic_logs(powers, unit_gen: FieldElement, r: int, N: int) -> dict:
-    """monic part of G^k -> its log k - r * log_w(lc(G^k)) mod N; a power
-    with leading coefficient 1 is its own key."""
-    F = _field(unit_gen.spec)
-    log, base = _exp_log(unit_gen.spec)[1], _inverse_log(unit_gen)
+def _monic_logs(powers, base: int, r: int, N: int) -> dict:
+    """monic part of G^k -> its log k - r * base * log(lc(G^k)) mod N, base =
+    1 / log w mod q - 1; a power with leading coefficient 1 is its own key."""
+    spec = powers[0].spec
+    F, log = _field(spec), _exp_log(spec)[1]
     logs = {}
     for k, g in enumerate(powers):
         lc = g.ints[-1]

@@ -34,7 +34,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from itertools import islice
 from typing import NamedTuple
 
 from .chars import DirichletChar, ResidueCtx, build_context, primitivity_witness, subfield
@@ -119,6 +120,17 @@ def _monic_window(ctx: ResidueCtx, lo: int):
             yield ctx.dlog[mp], s
 
 
+def _degree_identity(ctx: ResidueCtx, chi: DirichletChar, lo: int):
+    """(degree polynomial at chi(G), sum over monic I, max(lo, 0) <= deg I
+    < d, of (deg I - lo) chi(I)), for chi trivial on scalars."""
+    if not chi.restricts_to_scalars_trivially():
+        raise HypothesisError("chi must be trivial on scalars")
+    dp = digit_polynomials(ctx)
+    lhs = exponent_sum(ctx.N, ((chi.j * k, c) for k, c in enumerate(dp.degree_poly) if c))
+    rhs = exponent_sum(ctx.N, ((chi.j * k, s - lo) for k, s in _monic_window(ctx, lo) if s - lo))
+    return lhs, rhs
+
+
 def window_degree_identity(ctx: ResidueCtx, chi: DirichletChar):
     """Degree polynomial at chi(G) against the windowed weighted sum.
 
@@ -126,15 +138,7 @@ def window_degree_identity(ctx: ResidueCtx, chi: DirichletChar):
     sum over monic I, d-e <= deg I < d, of (deg I - (d-e)) chi(I).
     Valid in both regimes of e = deg G.  Returns (lhs, rhs).
     """
-    if not chi.restricts_to_scalars_trivially():
-        raise HypothesisError("chi must be trivial on scalars")
-    dp = digit_polynomials(ctx)
-    lhs = exponent_sum(ctx.N, ((chi.j * k, c) for k, c in enumerate(dp.degree_poly) if c))
-    lo = ctx.d - ctx.e
-    rhs = exponent_sum(
-        ctx.N, ((chi.j * k, s - lo) for k, s in _monic_window(ctx, lo) if s - lo)
-    )
-    return lhs, rhs
+    return _degree_identity(ctx, chi, ctx.d - ctx.e)
 
 
 def full_degree_identity(ctx: ResidueCtx, chi: DirichletChar):
@@ -146,17 +150,19 @@ def full_degree_identity(ctx: ResidueCtx, chi: DirichletChar):
     _require_big_base(ctx)
     if chi.is_trivial():
         raise HypothesisError("chi must be nontrivial")
-    if not chi.restricts_to_scalars_trivially():
-        raise HypothesisError("chi must be trivial on scalars")
-    dp = digit_polynomials(ctx)
-    lhs = exponent_sum(ctx.N, ((chi.j * k, c) for k, c in enumerate(dp.degree_poly) if c))
-    rhs = exponent_sum(ctx.N, ((chi.j * k, s) for k, s in _monic_window(ctx, 0) if s))
-    return lhs, rhs
+    return _degree_identity(ctx, chi, 0)
 
 
 def _twisted_factor(ctx: ResidueCtx, dp: DigitPolynomials, chi: DirichletChar) -> CycloInt:
     """Twisted polynomial of lam = chi restricted to scalars, at chi(G)."""
     return exponent_sum(ctx.N, ((chi.j * x, 1) for x in dp.twist))
+
+
+def _twist_identity(ctx: ResidueCtx, chi: DirichletChar, lo: int):
+    """(twisted polynomial at chi(G), sum of chi(I), monic I, max(lo, 0) <= deg I < d)."""
+    lhs = _twisted_factor(ctx, digit_polynomials(ctx), chi)
+    rhs = exponent_sum(ctx.N, ((chi.j * k, 1) for k, _ in _monic_window(ctx, lo)))
+    return lhs, rhs
 
 
 def window_twist_identity(ctx: ResidueCtx, chi: DirichletChar):
@@ -165,11 +171,7 @@ def window_twist_identity(ctx: ResidueCtx, chi: DirichletChar):
     Equals sum of chi(I) over monic I with d-e <= deg I < d, for any chi.
     Valid in both regimes of e.  Returns (lhs, rhs).
     """
-    dp = digit_polynomials(ctx)
-    lhs = _twisted_factor(ctx, dp, chi)
-    lo = ctx.d - ctx.e
-    rhs = exponent_sum(ctx.N, ((chi.j * k, 1) for k, _ in _monic_window(ctx, lo)))
-    return lhs, rhs
+    return _twist_identity(ctx, chi, ctx.d - ctx.e)
 
 
 def full_twist_identity(ctx: ResidueCtx, chi: DirichletChar):
@@ -178,10 +180,7 @@ def full_twist_identity(ctx: ResidueCtx, chi: DirichletChar):
     Valid for every chi once deg G >= deg P.  Returns (lhs, rhs).
     """
     _require_big_base(ctx)
-    dp = digit_polynomials(ctx)
-    lhs = _twisted_factor(ctx, dp, chi)
-    rhs = exponent_sum(ctx.N, ((chi.j * k, 1) for k, _ in _monic_window(ctx, 0)))
-    return lhs, rhs
+    return _twist_identity(ctx, chi, 0)
 
 
 def digit_degree_sum(q: int, d: int, e: int) -> int:
@@ -465,10 +464,12 @@ def canonical_primitive_lift(P: Poly) -> Poly:
     """G = g0 + P for the least primitive residue g0 in enumeration order.
 
     The result is monic of degree d = deg P, so deg G >= deg P holds and
-    G is primitive mod P exactly because g0 is.
+    G is primitive mod P exactly because g0 is.  Zero is skipped, and when
+    d >= 2 so are the q constants, which come first (orders divide q - 1).
     """
-    for cand in all_polys_below(P.spec, len(P.ints) - 1):
-        if not cand.is_zero() and primitivity_witness(cand, P) is None:
+    d = len(P.ints) - 1
+    for cand in islice(all_polys_below(P.spec, d), P.spec.q if d >= 2 else 1, None):
+        if primitivity_witness(cand, P) is None:
             return cand + P
     raise ExactnessError("no primitive residue found; unit groups are cyclic")
 
@@ -580,21 +581,14 @@ class ClassNumberReport:
     agree: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "q": self.q, "d": self.d, "P": self.P, "G": self.G,
-            "e": self.e, "r": self.r, "l": self.l, "m": self.m, "n": self.n,
-            "h_plus": self.h_plus, "h_minus": self.h_minus, "h": self.h,
-            "methods": list(self.methods), "agree": self.agree,
-        }
+        """The fields in their order, methods as a list."""
+        return {**asdict(self), "methods": list(self.methods)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ClassNumberReport":
-        return cls(
-            q=data["q"], d=data["d"], P=data["P"], G=data["G"],
-            e=data["e"], r=data["r"], l=data["l"], m=data["m"], n=data["n"],
-            h_plus=data["h_plus"], h_minus=data["h_minus"], h=data["h"],
-            methods=tuple(data["methods"]), agree=data["agree"],
-        )
+        kwargs = {f.name: data[f.name] for f in fields(cls)}
+        kwargs["methods"] = tuple(kwargs["methods"])
+        return cls(**kwargs)
 
     def csv_row(self) -> list:
         return [

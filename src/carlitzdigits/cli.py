@@ -630,28 +630,25 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# Exit code of each refusal, the first matching type winning: ParseError
+# and HypothesisError (PrimitivityError among them) are ValueErrors.
+_EXIT_CODES = {
+    ParseError: EXIT_PARSE,
+    HypothesisError: EXIT_HYPOTHESIS,
+    ResourceLimitError: EXIT_RESOURCE,
+    ExactnessError: EXIT_VERIFY,
+    ZeroDivisionError: EXIT_HYPOTHESIS,
+    ValueError: EXIT_PARSE,
+}
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except HypothesisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except ExactnessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except ZeroDivisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -14,8 +14,10 @@ Moduli for small extension fields (q <= 64) are built in; any other
 extension field needs an explicit monic irreducible modulus.
 
 Each field has one exp/log table of F_q^x for its canonical generator,
-built on first use; every scalar discrete log reads it.  Orders, the
-canonical generator and the quadratic character are computed by powering.
+built on first use; every scalar discrete log reads it.  Orders and the
+quadratic character are computed by powering; the canonical generator is
+the first unit, in the canonical order and past the prime field when a > 1,
+that numutil.least_witness finds primitive.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import HypothesisError, ParseError
-from .numutil import is_prime, prime_factors
+from .numutil import element_order, factorize, is_prime, least_witness
 
 # Fixed moduli for the extension fields with q = p^a <= 64, coefficients
 # ascending.  These are the classical Conway polynomials, but nothing below
@@ -86,16 +88,9 @@ class FieldSpec:
     @classmethod
     def from_order(cls, q: int, modulus: tuple[int, ...] | None = None) -> "FieldSpec":
         """Build the FieldSpec for the field with q elements (q a prime power)."""
-        if q < 2:
+        if q < 2 or len(factorize(q)) != 1:
             raise ParseError(f"q = {q} is not a prime power")
-        p = min(prime_factors(q))
-        a = 0
-        n = q
-        while n % p == 0:
-            n //= p
-            a += 1
-        if n != 1:
-            raise ParseError(f"q = {q} is not a prime power")
+        ((p, a),) = factorize(q)
         if a == 1:
             if modulus is not None:
                 raise ParseError("prime fields take no modulus")
@@ -234,20 +229,17 @@ def mult_order(x: FieldElement) -> int:
     """Order of x in the unit group F_q^x."""
     if x.is_zero():
         raise ValueError("zero has no multiplicative order")
-    n = x.spec.q - 1
-    t = n
-    for ell in prime_factors(n) if n > 1 else ():
-        while t % ell == 0 and (x ** (t // ell)) == x.spec.one:
-            t //= ell
-    return t
+    return element_order(x.spec.q - 1, lambda e: x**e == x.spec.one)
 
 
 @functools.lru_cache(maxsize=None)
 def canonical_generator(spec: FieldSpec) -> FieldElement:
-    """The least generator of F_q^x in the canonical element order."""
-    n = spec.q - 1
-    for x in spec.elements():
-        if not x.is_zero() and mult_order(x) == n:
+    """The least generator of F_q^x in the canonical element order; zero is
+    skipped, and so is the prime field when a > 1 (orders dividing p - 1)."""
+    n, one = spec.q - 1, spec.one
+    for i in range(1 if spec.a == 1 else spec.p, spec.q):
+        x = spec.from_index(i)
+        if least_witness(n, lambda e: x**e == one) is None:
             return x
     raise AssertionError("unit group of a finite field is cyclic")
 

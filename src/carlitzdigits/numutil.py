@@ -1,11 +1,16 @@
-"""Small integer helpers: a primality test, trial-division factoring and
-divisor lists.
+"""Small integer helpers: a primality test, trial-division factoring,
+divisor lists, and the one order loop of the package.
 
 Factoring here is deliberately naive.  Group orders in this package are
 desk-scale (the character machinery refuses anything past 64 bits), so
 trial division is always sufficient and keeps the dependency surface empty.
 Primality is deterministic Miller-Rabin, which also certifies the 62-bit
 primes of cycint's modular resultant.
+
+Every order and primitivity test in the package (F_q^x, (A/M)^x) is
+element_order or least_witness: both divide the primes of the group order n
+out one by one (Cohen, A Course in Computational Algebraic Number Theory,
+Alg. 1.4.3), given a power test is_one(e), that is x^e = 1.
 """
 
 from __future__ import annotations
@@ -74,3 +79,18 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n):
         ds = [d * p**k for d in ds for k in range(e + 1)]
     return sorted(ds)
+
+
+def element_order(n: int, is_one) -> int:
+    """The order t | n of an x with x^n = 1: each prime ell of n is divided
+    out of t while is_one(t / ell)."""
+    t = n
+    for ell in prime_factors(n):
+        while t % ell == 0 and is_one(t // ell):
+            t //= ell
+    return t
+
+
+def least_witness(n: int, is_one) -> int | None:
+    """The least prime ell | n with is_one(n / ell); None when x has order n."""
+    return next((ell for ell in prime_factors(n) if is_one(n // ell)), None)

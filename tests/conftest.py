@@ -1,7 +1,12 @@
-"""Shared fixtures: the three pinned reference datasets and a seeded pool of
-random residue contexts used by the property suites."""
+"""Shared fixtures: the three pinned reference datasets, a seeded pool of
+random residue contexts used by the property suites, and run_cli, the
+command line in a subprocess."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +20,26 @@ from carlitzdigits import (
     poly_gcd,
 )
 from carlitzdigits.errors import HypothesisError, PrimitivityError
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def src_env():
+    """The environment with the checkout's src first on PYTHONPATH, so that
+    subprocesses import the package without an install."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+def run_cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "carlitzdigits", *argv],
+        capture_output=True, text=True, env=src_env(),
+    )
+
 
 # pinned data for the three reference examples, as polynomial text
 EX1 = {

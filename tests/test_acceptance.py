@@ -1,8 +1,6 @@
 """Acceptance suite: one test per acceptance criterion, each printing a
 single PASS line (visible with -s) and enforcing its runtime bound."""
 
-import subprocess
-import sys
 import time
 
 import pytest
@@ -27,7 +25,7 @@ from carlitzdigits.errors import ExactnessError
 from carlitzdigits.ffq import FieldSpec, quadratic_character
 from carlitzdigits.polyring import format_poly, parse_poly
 
-from conftest import EX1, EX2, EX3, all_irreducibles
+from conftest import EX1, EX2, EX3, all_irreducibles, run_cli
 
 
 def build(example):
@@ -153,13 +151,6 @@ def test_criterion_7_exactness_guard():
         classnum._collapse(root_of_unity(8, 1), "control")
     assert classnum._collapse(CycloInt.from_int(8, -5), "control") == -5
     print("\nPASS criterion 7: advisory float check and integer collapse guard")
-
-
-def run_cli(*argv):
-    return subprocess.run(
-        [sys.executable, "-m", "carlitzdigits", *argv],
-        capture_output=True, text=True,
-    )
 
 
 def test_criterion_8_determinism():

@@ -42,6 +42,7 @@ from carlitzdigits.polyring import (
 )
 
 from conftest import EX1, EX2, EX3, all_irreducibles, random_context
+from test_digits import brute_order
 
 # q = 2 context with deg G < deg P, so the digit stream has zero digits
 SMALL_BASE = ("T^3+T+1", "T")
@@ -286,6 +287,19 @@ def test_canonical_primitive_lift(spec3):
                 assert cand.is_zero() or any(
                     mod_pow(cand, N // ell, P) == one for ell in prime_factors(N)
                 )
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_canonical_primitive_lift_is_first_of_full_search(q):
+    """Every irreducible P of degree 1-3: the least residue of order N by
+    stepping, over every candidate, the constants included."""
+    spec = FieldSpec.from_order(q)
+    for d in (1, 2, 3):
+        N = q**d - 1
+        for P in all_irreducibles(spec, d):
+            g0 = next(c for c in all_polys_below(spec, d)
+                      if c and brute_order(c, P) == N)
+            assert canonical_primitive_lift(P) == g0 + P
 
 
 def test_report_roundtrip_and_csv(ctx1, ctx3):

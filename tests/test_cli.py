@@ -1,22 +1,16 @@
 import contextlib
 import io
 import json
-import subprocess
-import sys
 import time
 
 from carlitzdigits import chars, classnum, cli, polyring
 
 from carlitzdigits.digits import DigitExpansion, digit_expand
+from carlitzdigits.errors import ExactnessError
 from carlitzdigits.ffq import FieldSpec
 from carlitzdigits.polyring import Poly, format_poly, parse_poly
 
-
-def run_cli(*argv):
-    return subprocess.run(
-        [sys.executable, "-m", "carlitzdigits", *argv],
-        capture_output=True, text=True,
-    )
+from conftest import run_cli
 
 
 def test_expand_text_golden():
@@ -117,6 +111,26 @@ def test_classnum_error_exit_codes():
     assert run_cli("classnum", "--q", "6", "--P", "T^2+1", "--l", "2").returncode == 2
     # malformed polynomial
     assert run_cli("classnum", "--q", "3", "--P", "x^2+1", "--l", "2").returncode == 2
+
+
+def test_reducible_field_modulus_exits_2():
+    """A plain ValueError (here from FieldSpec) is a parse error."""
+    res = run_cli("classnum", "--q", "4", "--modulus", "1,0,1", "--P", "T^2+T+1",
+                  "--l", "3")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: modulus is reducible over F_p\n"
+
+
+def test_exactness_error_exits_1(monkeypatch, capsys):
+    def failing_period(m, base):
+        raise ExactnessError("order finding failed; is gcd(G, M) = 1?")
+
+    monkeypatch.setattr(cli, "digit_period", failing_period)
+    assert cli.main(["period", "--q", "3", "--M", "T^2+1", "--G", "T^2+T+2"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: order finding failed; is gcd(G, M) = 1?\n"
 
 
 def test_carlitz_text_and_json():

@@ -1,13 +1,12 @@
 """Smoke test: every script under demos/ runs against the source tree."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, src_env
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -17,12 +16,9 @@ def test_four_demos_found():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     done = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=300,
+        [sys.executable, str(script)], capture_output=True, text=True, env=src_env(),
+        timeout=300,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()

@@ -18,6 +18,7 @@ from carlitzdigits.polyring import (
     gen,
     is_irreducible,
     mod_pow,
+    monic_polys,
     parse_poly,
     poly,
     poly_gcd,
@@ -106,6 +107,23 @@ def test_period_matches_brute_order():
         for k in range(g):
             assert exp.digits[k + g] == exp.digits[k]
         done += 1
+
+
+@pytest.mark.parametrize("q, max_deg", [(2, 4), (3, 3), (4, 2), (5, 2), (9, 2)])
+def test_period_matches_stepping_every_monic_modulus(q, max_deg):
+    """Every monic M of degree <= max_deg, irreducible or not, against bases
+    of degree below, at and above deg M."""
+    spec = FieldSpec.from_order(q)
+    kinds = set()
+    for d in range(1, max_deg + 1):
+        for M in monic_polys(spec, d):
+            for text in ("T", "T+1", "2*T^2+T+1", "T^5+T^2+1"):
+                G = parse_poly(spec, text)
+                if poly_gcd(G, M).degree() != 0:
+                    continue
+                assert digit_period(M, G) == brute_order(G, M)
+                kinds.add(is_irreducible(M))
+    assert kinds == {True, False}
 
 
 def test_expansion_without_coprime_base():

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import re
@@ -129,6 +130,39 @@ def test_canonical_generator_is_least():
             if x == g:
                 break
             assert x.is_zero() or mult_order(x) < spec.q - 1
+
+
+# every field of the order and generator tests, and F_25 by an explicit modulus
+STEPPED_FIELDS = [*specs(), FieldSpec.from_order(16), FieldSpec.from_order(27),
+                  FieldSpec(5, 2, (2, 1, 1))]
+
+
+@functools.cache
+def stepped_orders(spec):
+    """index -> order of each unit of spec, by multiplying its powers by it
+    until they reach 1."""
+    orders = {}
+    for x in spec.elements():
+        if x:
+            k, y = 1, x
+            while y != spec.one:
+                k, y = k + 1, y * x
+            orders[x.index()] = k
+    return orders
+
+
+@pytest.mark.parametrize("spec", STEPPED_FIELDS, ids=lambda s: f"{s.q}-{s.modulus}")
+def test_mult_order_matches_stepping(spec):
+    for i, order in stepped_orders(spec).items():
+        assert mult_order(spec.from_index(i)) == order
+
+
+@pytest.mark.parametrize("spec", STEPPED_FIELDS, ids=lambda s: f"{s.q}-{s.modulus}")
+def test_canonical_generator_is_first_of_full_search(spec):
+    """The full search over every element, the prime field included."""
+    orders = stepped_orders(spec)
+    want = min(i for i, order in orders.items() if order == spec.q - 1)
+    assert canonical_generator(spec).index() == want
 
 
 def test_canonical_generator_small_fields():

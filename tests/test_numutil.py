@@ -1,6 +1,15 @@
+import math
+
 import pytest
 
-from carlitzdigits.numutil import divisors, factorize, is_prime, prime_factors
+from carlitzdigits.numutil import (
+    divisors,
+    element_order,
+    factorize,
+    is_prime,
+    least_witness,
+    prime_factors,
+)
 
 
 def brute_is_prime(n):
@@ -52,3 +61,21 @@ def test_divisors_sorted_and_complete():
         ds = divisors(n)
         assert list(ds) == sorted(ds)
         assert list(ds) == [k for k in range(1, n + 1) if n % k == 0]
+
+
+def test_order_and_witness_match_stepping():
+    """On (Z/m)^x, m <= 500, of order n = phi(m): the order of every unit x
+    is that found by stepping its powers, and the least witness is the least
+    prime ell | n with x^(n/ell) = 1, that is with ell | n / order."""
+    for m in range(2, 501):
+        units = [x for x in range(1, m) if math.gcd(x, m) == 1]
+        n = len(units)
+        for x in units:
+            order, y = 1, x % m
+            while y != 1 % m:
+                order, y = order + 1, y * x % m
+            is_one = lambda e: pow(x, e, m) == 1 % m
+            assert element_order(n, is_one) == order
+            rest = n // order
+            want = next((ell for ell in range(2, rest + 1) if rest % ell == 0), None)
+            assert least_witness(n, is_one) == want
