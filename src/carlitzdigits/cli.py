@@ -12,6 +12,7 @@ import csv
 import functools
 import io
 import json
+import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -35,13 +36,7 @@ from .classnum import (
     window_degree_identity,
     window_twist_identity,
 )
-from .digits import (
-    ORDER_STEP_BOUND,
-    digit_closed_form,
-    digit_expand,
-    digit_period,
-    twisted_digit_sum,
-)
+from .digits import digit_closed_form, digit_expand, digit_period, twisted_digit_sum
 from .errors import (
     ExactnessError,
     HypothesisError,
@@ -49,7 +44,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .ffq import FieldSpec, quadratic_character, unit_character
-from .numutil import divisors
+from .numutil import RHO_BUDGET, divisors
 from .polyring import Poly, format_poly, is_irreducible, monic_polys, parse_poly, poly_gcd
 
 EXIT_OK = 0
@@ -60,11 +55,15 @@ EXIT_RESOURCE = 4
 
 SWEEP_ORDER_BOUND = 10**6
 
-# rho_I has coefficients c_i of degree q^i * (deg I - i), i <= deg I; past
-# this many coefficient slots in all, the request is refused.  Over F_2 it
-# admits I = T^21: T^20 (2,097,151 slots) takes 0.35 s of CPU and 73 MB peak
-# RSS, T^21 0.64 s and 145 MB, on a 2-core shared host.
-CARLITZ_SLOT_BOUND = 2**22
+# A request whose output takes more than this many coefficient slots in all
+# is refused (_check_slots).  On a 2-core shared host:
+# - rho_I of carlitz has coefficients c_i of degree q^i * (deg I - i),
+#   i <= deg I.  Over F_2 the bound admits I = T^21.  T^20 (2,097,151 slots)
+#   takes 0.35 s of CPU and 73 MB peak RSS, T^21 0.64 s and 145 MB.
+# - expand holds and prints --terms digits of deg G slots each.  With
+#   deg G = 1 and a degree-16 denominator over F_2, 2^20 terms take 6.1 s
+#   and 197 MB; the cost grows linearly, to about 25 s and 750 MB at 2^22.
+OUTPUT_SLOT_BOUND = 2**22
 
 GRAMMAR_HELP = """\
 polynomial grammar (one grammar everywhere):
@@ -76,8 +75,9 @@ polynomial grammar (one grammar everywhere):
 
 ORDER_BOUND_HELP = f"""\
 The period is the order of G modulo the denominator (--P, --den or --M).
-For a reducible one it is found by stepping powers of G; past {ORDER_STEP_BOUND}
-steps the request is refused with exit code 4.
+It divides the exponent of (F_q[T]/M)^x, read off the degrees of the
+irreducible factors of M; a request whose exponent does not factor within
+{RHO_BUDGET} steps of Pollard's rho is refused with exit code 4.
 """
 
 
@@ -110,11 +110,20 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _check_slots(slots: int, what: str, command: str) -> None:
+    """Refuse an output of more than OUTPUT_SLOT_BOUND coefficient slots."""
+    if slots > OUTPUT_SLOT_BOUND:
+        raise ResourceLimitError(
+            f"{what} exceed the {command} bound of {OUTPUT_SLOT_BOUND} slots"
+        )
+
+
 # -- expand ------------------------------------------------------------
 
 def cmd_expand(args) -> int:
     spec = _field_of(args)
     base = parse_poly(spec, args.G)
+    _check_slots(args.terms * (len(base.ints) - 1), "the digits H_1..H_terms", "expand")
     num = parse_poly(spec, args.num)
     if args.P is not None:
         if args.den is not None:
@@ -213,11 +222,7 @@ def cmd_carlitz(args) -> int:
     slots = 0
     for i in range(n + 1):  # stops within a few terms for a huge deg I
         slots += spec.q**i * (n - i) + 1
-        if slots > CARLITZ_SLOT_BOUND:
-            raise ResourceLimitError(
-                f"the coefficients of rho_I exceed the carlitz bound of "
-                f"{CARLITZ_SLOT_BOUND} slots"
-            )
+        _check_slots(slots, "the coefficients of rho_I", "carlitz")
     rho = carlitz_poly(operand)
     if args.format == "json":
         _emit(args, _json_text({
@@ -487,8 +492,9 @@ def cmd_sweep(args) -> int:
                 args.q, spec.modulus, format_poly(P), args.l,
                 "charsum" in args.verify, "pointcount" in args.verify,
             ))
-    if args.parallel > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
+    workers = min(args.parallel, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_p = list(pool.map(_sweep_job, jobs))
     else:
         per_p = [_sweep_job(job) for job in jobs]
@@ -539,7 +545,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_expand = subs.add_parser(
         "expand", help="digit expansion of a rational function in base G",
-        description=ORDER_BOUND_HELP,
+        description=ORDER_BOUND_HELP
+        + f"Requests for more than {OUTPUT_SLOT_BOUND} digit slots, --terms times deg G,\n"
+          "are refused with exit code 4.\n",
         epilog=GRAMMAR_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
     _add_field_args(p_expand)
     p_expand.add_argument("--G", required=True, help="base polynomial, deg >= 1")
@@ -587,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_car = subs.add_parser(
         "carlitz", help="the additive polynomial realizing the module action of I",
         description="rho_I = sum_{i <= deg I} c_i x^(q^i) with deg c_i = q^i (deg I - i).\n"
-                    f"Requests whose coefficients take more than {CARLITZ_SLOT_BOUND} slots,\n"
+                    f"Requests whose coefficients take more than {OUTPUT_SLOT_BOUND} slots,\n"
                     "sum_{i <= deg I} (q^i (deg I - i) + 1), are refused with exit code 4.",
         epilog=GRAMMAR_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
     _add_field_args(p_car)
@@ -615,7 +623,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--verify", action="append", default=[],
                          choices=("charsum", "pointcount"))
     p_sweep.add_argument("--parallel", type=_positive_int, default=1,
-                         help="worker processes (default 1)")
+                         help="worker processes (default 1); at most one per table "
+                              "and per CPU are started")
     p_sweep.add_argument("--format", choices=("text", "json", "csv"), default="csv")
     p_sweep.add_argument("--output", default=None)
     p_sweep.set_defaults(func=cmd_sweep)

@@ -11,28 +11,24 @@ For f = 1/M with gcd(G, M) = 1 each step G * G_{k-1} = H_k * M + G_k, G_k
 the canonical representative of G^k mod M, is one division (long_division).
 The closed form H_k = (G * G_{k-1} - G_k) / M, G_{k-1} by modular powering,
 is the independent path; the digit stream is purely periodic with period
-equal to the multiplicative order of G modulo M.  That order is
-numutil.element_order over q^deg M - 1 when M is irreducible, and found by
-stepping the division otherwise; either way G^g = 1 mod M is verified
-before the period g is returned.
+equal to the multiplicative order of G modulo M.  That order divides the
+exponent n = p^s * lcm(q^i - 1) of (A/M)^x, the lcm over the degrees i of
+the irreducible factors of M and p^s at least their largest multiplicity,
+read off by distinct-degree factorization (Cantor and Zassenhaus 1981);
+G^n = 1 mod M is verified, and numutil.element_order then divides the
+primes of n out of it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 
-from .errors import ExactnessError, HypothesisError, ResourceLimitError
+from .errors import ExactnessError, HypothesisError
 from .ffq import FieldElement, FieldSpec
 from .numutil import element_order
-from .polyring import (Poly, _make, _Modulus, format_poly, is_irreducible, mod_pow, parse_poly,
-                       poly_gcd)
-
-# Order finding by stepping (reducible moduli) gives up after this many
-# powers with ResourceLimitError: about 2.3 s of CPU for a degree-16
-# modulus over F_9 on a 2-core shared host, and far above the periods of up
-# to a few thousand that reducible moduli of moderate degree have.
-ORDER_STEP_BOUND = 10**5
+from .polyring import Poly, _make, _Modulus, format_poly, gen, mod_pow, parse_poly, poly_gcd
 
 
 @dataclass(frozen=True)
@@ -111,28 +107,49 @@ def digit_expand(f1: Poly, f2: Poly, base: Poly, n: int) -> DigitExpansion:
 def _order_mod(g: Poly, m: Poly) -> int:
     """Multiplicative order of g modulo m; needs gcd(g, m) = 1.
 
-    When m is irreducible the order divides q^deg(m) - 1 and is found by
-    dividing out prime factors; otherwise the powers are stepped directly,
-    at most ORDER_STEP_BOUND of them (ResourceLimitError beyond).
+    g^n = 1 for the exponent n of (A/m)^x is verified (ExactnessError
+    otherwise), and element_order divides the primes of n out of the order.
     """
-    spec = g.spec
-    d = len(m.ints) - 1
-    one = Poly.one(spec) % m
-    if is_irreducible(m):
-        t = element_order(spec.q**d - 1, lambda e: mod_pow(g, e, m) == one)
-        if mod_pow(g, t, m) != one:
-            raise ExactnessError("order finding failed; is gcd(G, M) = 1?")
-        return t
-    bound = spec.q**d
-    for count, (_, cur) in enumerate(long_division(g, m, one), start=1):
-        if count > bound:
-            raise ExactnessError("order finding did not terminate; is gcd(G, M) = 1?")
-        if count > ORDER_STEP_BOUND:
-            raise ResourceLimitError(
-                f"the order of G mod a reducible M exceeds the step bound {ORDER_STEP_BOUND}"
-            )
-        if cur == one:
-            return count
+    one = Poly.one(g.spec) % m
+    n = _unit_exponent(m)
+    if mod_pow(g, n, m) != one:
+        raise ExactnessError("G^n != 1 mod M for the exponent n of (A/M)^x; is gcd(G, M) = 1?")
+    return element_order(n, lambda e: mod_pow(g, e, m) == one)
+
+
+def _unit_exponent(m: Poly) -> int:
+    """The exponent p^s * lcm(q^i - 1) of (A/m)^x, deg m >= 1.
+
+    A factor P^e of m, deg P = i, has (A/P^e)^x of exponent
+    (q^i - 1) * p^s for the least p^s >= e.  Distinct-degree factorization
+    finds the degrees: with h = T^(q^i) mod a, gcd(h - T, a) is the product
+    of the irreducible factors of a of degree i, once those of lower degree
+    are gone, and a is divided by it until they are coprime; the rounds that
+    takes are their largest multiplicity.  Once 2i > deg a, what is left of
+    a is 1 or irreducible.
+    """
+    spec = m.spec
+    t = gen(spec)
+    a, h, i = m.monic(), t, 0
+    exponent, mult = 1, 1
+    while 2 * (i + 1) <= len(a.ints) - 1:
+        i += 1
+        h = mod_pow(h, spec.q, a)
+        f = poly_gcd(h - t, a)
+        if len(f.ints) > 1:
+            exponent = math.lcm(exponent, spec.q**i - 1)
+            rounds = 0
+            while len(f.ints) > 1:
+                a, rounds = a // f, rounds + 1
+                f = poly_gcd(a, f)
+            mult = max(mult, rounds)
+            h = h % a
+    if len(a.ints) > 1:
+        exponent = math.lcm(exponent, spec.q ** (len(a.ints) - 1) - 1)
+    ps = 1
+    while ps < mult:
+        ps *= spec.p
+    return ps * exponent
 
 
 def digit_period(m: Poly, base: Poly) -> int:

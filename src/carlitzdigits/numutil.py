@@ -1,9 +1,14 @@
-"""Small integer helpers: a primality test, trial-division factoring,
-divisor lists, and the one order loop of the package.
+"""Small integer helpers: a primality test, factoring, divisor lists, and
+the one order loop of the package.
 
-Factoring here is deliberately naive.  Group orders in this package are
-desk-scale (the character machinery refuses anything past 64 bits), so
-trial division is always sufficient and keeps the dependency surface empty.
+Factoring trial-divides by the integers below TRIAL_BOUND only.  Each
+cofactor left is certified prime by is_prime, or split by Pollard's rho
+with Brent's cycle finding (Pollard 1975; Brent 1980) and its parts
+treated alike; a request whose cofactors do not split within RHO_BUDGET
+steps, or which cannot be certified, is refused with ResourceLimitError.
+The group orders of classnum and sweep, at most 10^6 = TRIAL_BOUND^2,
+factor by trial division alone; the exponents p^s * lcm(q^i - 1) of
+(A/M)^x that digit periods need run to hundreds of bits and need the rest.
 Primality is deterministic Miller-Rabin, which also certifies the 62-bit
 primes of cycint's modular resultant.
 
@@ -16,6 +21,9 @@ Alg. 1.4.3), given a power test is_one(e), that is x^e = 1.
 from __future__ import annotations
 
 import functools
+import math
+
+from .errors import ResourceLimitError
 
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound
@@ -49,24 +57,92 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Factoring trial-divides by the integers below this bound, so a cofactor
+# left below its square is prime.
+TRIAL_BOUND = 1000
+
+# Steps x -> x^2 + c mod the cofactor that one factorize call may spend in
+# Pollard's rho before it is refused: spending all of them on 2^127 - 1
+# takes 1.3 s of CPU on a 2-core shared host.  A prime factor p takes about
+# sqrt(p) steps to split off, so a number whose second-largest prime factor
+# is below about 10^12 factors.
+RHO_BUDGET = 2**22
+
+# Differences x - y multiplied together per gcd in Brent's loop.
+_RHO_BATCH = 128
+
+
 @functools.lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as ((p, e), ...) with p ascending."""
+    """Prime factorization of n >= 1 as ((p, e), ...) with p ascending.
+
+    ResourceLimitError when a cofactor neither splits within RHO_BUDGET
+    steps of rho nor is certified prime (is_prime, below _MR_EXACT_BELOW).
+    """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
-    out = []
+    out: dict[int, int] = {}
     f = 2
-    while f * f <= n:
-        if n % f == 0:
-            e = 0
-            while n % f == 0:
-                n //= f
-                e += 1
-            out.append((f, e))
+    while f < TRIAL_BOUND and f * f <= n:
+        while n % f == 0:
+            n //= f
+            out[f] = out.get(f, 0) + 1
         f += 1 if f == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return tuple(out)
+    budget = RHO_BUDGET
+    todo = [n] if n > 1 else []
+    while todo:
+        c = todo.pop()
+        if c < TRIAL_BOUND**2 or (c < _MR_EXACT_BELOW and is_prime(c)):
+            out[c] = out.get(c, 0) + 1
+        else:
+            d, budget = _rho_divisor(c, budget)
+            todo += (d, c // d)
+    return tuple(sorted(out.items()))
+
+
+def _rho_divisor(n: int, budget: int) -> tuple[int, int]:
+    """(d, steps left) for a divisor 1 < d < n of n, found with at most
+    budget steps of x -> x^2 + c mod n; n has no prime factor below
+    TRIAL_BOUND and is composite, or is a prime too large to certify.
+
+    Brent's variant of Pollard's rho: y runs r steps ahead of the saved x,
+    r doubling, and the differences x - y are multiplied in batches, one gcd
+    per batch; a batch whose gcd is n is stepped again one by one, and a
+    sequence that closes on n tries the next c.  ResourceLimitError before
+    a round that would overspend the budget.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            budget -= 2 * r  # r steps to run y ahead, at most r more in batches
+            if budget < 0:
+                uncertified = (f"; primality is certified only below {_MR_EXACT_BELOW}"
+                               if n >= _MR_EXACT_BELOW else "")
+                raise ResourceLimitError(
+                    f"no factor of {n} found within the budget of {RHO_BUDGET} rho steps"
+                    + uncertified
+                )
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * (x - y) % n
+                g = math.gcd(acc, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g, budget
 
 
 def prime_factors(n: int) -> tuple[int, ...]:

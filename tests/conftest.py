@@ -157,3 +157,19 @@ def ctx_pool():
 
 def all_irreducibles(spec, degree):
     return [f for f in monic_polys(spec, degree) if is_irreducible(f)]
+
+
+def trial_factorize(n):
+    """((p, e), ...) by trial division by every integer up to sqrt(n): the
+    reference for numutil.factorize."""
+    out, f = [], 2
+    while f * f <= n:
+        e = 0
+        while n % f == 0:
+            n, e = n // f, e + 1
+        if e:
+            out.append((f, e))
+        f += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)

@@ -8,9 +8,9 @@ from carlitzdigits import chars, classnum, cli, polyring
 from carlitzdigits.digits import DigitExpansion, digit_expand
 from carlitzdigits.errors import ExactnessError
 from carlitzdigits.ffq import FieldSpec
-from carlitzdigits.polyring import Poly, format_poly, parse_poly
+from carlitzdigits.polyring import Poly, format_poly, mod_pow, parse_poly
 
-from conftest import run_cli
+from conftest import run_cli, trial_factorize
 
 
 def test_expand_text_golden():
@@ -186,6 +186,40 @@ def test_sweep_parallel_matches_serial():
     assert "digits+charsum" in serial.stdout
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, starting no worker."""
+
+    seen = []
+
+    def __init__(self, max_workers):
+        self.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_sweep_parallel_is_capped(monkeypatch):
+    """--parallel N starts at most one worker per table and per CPU; the
+    output is that of a serial sweep."""
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    argv = ["sweep", "--q", "3", "--d", "2", "--verify", "charsum"]
+    serial = _main_in_process(argv)
+    assert _RecordingPool.seen == []
+    for cpus, parallel, workers in ((8, "1000000", 3), (2, "1000000", 2), (None, "64", None),
+                                    (8, "2", 2)):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        _RecordingPool.seen.clear()
+        assert _main_in_process(argv + ["--parallel", parallel]) == serial
+        assert _RecordingPool.seen == ([] if workers is None else [workers])
+
+
 def test_sweep_json_and_text():
     res = run_cli("sweep", "--q", "2", "--d", "3", "--l", "7", "--format", "json")
     assert res.returncode == 0
@@ -248,14 +282,50 @@ def test_parse_error_exit():
     assert run_cli("period", "--q", "3", "--M", "x^2", "--G", "T").returncode == 2
 
 
-def test_order_stepping_bound():
-    # a reducible degree-16 modulus over F_9: stepping would take ~10^15 powers
+def test_order_of_large_reducible_modulus():
+    """A reducible degree-16 modulus over F_9 whose order stepping could not
+    reach: the period g is the order of G, G^g = 1 and G^(g/ell) != 1 mod M
+    for each prime ell | g."""
     start = time.monotonic()
     res = run_cli("expand", "--q", "9", "--den", "T^16+T+2", "--G", "T+1", "--terms", "3")
     assert time.monotonic() - start < 10
+    assert res.returncode == 0, res.stderr
+    g = int(res.stdout.splitlines()[-1].removeprefix("period = "))
+    spec = FieldSpec.from_order(9)
+    M, G = parse_poly(spec, "T^16+T+2"), parse_poly(spec, "T+1")
+    one = Poly.one(spec)
+    assert mod_pow(G, g, M) == one
+    assert all(mod_pow(G, g // ell, M) != one for ell, _ in trial_factorize(g))
+
+
+def test_period_of_large_irreducible_modulus():
+    """q^d - 1 is factored by rho, not trial division: 2^61 - 1 is certified
+    prime at once, and 2^127 - 1, too large to certify, is refused once rho
+    has spent its budget."""
+    start = time.monotonic()
+    res = run_cli("period", "--q", "2", "--M", "T^61+T^5+T^2+T+1", "--G", "T")
+    assert time.monotonic() - start < 5
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == f"period = {2**61 - 1}\n"
+    start = time.monotonic()
+    res = run_cli("period", "--q", "2", "--M", "T^127+T+1", "--G", "T")
+    assert time.monotonic() - start < 10
     assert res.returncode == 4
     assert res.stdout == ""
-    assert "bound" in res.stderr
+    assert "budget" in res.stderr
+
+
+def test_expand_size_bound():
+    # 2^21 terms of a quadratic base fill the 2^22 digit slots; one more is refused
+    start = time.monotonic()
+    for terms, G in (("2097153", "T^2+1"), ("4194305", "T+1")):
+        res = run_cli("expand", "--q", "3", "--den", "T^3+2*T+1", "--G", G, "--terms", terms)
+        assert res.returncode == 4
+        assert res.stdout == ""
+        assert "bound" in res.stderr
+    assert time.monotonic() - start < 5
+    code, text, _ = _main_in_process(["expand", "--help"])
+    assert code == 0 and f"more than {cli.OUTPUT_SLOT_BOUND} digit slots" in text
 
 
 def test_carlitz_size_bound():

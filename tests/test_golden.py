@@ -31,9 +31,12 @@ CASES = {
                     "--verify", "pointcount"],
     "classnum_q5_septic_charsum_json": ["classnum", "--q", "5", "--P", "T^7+T+1", "--l", "2",
                                         "--verify", "charsum", "--format", "json"],
-    # (T^5+T^2+1)(T^6+T+1): the order of T is found by stepping
+    # (T^5+T^2+1)(T^6+T+1): the exponent of (A/M)^x is lcm(2^5 - 1, 2^6 - 1)
     "period_q2_reducible": ["period", "--q", "2", "--M", "T^11+T^8+T^5+T^3+T^2+T+1",
                             "--G", "T"],
+    # (T+1)^3 (T^2+1)^2 (T^3+2T+1): the order 156 of T has the factor p = 3
+    "period_q3_nonsquarefree": ["period", "--q", "3", "--M",
+                                "T^10+T^8+2*T^7+2*T^6+2*T^2+2*T+1", "--G", "T"],
     "carlitz_q4": ["carlitz", "--q", "4", "--I", "(0,1)*T^3+T+(1,1)"],
     "expand_q9_json": ["expand", "--q", "9", "--G", "(0,1)*T^2+T+(1,2)", "--num", "T+(2,1)",
                        "--den", "T^4+(1,1)*T+2", "--terms", "12", "--format", "json"],

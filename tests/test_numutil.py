@@ -1,8 +1,14 @@
 import math
+import random
+import time
 
 import pytest
 
+from carlitzdigits.errors import ResourceLimitError
 from carlitzdigits.numutil import (
+    RHO_BUDGET,
+    TRIAL_BOUND,
+    _rho_divisor,
     divisors,
     element_order,
     factorize,
@@ -10,6 +16,8 @@ from carlitzdigits.numutil import (
     least_witness,
     prime_factors,
 )
+
+from conftest import trial_factorize
 
 
 def brute_is_prime(n):
@@ -49,6 +57,52 @@ def test_factorize_reconstructs_and_uses_primes():
 
 def test_factorize_one_is_empty():
     assert factorize(1) == ()
+
+
+def test_factorize_matches_trial_division():
+    """Every n < 10^5, random n < 10^12, and products of two or three primes
+    above TRIAL_BOUND, which only rho splits."""
+    for n in range(1, 10**5):
+        assert factorize(n) == trial_factorize(n)
+    rng = random.Random(12)
+    primes = [p for p in range(TRIAL_BOUND, 20000) if is_prime(p)]
+    cases = [rng.randrange(1, 10**12) for _ in range(40)]
+    cases += [rng.choice(primes) * rng.choice(primes) for _ in range(40)]
+    cases += [rng.choice(primes[:200]) ** 2 * rng.choice(primes[:200]) for _ in range(20)]
+    for n in cases:
+        assert factorize(n) == trial_factorize(n)
+
+
+def test_rho_divisor_splits_every_odd_composite():
+    for n in range(9, 10**5, 2):
+        if not is_prime(n):
+            d, left = _rho_divisor(n, RHO_BUDGET)
+            assert 1 < d < n and n % d == 0
+            assert 0 <= left < RHO_BUDGET
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 49])
+def test_factorize_group_orders(q):
+    """q^d - 1 below 10^24, the exponents of F_{q^d}^x: certified primes,
+    ascending, whose product is q^d - 1."""
+    d = 1
+    while q**d - 1 < 10**24:
+        total, last = 1, 1
+        for p, e in factorize(q**d - 1):
+            assert is_prime(p) and e >= 1 and p > last
+            total, last = total * p**e, p
+        assert total == q**d - 1
+        d += 1
+
+
+def test_factorize_refuses_within_budget():
+    """3 * (2^127 - 1): after trial division, rho spends its budget on a
+    prime too large for is_prime to certify, and the request is refused,
+    not left to is_prime's ValueError."""
+    start = time.process_time()
+    with pytest.raises(ResourceLimitError, match="budget"):
+        factorize(3 * (2**127 - 1))
+    assert time.process_time() - start < 10
 
 
 def test_prime_factors():
