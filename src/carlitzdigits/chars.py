@@ -9,8 +9,11 @@ Scalars sit inside the unit group as the subgroup of order q - 1 generated
 by w = G^r, r = N/(q-1); restriction to scalars therefore lands on unit
 characters indexed against w, not against the canonical generator of F_q^x.
 The context is the r-step long division G * G^(k-1) = H_k * P + G^k of 1/P
-in base G (digits.long_division); a residue's discrete log is that of its
-monic part plus r times that of its leading coefficient against w.  Whether
+in base G (digits.long_division), each step one packed F_p-linear map of
+the coordinates of G^(k-1), with rows (the remainders and quotients of
+G * x^j * T^i by P) built once per context.  A residue's discrete log is
+that of its monic part plus r times that of its leading coefficient
+against w.  Whether
 w generates F_q^x is read once, from the field's exp/log table that those
 logs use (gcd(log w, q - 1) = 1).
 

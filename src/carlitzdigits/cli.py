@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 parse error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -16,6 +17,7 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import islice
 
 from .carlitz import carlitz_poly
 from .chars import build_context
@@ -36,7 +38,14 @@ from .classnum import (
     window_degree_identity,
     window_twist_identity,
 )
-from .digits import digit_closed_form, digit_expand, digit_period, twisted_digit_sum
+from .digits import (
+    DigitExpansion,
+    digit_closed_form,
+    digit_expand,
+    digit_period,
+    digit_stream,
+    twisted_digit_sum,
+)
 from .errors import (
     ExactnessError,
     HypothesisError,
@@ -44,7 +53,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .ffq import FieldSpec, quadratic_character, unit_character
-from .numutil import RHO_BUDGET, divisors
+from .numutil import RHO_BUDGET, divisors, totient
 from .polyring import Poly, format_poly, is_irreducible, monic_polys, parse_poly, poly_gcd
 
 EXIT_OK = 0
@@ -55,14 +64,23 @@ EXIT_RESOURCE = 4
 
 SWEEP_ORDER_BOUND = 10**6
 
+# A class number request for the degree-l subfield takes one norm from
+# Q(zeta_t) for each t | l (every t | q^d - 1 in a sweep without --l), of
+# degree phi(t) <= phi(l).  Requests with phi(l) above this are refused
+# (_check_norm_degree).  One cycint.norm of a random vector on a 2-core
+# shared host: phi 432 (t = 511) 2.6 s, phi 600 (t = 1023) 7.3 s, phi 708
+# (t = 709) 10.3 s, phi 800 (t = 1025) 16.4 s, phi 1936 (t = 2047) 234 s.
+NORM_DEGREE_BOUND = 700
+
 # A request whose output takes more than this many coefficient slots in all
 # is refused (_check_slots).  On a 2-core shared host:
 # - rho_I of carlitz has coefficients c_i of degree q^i * (deg I - i),
 #   i <= deg I.  Over F_2 the bound admits I = T^21.  T^20 (2,097,151 slots)
 #   takes 0.35 s of CPU and 73 MB peak RSS, T^21 0.64 s and 145 MB.
-# - expand holds and prints --terms digits of deg G slots each.  With
-#   deg G = 1 and a degree-16 denominator over F_2, 2^20 terms take 6.1 s
-#   and 197 MB; the cost grows linearly, to about 25 s and 750 MB at 2^22.
+# - expand writes --terms digits of deg G slots each, one line per digit as
+#   the division makes it.  With deg G = 1 and a degree-16 denominator over
+#   F_2, 2^20 terms take 7.6 s of CPU and 19 MB peak RSS, 2^22 terms 29.6 s
+#   and 18 MB: the time grows linearly and the memory stays flat.
 OUTPUT_SLOT_BOUND = 2**22
 
 GRAMMAR_HELP = """\
@@ -98,12 +116,19 @@ def _field_of(args) -> FieldSpec:
     return FieldSpec.from_order(args.q, modulus)
 
 
-def _emit(args, text: str) -> None:
+@contextlib.contextmanager
+def _output(args):
+    """The file named by --output, or stdout."""
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(args, text: str) -> None:
+    with _output(args) as out:
+        out.write(text)
 
 
 def _json_text(obj) -> str:
@@ -118,7 +143,23 @@ def _check_slots(slots: int, what: str, command: str) -> None:
         )
 
 
+def _check_norm_degree(l: int, order: int, command: str) -> None:
+    """Refuse a subfield degree l | order whose norms, of degree phi(t)
+    for t | l, reach past NORM_DEGREE_BOUND; l not dividing order is left
+    to the hypothesis check."""
+    if order % l == 0 and totient(l) > NORM_DEGREE_BOUND:
+        raise ResourceLimitError(
+            f"l = {l} needs a norm of degree phi(l) = {totient(l)}, over the "
+            f"{command} bound {NORM_DEGREE_BOUND}"
+        )
+
+
 # -- expand ------------------------------------------------------------
+
+# stands in for the digits in the JSON layout of DigitExpansion, which
+# cmd_expand writes around them
+_DIGITS_MARK = "digits H_1..H_terms"
+
 
 def cmd_expand(args) -> int:
     spec = _field_of(args)
@@ -133,21 +174,27 @@ def cmd_expand(args) -> int:
         den = parse_poly(spec, args.den)
     else:
         raise ParseError("a denominator is required: pass --P or --den")
-    expansion = digit_expand(num, den, base, args.terms)
-    if args.format == "json":
-        _emit(args, _json_text(expansion.to_json_dict()))
-        return EXIT_OK
-    lines = [
-        f"base G = {format_poly(base)} over F_{spec.q}",
-        f"numerator = {format_poly(num)}",
-        f"denominator = {format_poly(den)}",
-        f"H_0 = {format_poly(expansion.h0)}",
-    ]
-    for k, digit in enumerate(expansion.digits, start=1):
-        lines.append(f"H_{k} = {format_poly(digit)}")
-    period = expansion.period if expansion.period is not None else "none"
-    lines.append(f"period = {period}")
-    _emit(args, "\n".join(lines) + "\n")
+    h0, period, digits = digit_stream(num, den, base)
+    digits = islice(digits, args.terms)
+    with _output(args) as out:  # one line per digit, as the division yields it
+        if args.format == "json":
+            data = DigitExpansion(base, num, den, h0, (), period).to_json_dict()
+            data["digits"] = [_DIGITS_MARK]
+            head, tail = _json_text(data).split(json.dumps(_DIGITS_MARK))
+            out.write(head)
+            for k, digit in enumerate(digits):
+                out.write((",\n    " if k else "") + json.dumps(format_poly(digit)))
+            out.write(tail)
+            return EXIT_OK
+        out.write(
+            f"base G = {format_poly(base)} over F_{spec.q}\n"
+            f"numerator = {format_poly(num)}\n"
+            f"denominator = {format_poly(den)}\n"
+            f"H_0 = {format_poly(h0)}\n"
+        )
+        for k, digit in enumerate(digits, start=1):
+            out.write(f"H_{k} = {format_poly(digit)}\n")
+        out.write(f"period = {period if period is not None else 'none'}\n")
     return EXIT_OK
 
 
@@ -178,6 +225,7 @@ def cmd_classnum(args) -> int:
         raise ResourceLimitError(
             f"q^deg P - 1 = {order} exceeds the classnum bound {SWEEP_ORDER_BOUND}"
         )
+    _check_norm_degree(args.l, order, "classnum")
     G = canonical_primitive_lift(P) if args.G is None else parse_poly(spec, args.G)
     ctx = build_context(P, G)
     report = compute_report(
@@ -481,10 +529,12 @@ def _sweep_job(job) -> list[dict]:
 
 def cmd_sweep(args) -> int:
     spec = _field_of(args)
-    if spec.q ** args.d - 1 > SWEEP_ORDER_BOUND:
+    order = spec.q**args.d - 1
+    if order > SWEEP_ORDER_BOUND:
         raise ResourceLimitError(
-            f"q^d - 1 = {spec.q ** args.d - 1} exceeds the sweep bound {SWEEP_ORDER_BOUND}"
+            f"q^d - 1 = {order} exceeds the sweep bound {SWEEP_ORDER_BOUND}"
         )
+    _check_norm_degree(order if args.l is None else args.l, order, "sweep")
     jobs = []
     for P in monic_polys(spec, args.d):
         if is_irreducible(P):
@@ -575,7 +625,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_class = subs.add_parser(
         "classnum", help="divisor class number of a subfield of the P-th "
                          "cyclotomic function field",
-        description=f"Requests whose group order q^deg P - 1 exceeds {SWEEP_ORDER_BOUND}\n"
+        description=f"Requests whose group order q^deg P - 1 exceeds {SWEEP_ORDER_BOUND},\n"
+                    f"or whose l has phi(l) above {NORM_DEGREE_BOUND} (the largest degree of\n"
+                    "the norms from Q(zeta_t), t | l, that the class numbers take),\n"
                     "are refused with exit code 4.",
         epilog=GRAMMAR_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
     _add_field_args(p_class)
@@ -614,7 +666,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = subs.add_parser(
         "sweep", help="tabulate class numbers over all monic irreducible P of "
-                      "degree d with the canonical base")
+                      "degree d with the canonical base",
+        description=f"Sweeps whose group order q^d - 1 exceeds {SWEEP_ORDER_BOUND}, or that\n"
+                    f"need a norm from Q(zeta_t) of degree phi(t) above {NORM_DEGREE_BOUND}\n"
+                    "for some t | l (t | q^d - 1 without --l), are refused with exit code 4.",
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     _add_field_args(p_sweep)
     p_sweep.add_argument("--d", type=_positive_int, required=True,
                          help="degree of the modulus polynomials")

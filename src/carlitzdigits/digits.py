@@ -9,6 +9,12 @@ denominator pairs; nothing here is floating point.
 
 For f = 1/M with gcd(G, M) = 1 each step G * G_{k-1} = H_k * M + G_k, G_k
 the canonical representative of G^k mod M, is one division (long_division).
+Once deg G_{k-1} < deg M that division is F_p-linear in the coordinates of
+G_{k-1}: the step is one sum of packed rows, each row the remainder and
+quotient of G * x^j * T^i by M, in slots proven wide enough for
+deg M * a * (p - 1)^2, q = p^a (polyring._Modulus.steps).  Only a first
+step with deg G_0 >= deg M, a constant M, or a p too large for any slot
+divides term by term.
 The closed form H_k = (G * G_{k-1} - G_k) / M, G_{k-1} by modular powering,
 is the independent path; the digit stream is purely periodic with period
 equal to the multiplicative order of G modulo M.  That order divides the
@@ -22,6 +28,7 @@ primes of n out of it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
 
@@ -69,18 +76,32 @@ def long_division(base: Poly, m: Poly, cur: Poly):
     base * G_{k-1} = H_k * m + G_k per step, without end.
 
     The steps run on index lists through the modulus set up once
-    (polyring._Modulus); only the yielded values are made Polys."""
+    (polyring._Modulus.steps): one row per coordinate of G_{k-1}, packing
+    the remainder and quotient of base * x^j * T^i by m, is built per call,
+    and a step sums coordinate * row and reduces each slot mod p.  A first
+    step with deg G_0 >= deg m, a constant m and a p too large for the
+    widest slot take _Modulus.divmod.  Only the yielded values are made
+    Polys."""
     base._check(m)
     cur._check(m)
-    spec, mod = m.spec, _Modulus(m)
-    product, b, c = mod.F.product, base.ints, cur.ints
-    while True:
-        hk, c = mod.divmod(product(b, c))
-        yield _make(spec, hk), _make(spec, c)
+    spec = m.spec
+    for hk, gk in _Modulus(m).steps(base.ints, cur.ints):
+        yield _make(spec, hk), _make(spec, gk)
 
 
 def digit_expand(f1: Poly, f2: Poly, base: Poly, n: int) -> DigitExpansion:
-    """First n digits (plus H_0) of F1/F2 in base G, by exact division.
+    """First n digits (plus H_0) of F1/F2 in base G, by exact division
+    (digit_stream)."""
+    h0, period, digits = digit_stream(f1, f2, base)
+    if n < 1:
+        raise ValueError("need at least one digit")
+    return DigitExpansion(base, f1, f2, h0, tuple(islice(digits, n)), period)
+
+
+def digit_stream(f1: Poly, f2: Poly, base: Poly) -> tuple[Poly, int | None, Iterator[Poly]]:
+    """(H_0, period, H_1, H_2, ...) of F1/F2 in base G: the period (None
+    when the expansion terminates or gcd(G, den) != 1) is computed first,
+    the digits one long-division step each, as they are read, without end.
 
     The fractional part is carried as a reduced numerator over a fixed
     denominator; each digit is the polynomial quotient of G * remainder.
@@ -89,19 +110,16 @@ def digit_expand(f1: Poly, f2: Poly, base: Poly, n: int) -> DigitExpansion:
         raise ZeroDivisionError("zero denominator")
     if len(base.ints) - 1 < 1:
         raise HypothesisError("base must be nonconstant")
-    if n < 1:
-        raise ValueError("need at least one digit")
     g0 = poly_gcd(f1, f2)
     num, den = f1, f2
     if not g0.is_zero() and g0.degree() != 0:
         num, den = f1 // g0, f2 // g0
     h0, rem = divmod(num, den)
-    digits = tuple(hk for hk, _ in islice(long_division(base, den, rem), n))
     period = None
     if len(den.ints) - 1 >= 1 and not rem.is_zero():
         if poly_gcd(base, den).degree() == 0:
             period = _order_mod(base, den)
-    return DigitExpansion(base, f1, f2, h0, digits, period)
+    return h0, period, (hk for hk, _ in long_division(base, den, rem))
 
 
 def _order_mod(g: Poly, m: Poly) -> int:

@@ -149,6 +149,13 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(p for p, _ in factorize(n))
 
 
+def totient(n: int) -> int:
+    """Euler's phi(n), the degree of the n-th cyclotomic polynomial."""
+    for p in prime_factors(n):
+        n = n // p * (p - 1)
+    return n
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     ds = [1]

@@ -20,10 +20,23 @@ Every other product is a schoolbook, row by row over the nonzero
 coefficients of the sparser operand.  Over an extension field the
 coefficients go through the field's exp/log table (ffq._exp_log) and a
 table of Zech logarithms of q - 1 entries, built once per field.  Division
-by m is one loop on lists of ints (_Modulus), with the inverse of the
-leading coefficient and the negated low coefficients of m set up once:
-divmod, mod_pow and the long division of digits all run it, and wrap only
-their results in Poly.
+by m is one loop on lists of ints (_Modulus.divmod), with the inverse of
+the leading coefficient and the negated low coefficients of m set up once:
+divmod and mod_pow run it, and wrap only their results in Poly.
+
+The long division of digits, b * G_{k-1} = H_k * m + G_k for a fixed b and
+m, steps by a packed map instead (_Modulus.steps).  With deg G_{k-1} <
+deg m = d the step is F_p-linear in the coordinates of G_{k-1} (a canonical
+index is its string of base-p coordinates, q = p^a), so it has one row per
+basis element x^j T^i, i < d, j < a, x the generator of F_q over F_p: the
+remainder and then the quotient of b * x^j T^i by m, one coordinate per
+slot of one int, built once per call (one divmod per j, then row (i, j) is
+T times row (i - 1, j) reduced).  A step is the sum of coordinate * row,
+one to_bytes and one reduction mod p per slot.  A slot receives d*a
+terms of at most (p - 1)^2, so its width is the narrowest array item that
+holds d*a*(p - 1)^2, chosen from _SLOTS as product chooses its slots.
+Where no item is wide enough (p above about 2^30), for a constant m, and
+for a first step with deg G_0 >= d, the step is a divmod.
 
 Enumeration of polynomials is lexicographic with the constant coefficient
 varying fastest, matching the element order of the coefficient field; there
@@ -63,8 +76,15 @@ KRONECKER_MIN_LEN = 2
 _SLOTS = sorted((array(tc).itemsize * 8, tc) for tc in "BHIQ")
 
 
+def _slot(bits: int):
+    """The narrowest (bits, typecode) of _SLOTS at least bits wide, or None."""
+    return next((s for s in _SLOTS if s[0] >= bits), None)
+
+
 class _PrimeField:
     """F_p on residues."""
+
+    a = 1
 
     def __init__(self, p: int):
         self.p = p
@@ -91,8 +111,7 @@ class _PrimeField:
     def product(self, a, b) -> list[int]:
         p = self.p
         short = min(len(a), len(b))
-        bits = 2 * p.bit_length() + short.bit_length()
-        slot = next((s for s in _SLOTS if s[0] >= bits), None)
+        slot = _slot(2 * p.bit_length() + short.bit_length())
         if short < KRONECKER_MIN_LEN or slot is None:
             return _schoolbook(self, a, b)
         tc, order = slot[1], sys.byteorder
@@ -111,6 +130,7 @@ class _ExtensionField:
     """
 
     def __init__(self, spec: FieldSpec):
+        self.p, self.a = spec.p, spec.a
         n = spec.q - 1
         self.exp, self.log = exp, log = _exp_log(spec)
         self.zech = [log[(spec.one + spec.from_index(x)).index()] for x in exp[:n]]
@@ -324,7 +344,8 @@ def valuation_inf(f1: Poly, f2: Poly) -> int:
 class _Modulus:
     """Division by a fixed nonzero m on index lists: the field, the inverse
     of the leading coefficient and the negated low coefficients are set up
-    once.  divmod is the one long-division loop of the package."""
+    once.  divmod is the one long-division loop of the package; steps
+    repeats the division of b * G_{k-1} by m as one packed F_p-linear map."""
 
     __slots__ = ("F", "dg", "inv", "minus_low")
 
@@ -351,6 +372,74 @@ class _Modulus:
         while rem and not rem[-1]:
             rem.pop()
         return quo, rem
+
+    def steps(self, b, c):
+        """Yield (H_k, G_k) for b * G_{k-1} = H_k * m + G_k, G_0 = c, as
+        index lists, without end.
+
+        Once deg G_{k-1} < deg m the step is F_p-linear in the coordinates
+        of G_{k-1}: row (i, j) packs the remainder and then the quotient of
+        b * x^j * T^i by m, one coordinate per slot, x the generator of F_q
+        over F_p.  Row (0, j) is one divmod, and row (i, j) is T times row
+        (i - 1, j), reduced by one axpy.  A step sums coordinate * row,
+        writes the int out once and takes each slot mod p.  No slot receives
+        more than deg m * a terms of at most (p - 1)^2, so the slot is the
+        narrowest array item that holds deg m * a * (p - 1)^2; without one,
+        and for a constant m, every step is a divmod, as is a first step
+        with deg c >= deg m.
+        """
+        F, dg = self.F, self.dg
+        p, a, product = F.p, F.a, F.product
+        slot = _slot((dg * a * (p - 1) ** 2).bit_length())
+        if not dg or slot is None:
+            while True:
+                hk, c = self.divmod(product(b, c))
+                yield hk, c
+        if len(c) > dg:
+            hk, c = self.divmod(product(b, c))
+            yield hk, c
+        tc, order = slot[1], sys.byteorder
+        e = max(len(b) - 1, 0)  # deg H_k < deg b once deg G_{k-1} < deg m
+        table = [[] for _ in range(dg)]  # table[i][j]: the row of x^j * T^i
+        for j in range(a):
+            quo, rem = self.divmod(F.scale(b, p**j))
+            rem += [0] * (dg - len(rem))
+            for i in range(dg):
+                if i:  # T * (quo * m + rem), where T * rem = t * m + (T * rem mod m)
+                    t = F.mul(rem[-1], self.inv)
+                    quo, rem = [t] + quo, F.axpy([0] + rem[:-1], t, self.minus_low)
+                table[i].append(rem + quo[:e] + [0] * (e - len(quo)))
+        rows = [int.from_bytes(array(tc, _coordinates(row, p, a)), order)
+                for per_i in table for row in per_i]
+        # byte slots go mod p in one pass, through a table of residues
+        residues = (bytes(range(p)) * (256 // p + 1))[:256] if tc == "B" else None
+        x, n = _coordinates(c, p, a), dg * a
+        size = (dg + e) * a * array(tc).itemsize
+        while True:
+            packed = sum(map(operator.mul, x, rows)).to_bytes(size, order)
+            if residues:
+                out = list(packed.translate(residues))
+            else:
+                out = list(map(p.__rmod__, memoryview(packed).cast(tc)))
+            x, ints = out[:n], _indices(out, p, a)
+            yield ints[dg:], ints[:dg]
+
+
+def _coordinates(ints, p: int, a: int) -> list[int]:
+    """The base-p coordinates of the indices, a per index, lowest first."""
+    if a == 1:
+        return list(ints)
+    return [v // p**j % p for v in ints for j in range(a)]
+
+
+def _indices(coords: list[int], p: int, a: int) -> list[int]:
+    """The indices of a list of coordinates, a per index, lowest first."""
+    if a == 1:
+        return coords
+    out = coords[a - 1 :: a]
+    for j in range(a - 2, -1, -1):
+        out = list(map(operator.add, map(p.__mul__, out), coords[j::a]))
+    return out
 
 
 def mod_pow(base: Poly, e: int, m: Poly) -> Poly:

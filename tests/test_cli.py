@@ -3,6 +3,8 @@ import io
 import json
 import time
 
+import pytest
+
 from carlitzdigits import chars, classnum, cli, polyring
 
 from carlitzdigits.digits import DigitExpansion, digit_expand
@@ -326,6 +328,60 @@ def test_expand_size_bound():
     assert time.monotonic() - start < 5
     code, text, _ = _main_in_process(["expand", "--help"])
     assert code == 0 and f"more than {cli.OUTPUT_SLOT_BOUND} digit slots" in text
+
+
+def test_norm_degree_bound():
+    # 2^13 - 1 = 8191 and 2^19 - 1 = 524287 are prime: one norm of degree 8190,
+    # or 524286, refused before any context is built
+    for argv in (["classnum", "--q", "2", "--P", "T^13+T^4+T^3+T+1", "--l", "8191"],
+                 ["sweep", "--q", "2", "--d", "19"]):
+        start = time.monotonic()
+        res = run_cli(*argv)
+        assert time.monotonic() - start < 2
+        assert res.returncode == 4
+        assert res.stdout == ""
+        assert "bound" in res.stderr
+    for command, phrase in (("classnum", "phi(l) above"), ("sweep", "phi(t) above")):
+        code, text, _ = _main_in_process([command, "--help"])
+        assert code == 0 and f"{phrase} {cli.NORM_DEGREE_BOUND}" in text
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_expand_writes_each_digit_as_it_is_made(monkeypatch, fmt):
+    """When H_k is drawn from the division, H_(k-1) is already written."""
+    out = io.StringIO()
+    real = cli.digit_stream
+
+    def watched(*args):
+        h0, period, digits = real(*args)
+
+        def checked():
+            for k, digit in enumerate(digits, start=1):
+                text = out.getvalue()
+                written = text.count("\nH_") - 1 if fmt == "text" else text.count('\n    "')
+                assert written == k - 1
+                yield digit
+        return h0, period, checked()
+
+    monkeypatch.setattr(cli, "digit_stream", watched)
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["expand", "--q", "5", "--G", "T^2+3", "--P", "T^3+T+1",
+                         "--terms", "40", "--format", fmt])
+    assert code == 0
+    if fmt == "json":
+        assert len(json.loads(out.getvalue())["digits"]) == 40
+    else:
+        assert out.getvalue().count("\nH_") == 41
+
+
+def test_refused_expand_writes_nothing(tmp_path):
+    """The period is computed before the first line: 2^127 - 1 is refused
+    on the rho budget, with no output file made."""
+    target = tmp_path / "out.txt"
+    code, out, err = _main_in_process(["expand", "--q", "2", "--den", "T^127+T+1", "--G", "T",
+                                       "--terms", "3", "--output", str(target)])
+    assert code == 4 and out == "" and "budget" in err
+    assert not target.exists()
 
 
 def test_carlitz_size_bound():

@@ -12,6 +12,9 @@ from carlitzdigits.ffq import FieldSpec
 from carlitzdigits.polyring import (
     KRONECKER_MIN_LEN,
     Poly,
+    _make,
+    _Modulus,
+    _slot,
     is_irreducible,
     mod_pow,
     monic_polys,
@@ -199,6 +202,82 @@ def test_long_division_kernel_matches_oracle(spec):
             steps = islice(long_division(Poly(spec, base), Poly(spec, m), Poly(spec, cur)), 9)
             got = [(list(h.coeffs), list(g.coeffs)) for h, g in steps]
             assert got == ref_long_division(spec, base, m, cur, 9)
+
+
+def divmod_steps(base, m, cur, n):
+    """n steps of base * G_{k-1} = H_k * m + G_k, each one _Modulus.divmod."""
+    mod = _Modulus(m)
+    product, c, out = mod.F.product, cur.ints, []
+    for _ in range(n):
+        hk, c = mod.divmod(product(base.ints, c))
+        out.append((_make(m.spec, hk), _make(m.spec, c)))
+    return out
+
+
+def assert_steps_match_divmod(base, m, cur, n):
+    got = list(islice(long_division(base, m, cur), n))
+    assert got == divmod_steps(base, m, cur, n)
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=FIELD_IDS)
+def test_packed_steps_match_divmod(spec):
+    """200 packed steps against the divmod loop for deg M = 1..20, monic or
+    not, deg G below and at least deg M, and G_0 zero, a constant, of
+    degree below deg M and of degree at least deg M (its step a divmod)."""
+    rng = random.Random(800 + spec.q)
+    for d in range(1, 21):
+        m = Poly(spec, rand_elems(rng, spec, d + 1))
+        if d % 2 == 0:
+            m = m.monic()
+        for deg_g in (rng.randrange(d), rng.randint(d, d + 3)):
+            base = Poly(spec, rand_elems(rng, spec, deg_g + 1))
+            for len_c in (0, 1, rng.randint(1, d), rng.randint(d + 1, d + 5)):
+                cur = Poly(spec, rand_elems(rng, spec, len_c))
+                assert_steps_match_divmod(base, m, cur, 200)
+
+
+def test_steps_without_a_slot_take_divmod():
+    """Over F_p, p = 2^31 - 1, deg M = 8 puts 8 * (p - 1)^2 past the widest
+    slot, so every step is a divmod."""
+    spec = FieldSpec(2**31 - 1)
+    rng = random.Random(900)
+    m = Poly(spec, rand_elems(rng, spec, 9))
+    assert _slot((8 * (spec.p - 1) ** 2).bit_length()) is None
+    for len_c in (0, 1, 5, 12):
+        cur = Poly(spec, rand_elems(rng, spec, len_c))
+        assert_steps_match_divmod(Poly(spec, rand_elems(rng, spec, 4)), m, cur, 50)
+
+
+def largest_coordinate_sum(spec):
+    """(c, s): s = max over t of sum_j (coordinate t of c * x^j), the
+    largest sum over F_q, c a coefficient that attains it (c = p - 1 over F_p)."""
+    if spec.a == 1:
+        return spec.p - 1, spec.p - 1
+    xs = [spec.from_index(spec.p**j) for j in range(spec.a)]
+    return max(
+        (max(sum((spec.from_index(c) * x).coeffs[t] for x in xs) for t in range(spec.a)), c)
+        for c in range(spec.q)
+    )[::-1]
+
+
+EDGES = [(spec, 8) for spec in FIELDS] + [
+    (FieldSpec(131), 16), (FieldSpec(65537), 32), (FieldSpec(2**32 + 15), 64)]
+
+
+@pytest.mark.parametrize("spec, width", EDGES, ids=[f"p{s.p}a{s.a}-{w}" for s, w in EDGES])
+def test_packed_steps_fill_the_slot(spec, width):
+    """M = T^d, G = c * (1 + T + ... + T^(d-1)) and G_0 of coefficients
+    q - 1 (every coordinate p - 1) make the first step's slot of T^(d-1)
+    sum d * (p - 1) * s >= 2^width, while deg M * a * (p - 1)^2 takes
+    width + 1 bits: a slot one bit narrower than the bound overflows."""
+    p, a = spec.p, spec.a
+    c, s = largest_coordinate_sum(spec)
+    d = -(-(2**width) // ((p - 1) * s))
+    assert (d * a * (p - 1) ** 2).bit_length() == width + 1
+    m = Poly(spec, [spec.zero] * d + [spec.one])
+    base = _make(spec, [c] * d)
+    cur = _make(spec, [spec.q - 1] * d)
+    assert_steps_match_divmod(base, m, cur, 3)
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=FIELD_IDS)

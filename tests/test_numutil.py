@@ -15,6 +15,7 @@ from carlitzdigits.numutil import (
     is_prime,
     least_witness,
     prime_factors,
+    totient,
 )
 
 from conftest import trial_factorize
@@ -115,6 +116,11 @@ def test_divisors_sorted_and_complete():
         ds = divisors(n)
         assert list(ds) == sorted(ds)
         assert list(ds) == [k for k in range(1, n + 1) if n % k == 0]
+
+
+def test_totient_counts_the_units():
+    for n in list(range(1, 600)) + [1023, 8191, 524287]:
+        assert totient(n) == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
 def test_order_and_witness_match_stepping():
