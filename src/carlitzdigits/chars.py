@@ -9,13 +9,13 @@ Scalars sit inside the unit group as the subgroup of order q - 1 generated
 by w = G^r, r = N/(q-1); restriction to scalars therefore lands on unit
 characters indexed against w, not against the canonical generator of F_q^x.
 The context is the r-step long division G * G^(k-1) = H_k * P + G^k of 1/P
-in base G (digits.long_division), each step one packed F_p-linear map of
-the coordinates of G^(k-1), with rows (the remainders and quotients of
-G * x^j * T^i by P) built once per context.  A residue's discrete log is
-that of its monic part plus r times that of its leading coefficient
-against w.  Whether
-w generates F_q^x is read once, from the field's exp/log table that those
-logs use (gcd(log w, q - 1) = 1).
+in base G (polyring._Modulus.steps, as in digits.long_division, keeping G^k
+too), each step one packed F_p-linear map of the coordinates of G^(k-1),
+with rows (the remainders and quotients of G * x^j * T^i by P) built once
+per context.  A residue's discrete log is that of its monic part plus r
+times that of its leading coefficient against w.  Whether w generates F_q^x
+is read once, from the field's exp/log table that those logs use
+(gcd(log w, q - 1) = 1).
 
 Subgroups of the character group come from subfields: for l | N the field
 fixed by the index-l subgroup H_L has character group X_L = {chi : chi^l = 1}.
@@ -31,11 +31,10 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .cycint import CycloInt, root_of_unity
-from .digits import long_division
 from .errors import ExactnessError, HypothesisError, PrimitivityError, ResourceLimitError
 from .ffq import FieldElement, UnitCharacter, _exp_log, dlog
 from .numutil import least_witness
-from .polyring import Poly, _field, _make, is_irreducible, mod_pow
+from .polyring import Poly, _field, _make, _Modulus, is_irreducible, mod_pow
 
 _N_BOUND = 2**63
 
@@ -105,9 +104,9 @@ def build_context(P: Poly, G: Poly) -> ResidueCtx:
         raise HypothesisError("requires gcd(G, P) = 1")
     r = N // (spec.q - 1)
     powers, digits = [Poly.one(spec)], []
-    for h, cur in islice(long_division(G, P, powers[0]), r):
-        digits.append(h)
-        powers.append(cur)
+    for h, cur in islice(_Modulus(P).steps(G.ints, (1,)), r):
+        digits.append(_make(spec, h))
+        powers.append(_make(spec, cur))
     cur = powers.pop()  # G^r
     unit_gen, n = cur.constant_coeff(), spec.q - 1
     lw = _exp_log(spec)[1][unit_gen.index()]  # w generates when prime to n

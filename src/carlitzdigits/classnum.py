@@ -26,7 +26,10 @@ with it: the classical character sum formulas over monic polynomials of
 degree < d (no hypothesis on deg G), taken as one Galois-orbit product in
 Z[zeta_t] per character order t (products of conjugates under
 CycloInt.galois), each of which must collapse to a rational integer, and
-point counting on the hyperelliptic model for the quadratic subfield.
+point counting on the hyperelliptic model for the quadratic subfield: for
+every i up to the genus, F_{q^i} is A/(Q_i), Q_i the first monic
+irreducible of degree i (T for i = 1), on the same index lists as the rest
+of A, and Newton's identities turn the counts into the zeta numerator.
 """
 
 from __future__ import annotations
@@ -41,10 +44,13 @@ from typing import NamedTuple
 from .chars import DirichletChar, ResidueCtx, build_context, primitivity_witness, subfield
 from .cycint import CycloInt, exponent_sum, norm, root_of_unity
 from .errors import ExactnessError, HypothesisError
-from .ffq import FieldSpec, UnitCharacter, _exp_log, _inverse_log, quadratic_character
+from .ffq import UnitCharacter, _exp_log, _inverse_log, quadratic_character
 from .numutil import divisors
 from .polyring import (
     Poly,
+    _field,
+    _index_tuples,
+    _Modulus,
     all_polys_below,
     format_poly,
     is_irreducible,
@@ -476,86 +482,79 @@ def canonical_primitive_lift(P: Poly) -> Poly:
 
 # -- point counting oracle for the quadratic subfield --
 
+def _point_count_refusal(q: int, d: int, l: int) -> str | None:
+    """Why the point count cannot check the degree-l subfield for deg P = d
+    over F_q (checking l, q, then d), or None when it can."""
+    if l != 2:
+        return "the point count oracle applies to the quadratic subfield (l = 2)"
+    if q % 2 == 0:
+        return "point counting needs q odd"
+    if not 2 <= d <= 5:
+        return "point counting supports 2 <= deg P <= 5"
+    return None
+
+
 def point_count_class_number(P: Poly) -> int:
     """Class number of F_q(T, y), y^2 = (-1)^d P(T), by point counting.
 
-    Counts points of the smooth hyperelliptic model over F_{q^i} for
-    i = 1..genus, rebuilds the zeta numerator through Newton's identities
-    and the functional equation, and evaluates it at 1.  Needs q odd and
-    2 <= d <= 5 (genus at most 2).
+    Counts points of the smooth hyperelliptic model over F_{q^i}, taken as
+    A/(Q_i) for Q_i the first monic irreducible of degree i, for every
+    i <= genus, rebuilds the zeta numerator through Newton's identities and
+    the functional equation, and evaluates it at 1.  Needs q odd and
+    2 <= d <= 5.
     """
-    return _point_count(P, proven_irreducible=False)
-
-
-def _point_count(P: Poly, proven_irreducible: bool) -> int:
-    """point_count_class_number; proven_irreducible skips the test of P,
-    which build_context made for the P of a ResidueCtx."""
-    spec = P.spec
-    q = spec.q
-    if q % 2 == 0:
-        raise HypothesisError("point counting needs q odd")
-    d = len(P.ints) - 1
-    if not 2 <= d <= 5:
-        raise HypothesisError("point counting supports 2 <= deg P <= 5")
-    if not proven_irreducible and not (P.is_monic() and is_irreducible(P)):
+    why = _point_count_refusal(P.spec.q, len(P.ints) - 1, 2)
+    if why:
+        raise HypothesisError(why)
+    if not (P.is_monic() and is_irreducible(P)):
         raise HypothesisError("P must be monic irreducible")
-    genus = (d - 1) // 2
-    if genus == 0:
-        return 1
-    negate = d % 2 == 1
-    infinity = 1 if d % 2 else 2
-    power_sums = []
-    for i in range(1, genus + 1):
-        ext, embed = _extension_with_embedding(spec, i)
-        model = Poly(ext, [embed(c) for c in P.coeffs])
-        if negate:
-            model = -model
-        total = sum(quadratic_character(model.evaluate(t)) for t in ext.elements())
-        n_points = q**i + total + infinity
-        power_sums.append(q**i + 1 - n_points)
-    s1 = power_sums[0]
-    if genus == 1:
-        h = 1 - s1 + q
-    else:
-        s2 = power_sums[1]
-        e1 = s1
-        if (s1 * s1 - s2) % 2:
-            raise ExactnessError("Newton identity produced a non-integer coefficient")
-        e2 = (s1 * s1 - s2) // 2
-        b1, b2 = -e1, e2
-        h = 1 + b1 + b2 + q * b1 + q * q
-    if h < 1:
-        raise ExactnessError("point count produced a non-positive class number")
-    return h
+    return _point_count(P)
 
 
 @functools.lru_cache(maxsize=None)
-def _default_modulus(p: int, k: int) -> tuple[int, ...]:
-    """First monic irreducible of degree k over F_p, in enumeration order."""
-    base = FieldSpec(p)
-    for cand in monic_polys(base, k):
-        if is_irreducible(cand):
-            return cand.ints
-    raise AssertionError("irreducibles of every degree exist")
+def _first_irreducible(spec, i: int) -> Poly:
+    """Q_i, the first monic irreducible of degree i in enumeration order."""
+    return next(Q for Q in monic_polys(spec, i) if is_irreducible(Q))
 
 
-def _extension_with_embedding(spec: FieldSpec, i: int):
-    """The field F_{q^i} together with an embedding F_q -> F_{q^i}."""
-    if i == 1:
-        return spec, lambda c: c
-    k = spec.a * i
-    try:
-        ext = FieldSpec(spec.p, k)
-    except ValueError:
-        ext = FieldSpec(spec.p, k, _default_modulus(spec.p, k))
-    if spec.a == 1:
-        return ext, lambda c, _ext=ext: _ext.element(c.coeffs[0])
-    # embed by sending the generator to a root of the base modulus
-    modulus = Poly(ext, spec.modulus)
-    root = next((x for x in ext.elements() if modulus.evaluate(x).is_zero()), None)
-    if root is None:
-        raise ExactnessError("base modulus has no root in the extension")
-    return ext, lambda c, _ext=ext, _root=root: Poly(_ext, c.coeffs).evaluate(_root)
+def _point_count(P: Poly) -> int:
+    """point_count_class_number for a P in its domain, proven irreducible.
+
+    At each residue x mod Q_i the model (-1)^d P is taken by Horner, reduced
+    once and looked up among the nonzero squares mod Q_i.  With 1 point at
+    infinity for odd d and 2 for even d, s_i = q^i + 1 - #C(F_{q^i}) is
+    -(sum of the characters) - 1 + d mod 2.  Newton's identities give the
+    coefficients c_k of L(u) for k <= genus g, c_{2g-k} = q^(g-k) c_k the
+    rest, and h = L(1)."""
+    spec, q, d = P.spec, P.spec.q, len(P.ints) - 1
+    F = _field(spec)
+    model = F.scale(P.ints, F.minus_one) if d % 2 else P.ints
+    g = (d - 1) // 2
+    power_sums = []
+    for i in range(1, g + 1):
+        mod = _Modulus(_first_irreducible(spec, i))
+        residues = list(_index_tuples(q, i))
+        squares = {tuple(mod.divmod(F.product(x, x))[1]) for x in residues} - {()}
+        char_sum = 0
+        for x in residues:
+            acc = [model[-1]]
+            for c in reversed(model[:-1]):
+                acc = F.product(acc, x)
+                acc[0] = F.add(acc[0], c)
+            y = tuple(mod.divmod(acc)[1])
+            if y:
+                char_sum += 1 if y in squares else -1
+        power_sums.append(d % 2 - 1 - char_sum)
+    coeffs = [1]
+    for k in range(1, g + 1):
+        total = -sum(s * c for s, c in zip(power_sums, reversed(coeffs)))
+        if total % k:
+            raise ExactnessError("Newton identity produced a non-integer coefficient")
+        coeffs.append(total // k)
+    h = sum(coeffs) + sum(q ** (g - k) * c for k, c in enumerate(coeffs[:g]))
+    if h < 1:
+        raise ExactnessError("point count produced a non-positive class number")
+    return h
 
 
 # -- reports --
@@ -620,11 +619,11 @@ def compute_report(
         methods.append("charsum")
         agree = agree and cs.h_plus == h_plus and cs.h_minus == h_minus
     if verify_pointcount:
-        if l != 2:
-            raise HypothesisError("the point count oracle applies to the quadratic subfield (l = 2)")
-        pc = _point_count(ctx.P, proven_irreducible=True)
+        why = _point_count_refusal(ctx.spec.q, ctx.d, l)
+        if why:
+            raise HypothesisError(why)
         methods.append("pointcount")
-        agree = agree and pc == h
+        agree = agree and _point_count(ctx.P) == h
     return ClassNumberReport(
         q=ctx.spec.q, d=ctx.d, P=format_poly(ctx.P), G=format_poly(ctx.G),
         e=ctx.e, r=ctx.r, l=l, m=desc.m, n=desc.n,

@@ -24,6 +24,7 @@ from .chars import build_context
 from .classnum import (
     CSV_COLUMNS,
     ClassNumberReport,
+    _point_count_refusal,
     canonical_primitive_lift,
     compute_report,
     digit_degree_sum,
@@ -145,8 +146,8 @@ def _check_slots(slots: int, what: str, command: str) -> None:
 
 def _check_norm_degree(l: int, order: int, command: str) -> None:
     """Refuse a subfield degree l | order whose norms, of degree phi(t)
-    for t | l, reach past NORM_DEGREE_BOUND; l not dividing order is left
-    to the hypothesis check."""
+    for t | l, reach past NORM_DEGREE_BOUND.  An l not dividing order needs
+    no norm: classnum refuses it, and sweep prints an empty table."""
     if order % l == 0 and totient(l) > NORM_DEGREE_BOUND:
         raise ResourceLimitError(
             f"l = {l} needs a norm of degree phi(l) = {totient(l)}, over the "
@@ -518,8 +519,7 @@ def _sweep_job(job) -> list[dict]:
     rows = []
     ls = [l for l in divisors(ctx.N) if wanted_l is None or l == wanted_l]
     for l in ls:
-        use_pc = (verify_pointcount and l == 2 and q % 2 == 1
-                  and 2 <= ctx.d <= 5)
+        use_pc = verify_pointcount and _point_count_refusal(q, ctx.d, l) is None
         report = compute_report(
             ctx, l, verify_charsum=verify_charsum, verify_pointcount=use_pc
         )
@@ -536,12 +536,14 @@ def cmd_sweep(args) -> int:
         )
     _check_norm_degree(order if args.l is None else args.l, order, "sweep")
     jobs = []
-    for P in monic_polys(spec, args.d):
-        if is_irreducible(P):
-            jobs.append((
-                args.q, spec.modulus, format_poly(P), args.l,
-                "charsum" in args.verify, "pointcount" in args.verify,
-            ))
+    # an l not dividing q^d - 1 is the degree of no subfield: no P gives a row
+    if args.l is None or order % args.l == 0:
+        for P in monic_polys(spec, args.d):
+            if is_irreducible(P):
+                jobs.append((
+                    args.q, spec.modulus, format_poly(P), args.l,
+                    "charsum" in args.verify, "pointcount" in args.verify,
+                ))
     workers = min(args.parallel, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

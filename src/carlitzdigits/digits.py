@@ -71,22 +71,21 @@ class DigitExpansion:
         )
 
 
-def long_division(base: Poly, m: Poly, cur: Poly):
-    """Yield (H_k, G_k) for k = 1, 2, ... from G_0 = cur: one division
-    base * G_{k-1} = H_k * m + G_k per step, without end.
+def long_division(base: Poly, m: Poly, cur: Poly) -> Iterator[Poly]:
+    """The digits H_k, k = 1, 2, ..., of the division base * G_{k-1} =
+    H_k * m + G_k from G_0 = cur, one step each, without end.
 
     The steps run on index lists through the modulus set up once
     (polyring._Modulus.steps): one row per coordinate of G_{k-1}, packing
     the remainder and quotient of base * x^j * T^i by m, is built per call,
     and a step sums coordinate * row and reduces each slot mod p.  A first
     step with deg G_0 >= deg m, a constant m and a p too large for the
-    widest slot take _Modulus.divmod.  Only the yielded values are made
-    Polys."""
+    widest slot take _Modulus.divmod.  Only the digits are made Polys
+    (chars.build_context, which keeps each G_k too, runs the steps itself)."""
     base._check(m)
     cur._check(m)
     spec = m.spec
-    for hk, gk in _Modulus(m).steps(base.ints, cur.ints):
-        yield _make(spec, hk), _make(spec, gk)
+    return (_make(spec, hk) for hk, _ in _Modulus(m).steps(base.ints, cur.ints))
 
 
 def digit_expand(f1: Poly, f2: Poly, base: Poly, n: int) -> DigitExpansion:
@@ -119,7 +118,7 @@ def digit_stream(f1: Poly, f2: Poly, base: Poly) -> tuple[Poly, int | None, Iter
     if len(den.ints) - 1 >= 1 and not rem.is_zero():
         if poly_gcd(base, den).degree() == 0:
             period = _order_mod(base, den)
-    return h0, period, (hk for hk, _ in long_division(base, den, rem))
+    return h0, period, long_division(base, den, rem)
 
 
 def _order_mod(g: Poly, m: Poly) -> int:
@@ -207,7 +206,7 @@ def twisted_digit_sum(m: Poly, base: Poly, alpha: FieldElement) -> Poly:
     g = _order_mod(base, m)
     total = Poly.zero(m.spec)
     ak = m.spec.one
-    for hk, _ in islice(long_division(base, m, Poly.one(m.spec) % m), g):
+    for hk in islice(long_division(base, m, Poly.one(m.spec) % m), g):
         ak = ak * alpha
         total = total + hk.scale(ak)
     return total

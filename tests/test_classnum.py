@@ -2,6 +2,8 @@ import json
 import math
 import random
 import time
+from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -230,7 +232,7 @@ def test_point_count_quadratic_and_quintic():
     for P in all_irreducibles(spec, 2):
         assert point_count_class_number(P) == 1  # genus zero
     assert point_count_class_number(parse_poly(spec, EX3["P"])) == 7
-    for q in (3, 9):  # over F_9 the genus-2 count embeds F_9 in F_81
+    for q in (3, 9):  # over F_9 the genus-2 count takes F_81 as F_9[T]/(Q_2)
         spec_q = FieldSpec.from_order(q)
         quintic = next(P for P in monic_polys(spec_q, 5) if is_irreducible(P))
         h_pc = point_count_class_number(quintic)
@@ -257,6 +259,81 @@ def test_point_count_errors():
         point_count_class_number(parse_poly(spec2, "T^6+T^2"))
     with pytest.raises(HypothesisError, match="2 <= deg P <= 5"):
         point_count_class_number(parse_poly(spec3, "2*T^6"))
+
+
+def first_irreducibles(spec, d, count):
+    """The first count monic irreducibles of degree d (all for None)."""
+    return islice((P for P in monic_polys(spec, d) if is_irreducible(P)), count)
+
+
+def test_point_count_matches_the_signed_digits_on_quintics():
+    """Genus 2: every irreducible quintic over F_3 and the first ones over
+    F_5 and F_9 (F_81 taken as F_9[T]/(Q_2))."""
+    for q, count in ((3, None), (5, 8), (9, 3)):
+        spec = FieldSpec.from_order(q)
+        for P in first_irreducibles(spec, 5, count):
+            G = canonical_primitive_lift(P)
+            assert point_count_class_number(P) == quadratic_class_number(P, G)
+
+
+def model_coeffs(P, spec, embed=lambda c: c):
+    """(-1)^d P as field elements of spec, ascending, through embed."""
+    sign = -spec.one if len(P.ints) % 2 == 0 else spec.one
+    return [sign * embed(c) for c in P.coeffs]
+
+
+def affine_points(spec, f) -> int:
+    """#{(x, y) : y^2 = f(x)} over spec, pair by pair on FieldElement
+    arithmetic, f ascending."""
+    roots = Counter(y * y for y in spec.elements())
+    total = 0
+    for x in spec.elements():
+        v = spec.zero
+        for c in reversed(f):
+            v = v * x + c
+        total += roots[v]
+    return total
+
+
+def test_point_count_genus_one_is_the_affine_count():
+    """Genus 1: h = L(1) = #C(F_q), the affine points counted pair by pair
+    plus 1 point at infinity for d = 3 and 2 for d = 4."""
+    for q in (3, 5, 7, 9, 11):
+        spec = FieldSpec.from_order(q)
+        for d in (3, 4):
+            for P in first_irreducibles(spec, d, 6):
+                points = affine_points(spec, model_coeffs(P, spec)) + 2 - d % 2
+                assert point_count_class_number(P) == points
+
+
+# quintics over F_25 -> quadratic_class_number, taken once: each builds a
+# context of r = 406901 steps (about 20 s and 220 MB).  The first is the
+# first irreducible quintic; the others have other class numbers.
+QUINTICS_Q25 = {
+    "T^5+T+(0,1)": 521,
+    "T^5+(4,0)*T^4+(4,2)*T^3+(4,3)*T^2+(4,3)*T+(4,0)": 723,
+    "T^5+(4,1)*T^4+(1,2)*T^3+(4,1)*T^2+(2,0)*T+(0,2)": 613,
+    "T^5+(3,3)*T^4+(2,2)*T^3+(1,2)*T^2+(3,2)*T+(2,3)": 573,
+}
+
+
+def test_point_count_genus_two_over_f625():
+    """Genus 2 over F_25 against counts over F_25 and over F_625, the latter
+    built as F_5[x]/(f), deg f = 4, with F_25 embedded by a root of its
+    modulus, each pair by pair, and Newton's identities written out."""
+    spec = FieldSpec.from_order(25)
+    f = next(m for m in monic_polys(FieldSpec(5), 4) if is_irreducible(m))
+    ext = FieldSpec(5, 4, f.ints)
+    z = next(x for x in ext.elements()
+             if not sum((ext.element(c) * x**k for k, c in enumerate(spec.modulus)), ext.zero))
+    embed = lambda c: ext.element(c.coeffs[0]) + ext.element(c.coeffs[1]) * z
+    for text, h in QUINTICS_Q25.items():
+        P = parse_poly(spec, text)
+        s1 = 25 + 1 - (affine_points(spec, model_coeffs(P, spec)) + 1)
+        s2 = 625 + 1 - (affine_points(ext, model_coeffs(P, ext, embed)) + 1)
+        assert (s1 * s1 - s2) % 2 == 0
+        c1, c2 = -s1, (s1 * s1 - s2) // 2
+        assert point_count_class_number(P) == 1 + c1 + c2 + 25 * c1 + 625 == h
 
 
 def test_char_sums_pinned(ctx1, ctx2, ctx3):

@@ -241,6 +241,22 @@ def test_sweep_resource_bound():
     assert "bound" in res.stderr
 
 
+SWEEP_HEADER = "q,d,P,G,l,m,n,h_plus,h_minus,h,methods,agree\n"
+
+
+def test_sweep_for_no_subfield_degree_does_no_work():
+    """3 divides neither 2^19 - 1 nor 2^3 - 1, so no subfield has degree 3:
+    the sweep prints an empty table at once, without testing any P."""
+    start = time.monotonic()
+    res = run_cli("sweep", "--q", "2", "--d", "19", "--l", "3", "--format", "csv")
+    assert time.monotonic() - start < 5
+    assert (res.returncode, res.stdout, res.stderr) == (0, SWEEP_HEADER, "")
+    text_header = "  ".join(SWEEP_HEADER.strip().split(",")) + "\n"
+    for fmt, want in (("text", text_header), ("csv", SWEEP_HEADER), ("json", "[]\n")):
+        argv = ["sweep", "--q", "2", "--d", "3", "--l", "3", "--format", fmt]
+        assert _main_in_process(argv) == (0, want, "")
+
+
 def test_classnum_resource_bound():
     # 7^8 - 1 = 5764800: refused before any power table is built
     start = time.monotonic()

@@ -24,6 +24,9 @@ CASES = {
                          "--verify", "pointcount", "--format", "json"],
     "classnum_q9_cubic": ["classnum", "--q", "9", "--P", "T^3+T+(1,1)", "--l", "2",
                           "--verify", "charsum", "--verify", "pointcount"],
+    # genus 2: the point count takes F_81 as F_9[T]/(Q_2)
+    "classnum_q9_quintic": ["classnum", "--q", "9", "--P", "T^5+T+(0,1)", "--l", "2",
+                            "--verify", "charsum", "--verify", "pointcount"],
     "classnum_q7_quartic_json": ["classnum", "--q", "7", "--P", "T^4+T+1", "--l", "2",
                                  "--verify", "charsum", "--verify", "pointcount",
                                  "--format", "json"],

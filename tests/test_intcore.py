@@ -199,9 +199,13 @@ def test_long_division_kernel_matches_oracle(spec):
     for m, base in kernel_cases(rng, spec):
         starts = ([], [spec.one], rand_elems(rng, spec, len(m) + 2))
         for cur in starts:
-            steps = islice(long_division(Poly(spec, base), Poly(spec, m), Poly(spec, cur)), 9)
-            got = [(list(h.coeffs), list(g.coeffs)) for h, g in steps]
-            assert got == ref_long_division(spec, base, m, cur, 9)
+            pb, pm, pc = Poly(spec, base), Poly(spec, m), Poly(spec, cur)
+            want = ref_long_division(spec, base, m, cur, 9)
+            steps = islice(_Modulus(pm).steps(pb.ints, pc.ints), 9)
+            got = [(list(_make(spec, h).coeffs), list(_make(spec, g).coeffs)) for h, g in steps]
+            assert got == want
+            digits = islice(long_division(pb, pm, pc), 9)
+            assert [list(h.coeffs) for h in digits] == [h for h, _ in want]
 
 
 def divmod_steps(base, m, cur, n):
@@ -215,8 +219,10 @@ def divmod_steps(base, m, cur, n):
 
 
 def assert_steps_match_divmod(base, m, cur, n):
-    got = list(islice(long_division(base, m, cur), n))
-    assert got == divmod_steps(base, m, cur, n)
+    want = divmod_steps(base, m, cur, n)
+    steps = islice(_Modulus(m).steps(base.ints, cur.ints), n)
+    assert [(_make(m.spec, h), _make(m.spec, g)) for h, g in steps] == want
+    assert list(islice(long_division(base, m, cur), n)) == [h for h, _ in want]
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=FIELD_IDS)
