@@ -4,15 +4,18 @@ T acts by x -> T*x + x^q and constants act by multiplication; extending
 multiplicatively gives, for each I in A, an F_q-linear (additive) polynomial
 rho_I(x) = sum_i c_i x^(q^i) with c_i in A, of degree q^deg(I) in x.  The
 coefficients are computed by a Horner recursion over the coefficients of I:
-rho_{a_0 + T*J} = a_0 * x + rho_T(rho_J(x)).
+rho_{a_0 + T*J} = a_0 * x + rho_T(rho_J(x)).  Everything runs on index
+lists with no polynomial product: as a^q = a on F_q, f^(q^i) spreads the
+coefficients of f to the exponents k*q^i (see _add_twisted).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .ffq import FieldSpec
-from .polyring import Poly, _make, format_poly
+from .polyring import Poly, _field, _make, format_poly
 
 
 @dataclass(frozen=True)
@@ -48,37 +51,29 @@ class AdditivePoly:
     def __add__(self, other: "AdditivePoly") -> "AdditivePoly":
         if other.spec != self.spec:
             raise ValueError("operands live over different fields")
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return AdditivePoly(self.spec, tuple(out))
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=Poly.zero(self.spec))
+        return AdditivePoly(self.spec, tuple(c + d for c, d in pairs))
 
     def compose(self, other: "AdditivePoly") -> "AdditivePoly":
-        """self(other(x)); coefficients multiply with a Frobenius twist."""
+        """self(other(x)) = sum_{i,j} c_i d_j^(q^i) x^(q^(i+j))."""
         if other.spec != self.spec:
             raise ValueError("operands live over different fields")
-        if not self.coeffs or not other.coeffs:
-            return AdditivePoly.zero(self.spec)
-        out = [Poly.zero(self.spec)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        F, q = _field(self.spec), self.spec.q
+        out = [[] for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
         for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
             for j, d in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + c * _q_power(d, i)
-        return AdditivePoly(self.spec, tuple(out))
+                _add_twisted(F, out[i + j], c.ints, d.ints, q**i)
+        return AdditivePoly(self.spec, tuple(_make(self.spec, c) for c in out))
 
     def apply(self, x: Poly) -> Poly:
-        """Evaluate at a polynomial argument."""
-        acc = Poly.zero(self.spec)
-        xp = x
+        """Evaluate at a polynomial argument: sum_i c_i x^(q^i), added into
+        one accumulator by deg x + 1 shifted copies of each c_i."""
+        if x.spec != self.spec:
+            raise ValueError("operands live over different fields")
+        F, q, acc = _field(self.spec), self.spec.q, []
         for i, c in enumerate(self.coeffs):
-            if i:
-                xp = _q_power(xp, 1)
-            acc = acc + c * xp
-        return acc
+            _add_twisted(F, acc, c.ints, x.ints, q**i)
+        return _make(self.spec, acc)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -99,29 +94,34 @@ class AdditivePoly:
         return " + ".join(terms)
 
 
-def _q_power(f: Poly, i: int) -> Poly:
-    """f^(q^i).  Frobenius spreads coefficients: sum a_k T^(k*q^i)."""
-    if i == 0 or f.is_zero():
-        return f
-    step = f.spec.q**i
-    out = [0] * ((len(f.ints) - 1) * step + 1)
-    out[::step] = f.ints
-    return _make(f.spec, out)
+def _add_twisted(F, acc: list[int], c, d, step: int) -> None:
+    """acc += c * d^step in place, step a power of q, extending acc as
+    needed: d^step = sum_k d_k T^(k*step) on F_q, one shifted axpy per d_k."""
+    n = len(c)
+    acc.extend([0] * ((len(d) - 1) * step + n - len(acc)))
+    for k, dk in enumerate(d):
+        if dk:
+            s = k * step
+            acc[s : s + n] = F.axpy(acc[s : s + n], dk, c)
 
 
 def carlitz_poly(operand: Poly) -> AdditivePoly:
     """The additive polynomial rho_I for I in F_q[T].
 
-    Horner over the coefficients of I, highest first: starting from 0,
-    rho <- rho_T o rho + a_j * x, using rho_T(y) = T*y + y^q.
+    Horner over the coefficients a_j of I, highest first: starting from 0,
+    rho <- rho_T o rho + a_j * x, using rho_T(y) = T*y + y^q, that is
+    c'_i = T*c_i + c_{i-1}(T^q) with c'_0 = T*c_0 + a_j.  T*c_i prepends a 0
+    (a_j for c'_0), c_{i-1}(T^q) is one strided axpy into every q-th slot,
+    and each c_i becomes a Poly once, at the end.
     """
     spec = operand.spec
-    rho = AdditivePoly.zero(spec)
+    F, q, rho = _field(spec), spec.q, []
     for a in reversed(operand.ints):
-        # rho_T o rho: c'_i = T*c_i + c_{i-1}^q, then a_j * x
-        twisted = [Poly.zero(spec)] + [_q_power(c, 1) for c in rho.coeffs]
-        for i, c in enumerate(rho.coeffs):
-            twisted[i] = twisted[i] + _make(spec, (0,) + c.ints)
-        twisted[0] = twisted[0] + _make(spec, (a,))
-        rho = AdditivePoly(spec, tuple(twisted))
-    return rho
+        twisted = [[0, *c] for c in rho] + [[0]]
+        for c, t in zip(rho, twisted[1:]):
+            end = (len(c) - 1) * q + 1
+            t.extend([0] * (end - len(t)))
+            t[:end:q] = F.axpy(t[:end:q], 1, c)
+        twisted[0][0] = a
+        rho = twisted
+    return AdditivePoly(spec, tuple(_make(spec, c) for c in rho))

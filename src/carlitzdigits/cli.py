@@ -76,8 +76,8 @@ NORM_DEGREE_BOUND = 700
 # A request whose output takes more than this many coefficient slots in all
 # is refused (_check_slots).  On a 2-core shared host:
 # - rho_I of carlitz has coefficients c_i of degree q^i * (deg I - i),
-#   i <= deg I.  Over F_2 the bound admits I = T^21.  T^20 (2,097,151 slots)
-#   takes 0.35 s of CPU and 73 MB peak RSS, T^21 0.64 s and 145 MB.
+#   i <= deg I.  Over F_2 the bound admits I = T^21.  In process, T^20
+#   (2,097,151 slots) takes 0.35 s of CPU and 61 MB, T^21 0.6 s and 108 MB.
 # - expand writes --terms digits of deg G slots each, one line per digit as
 #   the division makes it.  With deg G = 1 and a degree-16 denominator over
 #   F_2, 2^20 terms take 7.6 s of CPU and 19 MB peak RSS, 2^22 terms 29.6 s

@@ -111,8 +111,8 @@ class _PrimeField:
     def product(self, a, b) -> list[int]:
         p = self.p
         short = min(len(a), len(b))
-        slot = _slot(2 * p.bit_length() + short.bit_length())
-        if short < KRONECKER_MIN_LEN or slot is None:
+        slot = short >= KRONECKER_MIN_LEN and _slot(2 * p.bit_length() + short.bit_length())
+        if not slot:
             return _schoolbook(self, a, b)
         tc, order = slot[1], sys.byteorder
         out = array(tc)

@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -55,7 +57,8 @@ def test_additivity_in_the_operand():
 def test_multiplicativity_is_composition():
     rng = random.Random(63)
     for _ in range(100):
-        spec = FieldSpec.from_order(rng.choice((2, 3, 5)))
+        # q = 4 and 9 take the Frobenius twist of compose over extension fields
+        spec = FieldSpec.from_order(rng.choice((2, 3, 4, 5, 9)))
         I = random_poly(rng, spec, rng.randint(0, 2))
         J = random_poly(rng, spec, rng.randint(0, 2))
         lhs = carlitz_poly(I * J)
@@ -122,3 +125,50 @@ def test_identity_and_zero_helpers():
     assert z.compose(rho).is_zero()
     with pytest.raises(ValueError):
         rho + carlitz_poly(gen(FieldSpec.from_order(2)))
+
+
+REFARITH = Path(__file__).resolve().parent.parent / "perfbench" / "refarith.py"
+
+
+@pytest.fixture(scope="module")
+def refarith():
+    """The benchmark's reference arithmetic, which does not import the package."""
+    spec = importlib.util.spec_from_file_location("refarith_for_carlitz", REFARITH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _against_horner(R, q, I, f):
+    """rho_I(f) by the package equals the reference Horner evaluation; both
+    meet only in the text grammar.  Returns the output."""
+    F, spec = R.Field(q), FieldSpec.from_order(q)
+    out = carlitz_poly(parse_poly(spec, R.poly_text(F, I))).apply(
+        parse_poly(spec, R.poly_text(F, f)))
+    assert format_poly(out) == R.poly_text(F, R.trim(R.carlitz_horner(F, I, f))), (q, I, f)
+    return out
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 9))
+def test_apply_matches_reference_horner(refarith, q):
+    R, rng = refarith, random.Random(66 + q)
+    F = R.Field(q)
+    c = rng.randrange(1, q)
+    cases = [
+        ([], R.random_poly(F, rng, 2)),  # I = 0
+        ([c], R.random_poly(F, rng, 3)),  # constant I
+        (R.random_poly(F, rng, 3), []),  # f = 0
+        (R.random_poly(F, rng, 3), [c]),  # constant f
+        (R.random_poly(F, rng, 3), [0, c, 0, 0, 1]),  # sparse f, no constant term
+    ]
+    cases += [(R.random_poly(F, rng, rng.randint(0, 4)), R.random_poly(F, rng, rng.randint(0, 3)))
+              for _ in range(8)]
+    for I, f in cases:
+        _against_horner(R, q, I, f)
+
+
+def test_apply_matches_reference_horner_at_degree_13122(refarith):
+    R = refarith
+    F, rng = R.Field(3), random.Random(67)
+    out = _against_horner(R, 3, R.random_poly(F, rng, 8), R.random_poly(F, rng, 2, dense=True))
+    assert out.degree() == 3**8 * 2

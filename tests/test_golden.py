@@ -41,6 +41,7 @@ CASES = {
     "period_q3_nonsquarefree": ["period", "--q", "3", "--M",
                                 "T^10+T^8+2*T^7+2*T^6+2*T^2+2*T+1", "--G", "T"],
     "carlitz_q4": ["carlitz", "--q", "4", "--I", "(0,1)*T^3+T+(1,1)"],
+    "carlitz_q5_json": ["carlitz", "--q", "5", "--I", "T^3+2*T+4", "--format", "json"],
     "expand_q7_text": ["expand", "--q", "7", "--G", "2*T^2+T+4", "--num", "3*T^4+T+6",
                        "--den", "5*T^3+2*T+1", "--terms", "24"],
     "expand_q9_json": ["expand", "--q", "9", "--G", "(0,1)*T^2+T+(1,2)", "--num", "T+(2,1)",
