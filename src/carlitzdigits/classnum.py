@@ -14,12 +14,13 @@ DigitPolynomials.twist).  When deg G >= deg P, products of their values at
 roots of unity give the plus part and the relative part of the class number
 of any subfield of the P-th cyclotomic function field.  Each product runs
 over Galois orbits of characters, one per order t, so it is a product of
-exact norms N_{Q(zeta_t)/Q} (cycint.norm); floats only guard, each guard
-value at its character's own order t.  Each route memoizes its exact values
-per order t and its guard values per character, the digit route on its
-DigitPolynomials and the character sums on the ResidueCtx, so a table over
-every l | N takes each once while every row still checks its product
-against all its characters.
+exact norms N_{Q(zeta_t)/Q} (cycint.norm); floats only guard.  Each route
+checks each orbit where it makes its exact value, against the product of
+the orbit's phi(t) floating values over the t-th roots of unity, and only
+then memoizes that value per order t, the digit route on its
+DigitPolynomials and the character sums on the ResidueCtx.  So a table
+over every l | N takes and checks each orbit once, and a row's product is
+that of checked factors.
 
 Independent routes kept alongside the digit route, sharing no product code
 with it: the classical character sum formulas over monic polynomials of
@@ -73,9 +74,8 @@ class DigitPolynomials:
     digits: tuple[Poly, ...]
     degree_poly: tuple[int, ...]
     twist: tuple[int, ...] = field(init=False, repr=False)
-    # the digit route's memos, apart from the character-sum oracle's on ctx
+    # the digit route's memo, apart from the character-sum oracle's on ctx
     _norm_memo: dict = field(default_factory=dict, init=False, repr=False)
-    _value_memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         ctx = self.ctx
@@ -118,12 +118,11 @@ def digit_polynomials(ctx: ResidueCtx) -> DigitPolynomials:
 def _monic_window(ctx: ResidueCtx, lo: int):
     """(dlog, deg) for monic I with max(lo, 0) <= deg I < d.
 
-    Monic polynomials of degree < d are their own canonical residues, so
-    the discrete log is a direct table lookup.
+    The keys of ctx.dlog are the monic parts of G^0..G^(r-1): r distinct
+    monic residues of degree < d, so every one of them, each its own
+    canonical residue, in order of its log.
     """
-    for s in range(max(lo, 0), ctx.d):
-        for mp in monic_polys(ctx.spec, s):
-            yield ctx.dlog[mp], s
+    return ((k, len(I.ints) - 1) for I, k in ctx.dlog.items() if len(I.ints) > lo)
 
 
 def _degree_identity(ctx: ResidueCtx, chi: DirichletChar, lo: int):
@@ -254,38 +253,33 @@ def _advisory_check(factors, exact: int, what: str) -> None:
         )
 
 
-def _digit_value(dp: DigitPolynomials, j: int) -> complex:
-    """Floating digit-route value at chi_j over the roots of its order t,
-    memoized per j: F(zeta_N^j), F the degree polynomial, when t | r (chi_j
-    in X_L^+), else the twisted polynomial of chi_j's own restriction."""
-    if j not in dp._value_memo:
-        ctx = dp.ctx
-        g = math.gcd(j, ctx.N)
-        t = ctx.N // g  # zeta_N^j = zeta_t^(j/g); every exponent is a multiple of g
-        if ctx.r % t == 0:
-            terms = ((j // g * k, c) for k, c in enumerate(dp.degree_poly) if c)
-        else:
-            terms = ((j // g * x, 1) for x in dp.twist)
-        dp._value_memo[j] = _root_sum(t, terms)
-    return dp._value_memo[j]
+def _orbit_guard(t: int, pairs, exact: int, what: str) -> None:
+    """Float guard of one Galois orbit: the exact value against the product,
+    over u in (Z/t)^x, of the sum of w * zeta_t^(u * e) over the (e, w)
+    pairs, the value at chi_{u N/t}."""
+    units = (u for u in range(1, t) if math.gcd(u, t) == 1)
+    _advisory_check([_root_sum(t, ((u * e, w) for e, w in pairs)) for u in units], exact, what)
 
 
 def _digit_norm(dp: DigitPolynomials, t: int) -> int:
     """Norm N_{Q(zeta_t)/Q} of the digit route's value at the characters of
-    exact order t, memoized per t, whatever l asks for it.
+    exact order t, guarded and then memoized per t, whatever l asks for it.
 
     Order t lies in X_L^+ exactly when t | r (m = gcd(l, r)): there the
     value is F(zeta_t), F the degree polynomial; elsewhere it is the twisted
-    polynomial at chi_j, j = N/t, folded into Z[zeta_t].
+    polynomial at chi_j, j = N/t, whose term of H_k is zeta_t^(E_k).
     """
     if t not in dp._norm_memo:
         if dp.ctx.r % t == 0:
-            dp._norm_memo[t] = norm(t, dp.degree_poly)
+            pairs = [(k, c) for k, c in enumerate(dp.degree_poly) if c]
         else:
-            vec = [0] * t  # chi_{N/t} sends the term of H_k to zeta_t^(E_k)
-            for x in dp.twist:
-                vec[x % t] += 1
-            dp._norm_memo[t] = norm(t, vec)
+            pairs = [(x, 1) for x in dp.twist]
+        vec = [0] * t
+        for e, w in pairs:
+            vec[e % t] += w
+        value = norm(t, vec)
+        _orbit_guard(t, pairs, value, f"digit route orbit of order {t}")
+        dp._norm_memo[t] = value
     return dp._norm_memo[t]
 
 
@@ -303,13 +297,8 @@ def h_plus_from_digits(ctx: ResidueCtx, l: int) -> int:
     if m == 1:
         raise HypothesisError("L+ is the rational base field (m = 1); nothing to compute")
     dp = digit_polynomials(ctx)
-    value = 1
-    for t in divisors(m)[1:]:
-        value *= _digit_norm(dp, t)
-    values = [_digit_value(dp, j) for j in desc.chis_plus if j]
-    _advisory_check(values, value, "plus-part product")
     sign = 1 if m % 2 else -1
-    return sign * value
+    return sign * math.prod(_digit_norm(dp, t) for t in divisors(m)[1:])
 
 
 def h_minus_from_digits(ctx: ResidueCtx, l: int) -> int:
@@ -326,27 +315,13 @@ def h_minus_from_digits(ctx: ResidueCtx, l: int) -> int:
     if desc.n == 1:
         raise HypothesisError("L equals its real subfield (n = 1); nothing to compute")
     dp = digit_polynomials(ctx)
-    value = 1
-    for t in divisors(l):
-        if desc.m % t:
-            value *= _digit_norm(dp, t)
-    values = [_digit_value(dp, j) for j in desc.chis_minus]
-    _advisory_check(values, value, "minus-part product")
-    return value
+    return math.prod(_digit_norm(dp, t) for t in divisors(l) if desc.m % t)
 
 
 class CharSumClassNumbers(NamedTuple):
     h_plus: int
     h_minus: int
     h: int
-
-
-def _char_sum_window(ctx: ResidueCtx) -> tuple[tuple[int, int], ...]:
-    """(dlog, deg) for every monic I of degree < d, computed once per ctx."""
-    cached = getattr(ctx, "_window_memo", None)
-    if cached is None:
-        cached = ctx._window_memo = tuple(_monic_window(ctx, 0))
-    return cached
 
 
 def _orbit_product(x: CycloInt) -> CycloInt:
@@ -383,37 +358,22 @@ def _orbit_value(ctx: ResidueCtx, t: int) -> int:
     folded by dlog mod t is the sum at u = 1 in Z[zeta_t], and the orbit's
     product is the product of its Galois conjugates.  Order t lies in X_L^+
     exactly when t | r (m = gcd(l, r)): there the sum is -sum chi(I) deg I,
-    elsewhere sum chi(I).  Memoized on the ctx, whatever l asks for it.
+    elsewhere sum chi(I).  Guarded and then memoized on the ctx, whatever l
+    asks for it.
     """
     memo = getattr(ctx, "_orbit_memo", None)
     if memo is None:
         memo = ctx._orbit_memo = {}
     if t not in memo:
-        window = _char_sum_window(ctx)
         if ctx.r % t:
-            x = exponent_sum(t, ((k, 1) for k, _ in window))
+            pairs = [(k, 1) for k, _ in _monic_window(ctx, 0)]
         else:
-            x = exponent_sum(t, ((k, -s) for k, s in window if s))
-        memo[t] = _collapse(_orbit_product(x), f"character sum orbit of order {t}")
+            pairs = [(k, -s) for k, s in _monic_window(ctx, 0) if s]
+        what = f"character sum orbit of order {t}"
+        value = _collapse(_orbit_product(exponent_sum(t, pairs)), what)
+        _orbit_guard(t, pairs, value, what)
+        memo[t] = value
     return memo[t]
-
-
-def _char_sum_value(ctx: ResidueCtx, j: int) -> complex:
-    """Floating character sum at chi_j over the roots of its order t,
-    memoized on the ctx: -sum chi(I) deg I when chi_j lies in X_L^+ (t | r),
-    sum chi(I) otherwise."""
-    memo = getattr(ctx, "_char_sum_memo", None)
-    if memo is None:
-        memo = ctx._char_sum_memo = {}
-    if j not in memo:
-        window = _char_sum_window(ctx)
-        g = math.gcd(j, ctx.N)
-        t, u = ctx.N // g, j // g  # chi_j(I) = zeta_t^(u * dlog I)
-        if ctx.r % t:
-            memo[j] = _root_sum(t, ((u * k, 1) for k, _ in window))
-        else:
-            memo[j] = _root_sum(t, ((u * k, -s) for k, s in window if s))
-    return memo[j]
 
 
 def h_from_char_sums(ctx: ResidueCtx, l: int) -> CharSumClassNumbers:
@@ -434,10 +394,6 @@ def h_from_char_sums(ctx: ResidueCtx, l: int) -> CharSumClassNumbers:
             h_minus *= _orbit_value(ctx, t)
         else:
             h_plus *= _orbit_value(ctx, t)
-    plus_factors = [_char_sum_value(ctx, j) for j in desc.chis_plus if j]
-    minus_factors = [_char_sum_value(ctx, j) for j in desc.chis_minus]
-    _advisory_check(plus_factors, h_plus, "character sum plus part")
-    _advisory_check(minus_factors, h_minus, "character sum minus part")
     return CharSumClassNumbers(h_plus, h_minus, h_plus * h_minus)
 
 

@@ -156,7 +156,7 @@ class _ExtensionField:
 
     def axpy(self, u, c: int, v) -> list[int]:
         """u + c*v, entry by entry over the common length."""
-        return list(map(self.add, u, self.scale(v, c)))
+        return list(map(self.add, u, v if c == 1 else self.scale(v, c)))
 
     def product(self, a, b) -> list[int]:
         return _schoolbook(self, a, b)

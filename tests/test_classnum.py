@@ -543,30 +543,46 @@ def test_advisory_check_beyond_float_range(sign):
             classnum._advisory_check(factors, wrong, "control")
 
 
-@pytest.mark.parametrize("bad_t", [4, 16])
-def test_digit_norm_guard(monkeypatch, bad_t):
-    """A wrong digit-route norm for one order t (4 divides r, 16 does not)
-    fails the float guard in every row whose product includes t, also on a
-    second pass over the table when every memo is warm."""
+@pytest.mark.parametrize("route, bad_t", [
+    pytest.param("digits", 4, id="4"),
+    pytest.param("digits", 16, id="16"),
+    pytest.param("charsum", 4, id="charsum-4"),
+    pytest.param("charsum", 16, id="charsum-16"),
+])
+def test_digit_norm_guard(monkeypatch, route, bad_t):
+    """A wrong exact value for one order t (4 divides r, 16 does not) fails
+    its orbit's float guard in every row whose product includes t, also on a
+    second pass over the table: a value that fails never enters the memo.
+    The digit route gets a doubled norm; the character-sum route, under
+    verify_charsum, a doubled orbit product."""
     spec = FieldSpec.from_order(3)
     P = parse_poly(spec, "T^4+T+2")
     ctx = build_context(P, canonical_primitive_lift(P))
-    true_norm = classnum.norm
-    monkeypatch.setattr(
-        classnum, "norm", lambda t, v: 2 * true_norm(t, v) if t == bad_t else true_norm(t, v)
-    )
+    if route == "digits":
+        true_norm = classnum.norm
+        monkeypatch.setattr(
+            classnum, "norm", lambda t, v: 2 * true_norm(t, v) if t == bad_t else true_norm(t, v)
+        )
+    else:
+        true_product = classnum._orbit_product
+
+        def product(x):
+            y = true_product(x)
+            return y + y if x.n == bad_t else y
+
+        monkeypatch.setattr(classnum, "_orbit_product", product)
     hit = 0
     for _ in range(2):
         for l in divisors(ctx.N):
-            # a plus order (t | r) enters where t | m, a minus order where t | l
-            reach = math.gcd(l, ctx.r) if ctx.r % bad_t == 0 else l
-            if reach % bad_t == 0:
+            # a minus order enters where t | l, a plus order (t | r) where
+            # t | m = gcd(l, r), which for t | r is again where t | l
+            if l % bad_t == 0:
                 hit += 1
-                with pytest.raises(ExactnessError):
-                    compute_report(ctx, l)
+                with pytest.raises(ExactnessError, match=f"orbit of order {bad_t}"):
+                    compute_report(ctx, l, verify_charsum=route == "charsum")
             else:
-                compute_report(ctx, l)
-    assert hit >= 4
+                compute_report(ctx, l, verify_charsum=route == "charsum")
+    assert hit == (12 if bad_t == 4 else 4)
 
 
 def _guard_tables():
@@ -683,32 +699,67 @@ def test_full_table_builds_few_field_elements(monkeypatch):
     assert len(built) < 64
 
 
-def test_guard_values_memoized_per_character(ctx_pool):
-    """After every row of a table, each memoized guard value is bit for bit
-    the floating sum at the character's own order t a row would evaluate
-    afresh, within 1e-12 (relative) of the same sum over the N-th roots,
-    and each route's memo holds every nontrivial character once."""
-    for ctx in [c for c in ctx_pool if c.e >= c.d][:8]:
-        for l in divisors(ctx.N):
-            compute_report(ctx, l, verify_charsum=True)
+def test_guard_checks_each_orbit_once(ctx_pool, monkeypatch):
+    """Over two passes of every row of a table with the character-sum oracle,
+    each route calls the float guard exactly once per order t | N, t > 1,
+    with the exact value it then memoizes and phi(t) factors: the values at
+    chi_j, j = u*N/t for u in (Z/t)^x in increasing order, each within 1e-12
+    (relative) of the same sum over the N-th roots."""
+    true_check = classnum._advisory_check
+    calls = []
+
+    def check(factors, exact, what):
+        calls.append((what, factors, exact))
+        true_check(factors, exact, what)
+
+    monkeypatch.setattr(classnum, "_advisory_check", check)
+    routes = (("digits", "digit route orbit of order "),
+              ("charsum", "character sum orbit of order "))
+    for pooled in [c for c in ctx_pool if c.e >= c.d][:8]:
+        ctx = build_context(pooled.P, pooled.G)  # memos cold, whatever ran before
+        calls.clear()
+        for _ in range(2):
+            for l in divisors(ctx.N):
+                compute_report(ctx, l, verify_charsum=True)
+        orders = divisors(ctx.N)[1:]
+        assert len(calls) == 2 * len(orders)
         dp = digit_polynomials(ctx)
         window = [(ctx.dlog[I], s) for s in range(ctx.d) for I in monic_polys(ctx.spec, s)]
         F = dp.degree_poly
-        for memo, route in ((dp._value_memo, "digits"), (ctx._char_sum_memo, "charsum")):
-            assert len(memo) == ctx.N - 1
-            for j, z in memo.items():
-                g = math.gcd(j, ctx.N)
-                t, u = ctx.N // g, j // g
-                plus = ctx.r % t == 0
-                if route == "digits" and plus:
-                    terms = [(j * k, c) for k, c in enumerate(F) if c]
-                elif route == "digits":
-                    terms = [(x, 1) for x in _twisted_terms_reference(ctx, j)]
-                elif plus:
-                    terms = [(j * k, -s) for k, s in window if s]
+        for route, prefix in routes:
+            got = [(int(w[len(prefix):]), f, x) for w, f, x in calls if w.startswith(prefix)]
+            assert sorted(t for t, _, _ in got) == orders
+            for t, factors, exact in got:
+                if route == "digits":
+                    assert exact == classnum._digit_norm(dp, t)
                 else:
-                    terms = [(j * k, 1) for k, _ in window]
-                assert all(e % g == 0 for e, _ in terms)
-                assert z == _root_sum(t, ((e // g, w) for e, w in terms))
-                reference = _root_sum(ctx.N, terms)  # the N-th roots form
-                assert abs(z - reference) <= 1e-12 * abs(reference)
+                    assert exact == classnum._orbit_value(ctx, t)
+                units = [u for u in range(1, t) if math.gcd(u, t) == 1]
+                assert len(factors) == len(units)
+                plus = ctx.r % t == 0
+                for u, z in zip(units, factors):
+                    j = u * (ctx.N // t)
+                    if route == "digits" and plus:
+                        terms = [(j * k, c) for k, c in enumerate(F) if c]
+                    elif route == "digits":
+                        terms = [(x, 1) for x in _twisted_terms_reference(ctx, j)]
+                    elif plus:
+                        terms = [(j * k, -s) for k, s in window if s]
+                    else:
+                        terms = [(j * k, 1) for k, _ in window]
+                    reference = _root_sum(ctx.N, terms)  # the N-th roots form
+                    assert abs(z - reference) <= 1e-12 * abs(reference)
+
+
+def test_monic_window_matches_enumeration(ctx_pool):
+    """The window read off ctx.dlog against the monic polynomials of
+    max(lo, 0) <= degree < d enumerated degree by degree, for lo = d - e
+    (negative when deg G > deg P), both ends and the full window."""
+    cases = 0
+    for ctx in ctx_pool:
+        for lo in {ctx.d - ctx.e, 0, 1, ctx.d - 1}:
+            want = sorted((ctx.dlog[I], s)
+                          for s in range(max(lo, 0), ctx.d) for I in monic_polys(ctx.spec, s))
+            assert sorted(classnum._monic_window(ctx, lo)) == want
+            cases += bool(want)
+    assert cases > 200

@@ -20,6 +20,8 @@ CASES = {
     "verify_paper_seed0": ["verify-paper", "--seed", "0"],
     "verify_paper_seed7_json": ["verify-paper", "--seed", "7", "--format", "json"],
     "sweep_q4_d3_charsum": ["sweep", "--q", "4", "--d", "3", "--verify", "charsum"],
+    # N = 80: 18 tables over every l | 80
+    "sweep_q3_d4_charsum": ["sweep", "--q", "3", "--d", "4", "--verify", "charsum"],
     "sweep_q5_d2_json": ["sweep", "--q", "5", "--d", "2", "--verify", "charsum",
                          "--verify", "pointcount", "--format", "json"],
     "classnum_q9_cubic": ["classnum", "--q", "9", "--P", "T^3+T+(1,1)", "--l", "2",
