@@ -9,13 +9,14 @@ Scalars sit inside the unit group as the subgroup of order q - 1 generated
 by w = G^r, r = N/(q-1); restriction to scalars therefore lands on unit
 characters indexed against w, not against the canonical generator of F_q^x.
 The context is the r-step long division G * G^(k-1) = H_k * P + G^k of 1/P
-in base G (polyring._Modulus.steps, as in digits.long_division, keeping G^k
+in base G (polyring._Modulus.steps, as in digits.long_division, reading G^k
 too), each step one packed F_p-linear map of the coordinates of G^(k-1),
 with rows (the remainders and quotients of G * x^j * T^i by P) built once
-per context.  A residue's discrete log is that of its monic part plus r
-times that of its leading coefficient against w.  Whether w generates F_q^x
-is read once, from the field's exp/log table that those logs use
-(gcd(log w, q - 1) = 1).
+per context, and keeps a few ints per step.  A residue's discrete log is
+that of its monic part plus r times that of its leading coefficient against
+w.  G has order N when w generates F_q^x and no G^k, 0 < k < r, is a
+constant: two powers share a monic part exactly when their quotient is a
+scalar.
 
 Subgroups of the character group come from subfields: for l | N the field
 fixed by the index-l subgroup H_L has character group X_L = {chi : chi^l = 1}.
@@ -26,6 +27,7 @@ part X_L^+, and n = l/m divides q - 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import islice
@@ -34,15 +36,18 @@ from .cycint import CycloInt, root_of_unity
 from .errors import ExactnessError, HypothesisError, PrimitivityError, ResourceLimitError
 from .ffq import FieldElement, UnitCharacter, _exp_log, dlog
 from .numutil import least_witness
-from .polyring import Poly, _field, _make, _Modulus, is_irreducible, mod_pow
+from .polyring import Poly, _make, _Modulus, _trimmed, is_irreducible, mod_pow
 
 _N_BOUND = 2**63
 
 
 @dataclass(eq=False)
 class ResidueCtx:
-    """G^0..G^(r-1) mod P (powers), the digits H_1..H_r of 1/P in base G,
-    the discrete logs of the monic residues (dlog) and w = G^r (unit_gen)."""
+    """The r-step division of 1/P in base G as ints per step k < r: deg G^k,
+    the log of its monic part, and the degree and leading index of H_(k+1)
+    (both 0 for H_(k+1) = 0); w = G^r (unit_gen).  powers (G^0..G^(r-1) mod
+    P), digits (H_1..H_r) and dlog (monic part of G^k -> logs[k], in order of
+    k) are Polys built on first read, by a second run of the division."""
 
     P: Poly
     G: Poly
@@ -50,15 +55,29 @@ class ResidueCtx:
     e: int
     N: int
     r: int
-    powers: tuple[Poly, ...]
-    digits: tuple[Poly, ...]
-    dlog: dict
+    power_degrees: tuple[int, ...]
+    logs: tuple[int, ...]
+    digit_degrees: tuple[int, ...]
+    digit_leads: tuple[int, ...]
     unit_gen: FieldElement
     _subfield_memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def spec(self):
         return self.P.spec
+
+    @functools.cached_property
+    def powers(self) -> tuple[Poly, ...]:
+        steps = _division(self.P, self.G, self.r - 1)
+        return (Poly.one(self.spec), *(_make(self.spec, g) for _, g in steps))
+
+    @functools.cached_property
+    def digits(self) -> tuple[Poly, ...]:
+        return tuple(_make(self.spec, h) for h, _ in _division(self.P, self.G, self.r))
+
+    @functools.cached_property
+    def dlog(self) -> dict:
+        return {g.monic(): k for g, k in zip(self.powers, self.logs)}
 
     def char(self, j: int) -> "DirichletChar":
         return DirichletChar(self, j % self.N)
@@ -70,6 +89,13 @@ class ResidueCtx:
             return None
         t = dlog(rem.leading_coeff(), self.unit_gen)
         return (self.dlog[rem.monic()] + self.r * t) % self.N
+
+
+def _division(P: Poly, G: Poly, steps: int):
+    """(H_k, G^k) mod P as trimmed index tuples, k = 1..steps, from the
+    division G * G^(k-1) = H_k * P + G^k with G^0 = 1."""
+    for h, g in islice(_Modulus(P).steps(G.ints, (1,)), steps):
+        yield _trimmed(h), _trimmed(g)
 
 
 def primitivity_witness(G: Poly, P: Poly) -> int | None:
@@ -84,10 +110,10 @@ def build_context(P: Poly, G: Poly) -> ResidueCtx:
     """Validate (P, G) and run the r-step long division of 1/P in base G.
 
     P must be monic irreducible; G must be a unit mod P of full order N.
-    The division proves that order: when w = G^r generates F_q^x and the
-    monic parts of G^0..G^(r-1) are distinct, G has order r(q-1) = N.  Only
-    when it does not is the least witness ell with G^(N/ell) = 1 computed,
-    and named by the PrimitivityError.
+    The division proves that order: when w = G^r generates F_q^x and no G^k
+    with 0 < k < r is a constant, G has order r(q-1) = N.  Only when it does
+    not is the least witness ell with G^(N/ell) = 1 computed, and named by
+    the PrimitivityError.
     """
     if P.spec != G.spec:
         raise ValueError("P and G live over different fields")
@@ -102,49 +128,37 @@ def build_context(P: Poly, G: Poly) -> ResidueCtx:
         raise ResourceLimitError(f"unit group order {N} exceeds the 64-bit bound")
     if (G % P).is_zero():
         raise HypothesisError("requires gcd(G, P) = 1")
-    r = N // (spec.q - 1)
-    powers, digits = [Poly.one(spec)], []
-    for h, cur in islice(_Modulus(P).steps(G.ints, (1,)), r):
-        digits.append(_make(spec, h))
-        powers.append(_make(spec, cur))
-    cur = powers.pop()  # G^r
-    unit_gen, n = cur.constant_coeff(), spec.q - 1
-    lw = _exp_log(spec)[1][unit_gen.index()]  # w generates when prime to n
-    generates = len(cur.ints) == 1 and math.gcd(lw, n) == 1
-    logs = _monic_logs(powers, pow(lw, -1, n), r, N) if generates else {}
-    if len(logs) != r:
+    r, n = N // (spec.q - 1), spec.q - 1
+    power_degrees, leads, digit_degrees, digit_leads = [0], [1], [], []
+    for h, g in _division(P, G, r):
+        digit_degrees.append(max(len(h) - 1, 0))
+        digit_leads.append(h[-1] if h else 0)
+        power_degrees.append(len(g) - 1)
+        leads.append(g[-1])
+    w_degree, w = power_degrees.pop(), spec.from_index(leads.pop())  # G^r
+    # order N: G^r is the first constant power of G, and it generates F_q^x
+    first = not w_degree and all(power_degrees[1:])
+    if not (first and least_witness(n, lambda e: w**e == spec.one) is None):
         ell = primitivity_witness(G, P)
         if ell is None:
             raise ExactnessError("G fails the division's order check, yet no witness ell exists")
         raise PrimitivityError(
             f"G is not primitive mod P: its order divides N/{ell}", witness=ell
         )
+    log = _exp_log(spec)[1]
+    base = pow(log[w.index()], -1, n)  # monic part of G^k has log k - r * log_w(lc G^k)
     return ResidueCtx(
-        P=P, G=G, d=d, e=len(G.ints) - 1, N=N, r=r, powers=tuple(powers),
-        digits=tuple(digits), dlog=logs, unit_gen=unit_gen,
+        P=P, G=G, d=d, e=len(G.ints) - 1, N=N, r=r, power_degrees=tuple(power_degrees),
+        logs=tuple((k - r * log[lc] * base) % N for k, lc in enumerate(leads)),
+        digit_degrees=tuple(digit_degrees), digit_leads=tuple(digit_leads), unit_gen=w,
     )
-
-
-def _monic_logs(powers, base: int, r: int, N: int) -> dict:
-    """monic part of G^k -> its log k - r * base * log(lc(G^k)) mod N, base =
-    1 / log w mod q - 1; a power with leading coefficient 1 is its own key."""
-    spec = powers[0].spec
-    F, log = _field(spec), _exp_log(spec)[1]
-    logs = {}
-    for k, g in enumerate(powers):
-        lc = g.ints[-1]
-        if lc == 1:
-            logs[g] = k
-        else:
-            logs[_make(g.spec, F.scale(g.ints, F.inv(lc)))] = (k - r * log[lc] * base) % N
-    return logs
 
 
 def deg_map(ctx: ResidueCtx, k: int) -> int:
     """Degree of the canonical representative of G^k = w^(k//r) G^(k%r)."""
     if not 0 <= k < ctx.N:
         raise ValueError("exponent out of range")
-    return len(ctx.powers[k % ctx.r].ints) - 1
+    return ctx.power_degrees[k % ctx.r]
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,6 @@ class DigitPolynomials:
     """
 
     ctx: ResidueCtx
-    digits: tuple[Poly, ...]
     degree_poly: tuple[int, ...]
     twist: tuple[int, ...] = field(init=False, repr=False)
     # the digit route's memo, apart from the character-sum oracle's on ctx
@@ -81,10 +80,12 @@ class DigitPolynomials:
         ctx = self.ctx
         log = _exp_log(ctx.spec)[1]
         n, base, lg = ctx.spec.q - 1, _inverse_log(ctx.unit_gen), log[ctx.G.ints[-1]]
-        self.twist = tuple(
-            k + ctx.r * ((lg - log[h.ints[-1]]) * base % n)
-            for k, h in enumerate(self.digits) if h.ints
-        )
+        self.twist = tuple(k + ctx.r * ((lg - log[c]) * base % n)
+                           for k, c in enumerate(ctx.digit_leads) if c)
+
+    @property
+    def digits(self) -> tuple[Poly, ...]:  # H_1..H_r, built on first read
+        return self.ctx.digits
 
     def twisted_exponents(self, lam: UnitCharacter) -> tuple[int | None, ...]:
         """Coefficient exponents of the lam-twisted polynomial.
@@ -94,7 +95,7 @@ class DigitPolynomials:
         exponent of lam(w), and E_k mod r = k - 1.
         """
         r, n, c = self.ctx.r, lam.spec.q - 1, lam.exponent(self.ctx.unit_gen)
-        out: list[int | None] = [None] * len(self.digits)
+        out: list[int | None] = [None] * r
         for x in self.twist:
             out[x % r] = x // r * c % n
         return tuple(out)
@@ -107,22 +108,19 @@ class DigitPolynomials:
 
 
 def digit_polynomials(ctx: ResidueCtx) -> DigitPolynomials:
-    """The ctx's digits H_1..H_r with their degree polynomial, memoized."""
+    """The ctx's digit records H_1..H_r with their degree polynomial, memoized."""
     cached = getattr(ctx, "_digit_memo", None)
     if cached is None:
-        degs = tuple(len(h.ints) - 1 if h.ints else 0 for h in ctx.digits)
-        cached = ctx._digit_memo = DigitPolynomials(ctx=ctx, digits=ctx.digits, degree_poly=degs)
+        cached = ctx._digit_memo = DigitPolynomials(ctx=ctx, degree_poly=ctx.digit_degrees)
     return cached
 
 
 def _monic_window(ctx: ResidueCtx, lo: int):
     """(dlog, deg) for monic I with max(lo, 0) <= deg I < d.
 
-    The keys of ctx.dlog are the monic parts of G^0..G^(r-1): r distinct
-    monic residues of degree < d, so every one of them, each its own
-    canonical residue, in order of its log.
-    """
-    return ((k, len(I.ints) - 1) for I, k in ctx.dlog.items() if len(I.ints) > lo)
+    The monic parts of G^0..G^(r-1) are the r monic residues of degree < d,
+    so ctx.logs and ctx.power_degrees give each once, in order of k."""
+    return ((k, s) for k, s in zip(ctx.logs, ctx.power_degrees) if s >= lo)
 
 
 def _degree_identity(ctx: ResidueCtx, chi: DirichletChar, lo: int):
@@ -408,18 +406,12 @@ def quadratic_class_number(P: Poly, G: Poly) -> int:
         raise HypothesisError("q must be odd for the quadratic subfield")
     ctx = build_context(P, G)
     _require_big_base(ctx)
-    dp = digit_polynomials(ctx)
     if ctx.d % 2 == 0:
-        total = 0
-        for k, deg in enumerate(dp.degree_poly, start=1):
-            total += deg if k % 2 == 0 else -deg
-        return total
-    eta = quadratic_character(G.leading_coeff())
-    total = 0
-    for k, h in enumerate(dp.digits, start=1):
-        eps = quadratic_character(h.leading_coeff())
-        total += eps if k % 2 == 0 else -eps
-    return -eta * total
+        sign, terms = 1, ctx.digit_degrees
+    else:
+        eps = {c: quadratic_character(P.spec.from_index(c)) for c in set(ctx.digit_leads)}
+        sign, terms = -quadratic_character(G.leading_coeff()), [eps[c] for c in ctx.digit_leads]
+    return sign * sum(-x if k % 2 else x for k, x in enumerate(terms, start=1))
 
 
 def canonical_primitive_lift(P: Poly) -> Poly:

@@ -338,19 +338,11 @@ def _check_identities(ck: _Checks, ctx, label: str) -> None:
     lam0 = unit_character(ctx.spec, 0, ctx.unit_gen)
     support = sum(1 for e in dp.twisted_exponents(lam0) if e is not None)
     ck.expect(f"{label}: trivial-twist value at 1 counts the monic residues", support, s0)
-    # multiset equality: classes [G_k], k < r, by degree vs monic polynomials
-    ok_multiset = True
-    buckets: dict[int, list] = {s: [] for s in range(ctx.d)}
-    for k in range(ctx.r):
-        gk = ctx.powers[k]
-        buckets[len(gk.ints) - 1].append(gk.monic())
-    for s in range(ctx.d):
-        got = sorted(f.ints for f in buckets[s])
-        want = sorted(f.ints for f in monic_polys(ctx.spec, s))
-        if got != want:
-            ok_multiset = False
+    # the monic parts of G^k, k < r, against the monic polynomials, by degree
+    got = sorted((len(f.ints) - 1, f.ints) for f in ctx.dlog)
+    want = sorted((s, f.ints) for s in range(ctx.d) for f in monic_polys(ctx.spec, s))
     ck.add(f"{label}: power-table classes match monic polynomials degree by degree",
-           ok_multiset)
+           got == want)
 
 
 def run_verification(seed: int) -> _Checks:

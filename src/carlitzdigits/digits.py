@@ -81,7 +81,7 @@ def long_division(base: Poly, m: Poly, cur: Poly) -> Iterator[Poly]:
     and a step sums coordinate * row and reduces each slot mod p.  A first
     step with deg G_0 >= deg m, a constant m and a p too large for the
     widest slot take _Modulus.divmod.  Only the digits are made Polys
-    (chars.build_context, which keeps each G_k too, runs the steps itself)."""
+    (chars.build_context runs the steps itself, keeping a few ints per step)."""
     base._check(m)
     cur._check(m)
     spec = m.spec

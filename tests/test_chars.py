@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from carlitzdigits import chars
 from carlitzdigits.chars import (
     DirichletChar,
     ResidueCtx,
@@ -30,7 +31,7 @@ from carlitzdigits.polyring import (
     poly,
 )
 
-from conftest import EX1, EX3, all_irreducibles, random_poly
+from conftest import EX1, EX3, all_irreducibles, random_context, random_poly
 
 
 def _power(ctx, k):
@@ -93,17 +94,24 @@ def _order(G, P):
 
 
 # (q, d): both closing checks of the division fail somewhere here (the
-# scalar G^r of too small an order, and colliding monic parts), q = 2
-# included, where every G^r is the scalar 1
+# scalar G^r of too small an order, and a constant G^k with 0 < k < r),
+# q = 2 included, where every G^r is the scalar 1
 REFUSAL_FIELDS = ((2, 4), (3, 3), (4, 2), (4, 3), (5, 2), (7, 2), (9, 2))
 
 
+def _no_table(spec):
+    raise AssertionError("the exp/log table was read")
+
+
 @pytest.mark.parametrize("q, d", REFUSAL_FIELDS)
-def test_non_primitive_base_refused_with_least_witness(q, d):
+def test_non_primitive_base_refused_with_least_witness(q, d, monkeypatch):
     """For every prime ell | N, G = g^ell (g primitive) has order N/ell, and
     products of two primes name the smaller one; the refusal names the least
-    prime ell with ord(G) | N/ell, found here by stepping."""
+    prime ell with ord(G) | N/ell, found here by stepping.  Over a prime field
+    the order check reads no exp/log table: the refusal comes without one."""
     spec = FieldSpec.from_order(q)
+    if spec.a == 1:
+        monkeypatch.setattr(chars, "_exp_log", _no_table)
     P = all_irreducibles(spec, d)[-1]
     N = q**d - 1
     g = next(c for c in monic_polys(spec, d - 1) if _order(c, P) == N)
@@ -118,6 +126,7 @@ def test_non_primitive_base_refused_with_least_witness(q, d):
             build_context(P, G)
         assert info.value.witness == want
         assert str(info.value) == f"G is not primitive mod P: its order divides N/{want}"
+    monkeypatch.undo()
     assert build_context(P, g).N == N
 
 
@@ -318,16 +327,30 @@ def _e_below_d_context():
 
 
 def test_division_matches_digits_module(ctx_pool, ctx2):
-    """The context's one long division against digit_closed_form and
-    digit_expand, and dlog_of against repeated squaring at every k < N."""
+    """The context's one long division against digit_closed_form,
+    digit_expand and repeated squaring, its per-step ints against the Poly
+    views they stand for, G^logs[k] against the monic part of G^k, and
+    dlog_of at every k < N; over q in {2, 3, 4, 5, 7, 9}, d = 1 (r = 1)
+    included."""
     small = _e_below_d_context()
     assert small.e < small.d and ctx2.spec.q == 2 and ctx2.r == ctx2.N
-    for ctx in ctx_pool + [ctx2, small]:
+    rng = random.Random(16)
+    extra = [random_context(rng, qs=(q,), d_range=(1, 3))
+             for q in (2, 3, 4, 5, 7, 9) for _ in range(4)]
+    assert min(c.d for c in extra) == 1
+    for ctx in ctx_pool + extra + [ctx2, small]:
         one = Poly.one(ctx.spec)
         assert len(ctx.digits) == ctx.r
         assert digit_expand(one, ctx.P, ctx.G, ctx.r).digits == ctx.digits
         for k in range(1, ctx.r + 1):
             assert digit_closed_form(ctx.P, ctx.G, k) == ctx.digits[k - 1]
+        assert ctx.digit_degrees == tuple(max(h.degree(), 0) for h in ctx.digits)
+        assert ctx.digit_leads == tuple(h.ints[-1] if h.ints else 0 for h in ctx.digits)
+        assert ctx.powers == tuple(_power(ctx, k) for k in range(ctx.r))
+        assert ctx.power_degrees == tuple(g.degree() for g in ctx.powers)
+        assert list(ctx.dlog.items()) == [(g.monic(), k) for g, k in zip(ctx.powers, ctx.logs)]
+        for g, k in zip(ctx.powers, ctx.logs):
+            assert _power(ctx, k) == g.monic()
         for k in range(ctx.N):
             assert ctx.dlog_of(_power(ctx, k)) == k
 

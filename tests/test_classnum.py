@@ -684,7 +684,9 @@ def test_twisted_exponents_match_per_digit_formula(ctx_pool):
 def test_full_table_builds_few_field_elements(monkeypatch):
     """A whole (q, d) = (3, 6) table, every l | N with the character-sum
     oracle, reads leading coefficients as table indices: it builds fewer
-    FieldElements than its r = 364 digits."""
+    FieldElements than its r = 364 digits.  It reads the context's per-step
+    ints only: powers, digits and dlog are never built, and neither the
+    context nor its DigitPolynomials holds a Poly but P and G."""
     spec = FieldSpec.from_order(3)
     P = parse_poly(spec, "T^6+T+2")
     built = []
@@ -697,6 +699,10 @@ def test_full_table_builds_few_field_elements(monkeypatch):
         compute_report(ctx, l, verify_charsum=True)
     assert ctx.r == 364
     assert len(built) < 64
+    assert not {"powers", "digits", "dlog"} & set(vars(ctx))
+    held = [x for obj in (ctx, digit_polynomials(ctx)) for v in vars(obj).values()
+            for x in (v if isinstance(v, (tuple, list)) else (v,)) if isinstance(x, Poly)]
+    assert held == [ctx.P, ctx.G]
 
 
 def test_guard_checks_each_orbit_once(ctx_pool, monkeypatch):

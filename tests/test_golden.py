@@ -34,6 +34,10 @@ CASES = {
                                  "--format", "json"],
     "sweep_q7_d2": ["sweep", "--q", "7", "--d", "2", "--verify", "charsum",
                     "--verify", "pointcount"],
+    # r = 3906, m = 2, n = 4: lc(G) = 2 enters both the twist and the logs
+    "classnum_q5_sextic_nonmonic_json": ["classnum", "--q", "5", "--P", "T^6+T+2",
+                                         "--G", "2*T^6+T+3", "--l", "8", "--verify",
+                                         "charsum", "--format", "json"],
     "classnum_q5_septic_charsum_json": ["classnum", "--q", "5", "--P", "T^7+T+1", "--l", "2",
                                         "--verify", "charsum", "--format", "json"],
     # (T^5+T^2+1)(T^6+T+1): the exponent of (A/M)^x is lcm(2^5 - 1, 2^6 - 1)
@@ -65,6 +69,9 @@ REFUSALS = {
     # N = 24; T+3 has order 8 mod P, so the least witness is ell = 3
     "classnum_q5_not_primitive_stderr": (
         ["classnum", "--q", "5", "--P", "T^2+T+1", "--G", "T+3", "--l", "2"], 3),
+    # N = q - 1 = 2 * 79 * 6329; 4 is a square, so ell = 2, found before any log table
+    "classnum_q999983_not_primitive_stderr": (
+        ["classnum", "--q", "999983", "--P", "T+1", "--G", "4", "--l", "2"], 3),
 }
 
 
