@@ -106,6 +106,17 @@ def primitivity_witness(G: Poly, P: Poly) -> int | None:
     return least_witness(N, lambda e: mod_pow(G, e, P) == one)
 
 
+def _require_monic(P: Poly) -> None:
+    if len(P.ints) < 2 or not P.is_monic():
+        raise HypothesisError("P must be monic of positive degree")
+
+
+def _require_subfield_degree(l: int, N: int) -> None:
+    """Refuse an l that is the degree of no subfield: l must divide N."""
+    if l < 1 or N % l:
+        raise HypothesisError(f"l = {l} does not divide N = {N}")
+
+
 def build_context(P: Poly, G: Poly) -> ResidueCtx:
     """Validate (P, G) and run the r-step long division of 1/P in base G.
 
@@ -118,9 +129,8 @@ def build_context(P: Poly, G: Poly) -> ResidueCtx:
     if P.spec != G.spec:
         raise ValueError("P and G live over different fields")
     spec = P.spec
+    _require_monic(P)
     d = len(P.ints) - 1
-    if d < 1 or not P.is_monic():
-        raise HypothesisError("P must be monic of positive degree")
     if not is_irreducible(P):
         raise HypothesisError("P must be irreducible")
     N = spec.q**d - 1
@@ -241,8 +251,7 @@ class SubfieldDescriptor:
 def subfield(ctx: ResidueCtx, l: int) -> SubfieldDescriptor:
     """Descriptor for the subfield of degree l over the base field; l | N.
     Memoized on the ctx."""
-    if l < 1 or ctx.N % l:
-        raise HypothesisError(f"l = {l} does not divide N = {ctx.N}")
+    _require_subfield_degree(l, ctx.N)
     if l in ctx._subfield_memo:
         return ctx._subfield_memo[l]
     q = ctx.spec.q

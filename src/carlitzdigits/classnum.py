@@ -557,6 +557,9 @@ def compute_report(
     """
     desc = subfield(ctx, l)
     _require_big_base(ctx)
+    why = verify_pointcount and _point_count_refusal(ctx.spec.q, ctx.d, l)
+    if why:
+        raise HypothesisError(why)
     h_plus = 1 if desc.m == 1 else h_plus_from_digits(ctx, l)
     h_minus = 1 if desc.n == 1 else h_minus_from_digits(ctx, l)
     h = h_plus * h_minus
@@ -567,9 +570,6 @@ def compute_report(
         methods.append("charsum")
         agree = agree and cs.h_plus == h_plus and cs.h_minus == h_minus
     if verify_pointcount:
-        why = _point_count_refusal(ctx.spec.q, ctx.d, l)
-        if why:
-            raise HypothesisError(why)
         methods.append("pointcount")
         agree = agree and _point_count(ctx.P) == h
     return ClassNumberReport(

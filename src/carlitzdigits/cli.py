@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
 
 from .carlitz import carlitz_poly
-from .chars import build_context
+from .chars import _require_monic, _require_subfield_degree, build_context
 from .classnum import (
     CSV_COLUMNS,
     ClassNumberReport,
@@ -227,6 +227,12 @@ def cmd_classnum(args) -> int:
             f"q^deg P - 1 = {order} exceeds the classnum bound {SWEEP_ORDER_BOUND}"
         )
     _check_norm_degree(args.l, order, "classnum")
+    # refusals that need no context come before the lift and the division
+    _require_monic(P)
+    _require_subfield_degree(args.l, order)
+    why = "pointcount" in args.verify and _point_count_refusal(spec.q, len(P.ints) - 1, args.l)
+    if why:
+        raise HypothesisError(why)
     G = canonical_primitive_lift(P) if args.G is None else parse_poly(spec, args.G)
     ctx = build_context(P, G)
     report = compute_report(
@@ -502,21 +508,15 @@ def cmd_verify_paper(args) -> int:
 
 # -- sweep -------------------------------------------------------------
 
-def _sweep_job(job) -> list[dict]:
-    q, modulus, p_text, wanted_l, verify_charsum, verify_pointcount = job
-    spec = FieldSpec.from_order(q, modulus)
-    P = parse_poly(spec, p_text)
-    G = canonical_primitive_lift(P)
-    ctx = build_context(P, G)
-    rows = []
-    ls = [l for l in divisors(ctx.N) if wanted_l is None or l == wanted_l]
-    for l in ls:
-        use_pc = verify_pointcount and _point_count_refusal(q, ctx.d, l) is None
-        report = compute_report(
-            ctx, l, verify_charsum=verify_charsum, verify_pointcount=use_pc
-        )
-        rows.append(report.to_json_dict())
-    return rows
+def _sweep_job(job) -> list[ClassNumberReport]:
+    P, wanted_l, verify = job
+    ctx = build_context(P, canonical_primitive_lift(P))
+    reports = []
+    for l in divisors(ctx.N):
+        if wanted_l in (None, l):
+            pointcount = "pointcount" in verify and not _point_count_refusal(P.spec.q, ctx.d, l)
+            reports.append(compute_report(ctx, l, "charsum" in verify, pointcount))
+    return reports
 
 
 def cmd_sweep(args) -> int:
@@ -530,23 +530,17 @@ def cmd_sweep(args) -> int:
     jobs = []
     # an l not dividing q^d - 1 is the degree of no subfield: no P gives a row
     if args.l is None or order % args.l == 0:
-        for P in monic_polys(spec, args.d):
-            if is_irreducible(P):
-                jobs.append((
-                    args.q, spec.modulus, format_poly(P), args.l,
-                    "charsum" in args.verify, "pointcount" in args.verify,
-                ))
+        jobs = [(P, args.l, args.verify) for P in monic_polys(spec, args.d) if is_irreducible(P)]
     workers = min(args.parallel, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_p = list(pool.map(_sweep_job, jobs))
     else:
         per_p = [_sweep_job(job) for job in jobs]
-    rows = [row for chunk in per_p for row in chunk]
-    all_agree = all(row["agree"] for row in rows)
-    table = [ClassNumberReport.from_json_dict(row).csv_row() for row in rows]
+    reports = [report for chunk in per_p for report in chunk]
+    table = [report.csv_row() for report in reports]
     if args.format == "json":
-        _emit(args, _json_text(rows))
+        _emit(args, _json_text([report.to_json_dict() for report in reports]))
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -563,7 +557,7 @@ def cmd_sweep(args) -> int:
         for row in str_table:
             lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
         _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if all_agree else EXIT_VERIFY
+    return EXIT_OK if all(report.agree for report in reports) else EXIT_VERIFY
 
 
 # -- parser ------------------------------------------------------------

@@ -20,9 +20,9 @@ is the independent path; the digit stream is purely periodic with period
 equal to the multiplicative order of G modulo M.  That order divides the
 exponent n = p^s * lcm(q^i - 1) of (A/M)^x, the lcm over the degrees i of
 the irreducible factors of M and p^s at least their largest multiplicity,
-read off by distinct-degree factorization (Cantor and Zassenhaus 1981);
-G^n = 1 mod M is verified, and numutil.element_order then divides the
-primes of n out of it.
+read off by the distinct-degree split of polyring._factor_degrees (which
+also answers is_irreducible); G^n = 1 mod M is verified, and
+numutil.element_order then divides the primes of n out of it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from itertools import islice
 from .errors import ExactnessError, HypothesisError
 from .ffq import FieldElement, FieldSpec
 from .numutil import element_order
-from .polyring import Poly, _make, _Modulus, format_poly, gen, mod_pow, parse_poly, poly_gcd
+from .polyring import (Poly, _factor_degrees, _make, _Modulus, format_poly, mod_pow,
+                       parse_poly, poly_gcd)
 
 
 @dataclass(frozen=True)
@@ -135,34 +136,13 @@ def _order_mod(g: Poly, m: Poly) -> int:
 
 
 def _unit_exponent(m: Poly) -> int:
-    """The exponent p^s * lcm(q^i - 1) of (A/m)^x, deg m >= 1.
-
-    A factor P^e of m, deg P = i, has (A/P^e)^x of exponent
-    (q^i - 1) * p^s for the least p^s >= e.  Distinct-degree factorization
-    finds the degrees: with h = T^(q^i) mod a, gcd(h - T, a) is the product
-    of the irreducible factors of a of degree i, once those of lower degree
-    are gone, and a is divided by it until they are coprime; the rounds that
-    takes are their largest multiplicity.  Once 2i > deg a, what is left of
-    a is 1 or irreducible.
-    """
+    """The exponent p^s * lcm(q^i - 1) of (A/m)^x, deg m >= 1: a factor
+    P^e of m, deg P = i, has (A/P^e)^x of exponent (q^i - 1) * p^s for the
+    least p^s >= e, i and e read off polyring._factor_degrees."""
     spec = m.spec
-    t = gen(spec)
-    a, h, i = m.monic(), t, 0
     exponent, mult = 1, 1
-    while 2 * (i + 1) <= len(a.ints) - 1:
-        i += 1
-        h = mod_pow(h, spec.q, a)
-        f = poly_gcd(h - t, a)
-        if len(f.ints) > 1:
-            exponent = math.lcm(exponent, spec.q**i - 1)
-            rounds = 0
-            while len(f.ints) > 1:
-                a, rounds = a // f, rounds + 1
-                f = poly_gcd(a, f)
-            mult = max(mult, rounds)
-            h = h % a
-    if len(a.ints) > 1:
-        exponent = math.lcm(exponent, spec.q ** (len(a.ints) - 1) - 1)
+    for i, e in _factor_degrees(m):
+        exponent, mult = math.lcm(exponent, spec.q**i - 1), max(mult, e)
     ps = 1
     while ps < mult:
         ps *= spec.p

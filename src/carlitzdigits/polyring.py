@@ -36,7 +36,9 @@ one to_bytes and one reduction mod p per slot.  A slot receives d*a
 terms of at most (p - 1)^2, so its width is the narrowest array item that
 holds d*a*(p - 1)^2, chosen from _SLOTS as product chooses its slots.
 Where no item is wide enough (p above about 2^30), for a constant m, and
-for a first step with deg G_0 >= d, the step is a divmod.
+for a first step with deg G_0 >= d, the step is a divmod.  One
+distinct-degree split (_factor_degrees) answers is_irreducible and the
+unit-group exponent of A/(m) in digits.
 
 Enumeration of polynomials is lexicographic with the constant coefficient
 varying fastest, matching the element order of the coefficient field; there
@@ -60,7 +62,6 @@ from array import array
 
 from .errors import ParseError
 from .ffq import FieldElement, FieldSpec, _exp_log
-from .numutil import prime_factors
 
 NEG_INF = float("-inf")
 
@@ -470,22 +471,37 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin's test: T^(q^d) = T mod f, and T^(q^(d/ell)) - T is coprime to
-    f for every prime ell dividing d."""
+    """True when the first factor degree of f (_factor_degrees) is deg f
+    itself: f has no irreducible factor of degree <= deg f / 2."""
     d = len(f.ints) - 1
     if d < 1:
         raise ValueError("irreducibility is only defined for nonconstant polynomials")
-    if d == 1:
-        return True
-    q = f.spec.q
-    t = gen(f.spec)
-    if mod_pow(t, q**d, f) != t % f:
-        return False
-    for ell in prime_factors(d):
-        h = mod_pow(t, q ** (d // ell), f) - (t % f)
-        if poly_gcd(h, f).degree() != 0:
-            return False
-    return True
+    return next(_factor_degrees(f)) == (d, 1)
+
+
+def _factor_degrees(m: Poly):
+    """(i, e) for each degree i of the irreducible factors of m, deg m >= 1,
+    ascending, e the largest multiplicity among them: distinct-degree
+    factorization (Cantor and Zassenhaus 1981).  With h = T^(q^i) mod a,
+    gcd(h - T, a) is the product of the irreducible factors of a of degree
+    i once those of lower degree are gone, and a is divided by it until
+    they are coprime, in as many rounds as their largest multiplicity.
+    Once 2i > deg a, what is left of a is 1 or irreducible, yielded last."""
+    q, t = m.spec.q, gen(m.spec)
+    a, h, i = m.monic(), t, 0
+    while 2 * (i + 1) <= len(a.ints) - 1:
+        i += 1
+        h = mod_pow(h, q, a)
+        f = poly_gcd(h - t, a)
+        if len(f.ints) > 1:
+            e = 0
+            while len(f.ints) > 1:
+                a, e = a // f, e + 1
+                f = poly_gcd(a, f)
+            yield i, e
+            h = h % a
+    if len(a.ints) > 1:
+        yield len(a.ints) - 1, 1
 
 
 def _index_tuples(q: int, s: int):

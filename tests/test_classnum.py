@@ -379,6 +379,20 @@ def test_canonical_primitive_lift_is_first_of_full_search(q):
             assert canonical_primitive_lift(P) == g0 + P
 
 
+def test_report_refuses_point_count_before_any_norm(monkeypatch, ctx1):
+    def no_work(*args):
+        raise AssertionError("a refused report took a norm")
+
+    monkeypatch.setattr(classnum, "_digit_norm", no_work)
+    monkeypatch.setattr(classnum, "_orbit_value", no_work)
+    for l in (4, 8):
+        with pytest.raises(HypothesisError, match="quadratic subfield"):
+            compute_report(ctx1, l, verify_charsum=True, verify_pointcount=True)
+    linear = build_context(parse_poly(FieldSpec(3), "T+1"), parse_poly(FieldSpec(3), "T"))
+    with pytest.raises(HypothesisError, match="2 <= deg P <= 5"):
+        compute_report(linear, 2, verify_pointcount=True)
+
+
 def test_report_roundtrip_and_csv(ctx1, ctx3):
     rep = compute_report(ctx1, 8, verify_charsum=True)
     assert rep.agree

@@ -475,3 +475,32 @@ def test_pointcount_request_tests_irreducibility_once(monkeypatch):
     assert (code, err) == (0, "")
     assert "methods = digits+pointcount" in out
     assert seen.count("T^4+T+2") == 1
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a refused request did work")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # 3 divides neither 3^12 - 1 nor 2^19 - 1
+    (["--q", "3", "--P", "T^12+T^2+2", "--l", "3"], "l = 3 does not divide N = 531440"),
+    (["--q", "2", "--P", "T^19+T^5+T^2+T+1", "--l", "3"], "l = 3 does not divide N = 524287"),
+    # ahead of the refusals of a reducible P and of a non-primitive G
+    (["--q", "3", "--P", "T^2+2", "--l", "3"], "l = 3 does not divide N = 8"),
+    (["--q", "3", "--P", "T^2+1", "--G", "T", "--l", "3"], "l = 3 does not divide N = 8"),
+    (["--q", "3", "--P", "T^12+T^2+2", "--l", "4", "--verify", "pointcount"],
+     "the point count oracle applies to the quadratic subfield (l = 2)"),
+    (["--q", "3", "--P", "T^12+T^2+2", "--l", "2", "--verify", "pointcount"],
+     "point counting supports 2 <= deg P <= 5"),
+    (["--q", "3", "--P", "2*T^2+1", "--l", "3"], "P must be monic of positive degree"),
+    # a constant or zero P is refused as such, before the lift
+    (["--q", "3", "--P", "1", "--l", "2"], "P must be monic of positive degree"),
+    (["--q", "3", "--P", "0", "--l", "2"], "P must be monic of positive degree"),
+])
+def test_classnum_refuses_before_the_context(monkeypatch, argv, message):
+    """Refusals that need no context come before the lift, the division
+    and any norm: an l not dividing N, and a point count outside its domain."""
+    monkeypatch.setattr(cli, "canonical_primitive_lift", _no_work)
+    monkeypatch.setattr(cli, "build_context", _no_work)
+    monkeypatch.setattr(classnum, "_digit_norm", _no_work)
+    assert _main_in_process(["classnum", *argv]) == (3, "", f"error: {message}\n")

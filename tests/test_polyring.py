@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,7 @@ from carlitzdigits.ffq import FieldSpec
 from carlitzdigits.polyring import (
     NEG_INF,
     Poly,
+    _factor_degrees,
     format_poly,
     gen,
     is_irreducible,
@@ -105,6 +108,70 @@ def test_irreducibility_matches_trial_division():
         for d in range(1, 5):
             for f in monic_polys(spec, d):
                 assert is_irreducible(f) == brute_irreducible(f)
+
+
+REFARITH = Path(__file__).resolve().parent.parent / "perfbench" / "refarith.py"
+
+
+@pytest.fixture(scope="module")
+def refarith():
+    """The benchmark's reference arithmetic (Rabin's test), which does not
+    import the package, with the package's moduli of F_8, F_16 and F_25
+    added to its own of F_4 and F_9 (indices in the same order)."""
+    spec = importlib.util.spec_from_file_location("refarith_for_polyring", REFARITH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for q in (8, 16, 25):
+        field = FieldSpec.from_order(q)
+        module.MODULI[q] = (field.p, field.modulus)
+    return module
+
+
+def test_irreducibility_matches_reference_rabin(refarith):
+    """Every monic of degree <= 6 over F_2, F_3, F_4, then random P of
+    degree <= 14, non-monic ones and powers g^k among them."""
+    R, rng = refarith, random.Random(17)
+
+    def check(F, f):
+        assert is_irreducible(f) == R.is_irreducible(F, list(f.ints)), format_poly(f)
+
+    for q in (2, 3, 4):
+        F, spec = R.Field(q), FieldSpec.from_order(q)
+        for d in range(1, 7):
+            for f in monic_polys(spec, d):
+                check(F, f)
+    for q in (2, 3, 5, 7, 8, 9, 16, 25):
+        F, spec = R.Field(q), FieldSpec.from_order(q)
+        for _ in range(24):
+            check(F, random_poly(rng, spec, rng.randint(1, 14), monic=rng.randrange(2) == 1))
+            g = random_poly(rng, spec, rng.randint(1, 4))
+            check(F, _power(g, rng.randint(2, 14 // g.degree())))
+
+
+def _power(g, k):
+    out = g
+    for _ in range(k - 1):
+        out = out * g
+    return out
+
+
+def test_factor_degrees_match_chosen_factors():
+    """m = c * prod Q_j^(e_j) for distinct irreducibles Q_j found by trial
+    division: _factor_degrees yields each degree once, ascending, with the
+    largest e_j among the Q_j of that degree."""
+    rng = random.Random(18)
+    for q in (2, 3, 4, 5):
+        spec = FieldSpec.from_order(q)
+        irreducibles = [f for d in range(1, 5) for f in monic_polys(spec, d)
+                        if brute_irreducible(f)]
+        for _ in range(40):
+            chosen = rng.sample(irreducibles, rng.randint(1, 4))
+            m, want = Poly.one(spec) * spec.from_index(rng.randrange(1, q)), {}
+            for Q in chosen:
+                e = rng.choice((1, 1, 2, 3, 5))
+                m = m * _power(Q, e)
+                want[Q.degree()] = max(want.get(Q.degree(), 0), e)
+            assert list(_factor_degrees(m)) == sorted(want.items()), format_poly(m)
 
 
 def test_monic_enumeration():
