@@ -251,12 +251,32 @@ def _advisory_check(factors, exact: int, what: str) -> None:
         )
 
 
-def _orbit_guard(t: int, pairs, exact: int, what: str) -> None:
+def _folded(t: int, pairs) -> list[int]:
+    """The (e, w) pairs as a vector mod x^t - 1: entry k sums w over e = k mod t."""
+    vec = [0] * t
+    for e, w in pairs:
+        vec[e % t] += w
+    return vec
+
+
+def _orbit_guard(t: int, vec, exact: int, what: str) -> None:
     """Float guard of one Galois orbit: the exact value against the product,
-    over u in (Z/t)^x, of the sum of w * zeta_t^(u * e) over the (e, w)
-    pairs, the value at chi_{u N/t}."""
-    units = (u for u in range(1, t) if math.gcd(u, t) == 1)
-    _advisory_check([_root_sum(t, ((u * e, w) for e, w in pairs)) for u in units], exact, what)
+    over u in (Z/t)^x, of the sum of vec[e] * zeta_t^(u * e), the value at
+    chi_{u N/t} of the orbit's pairs folded mod t (_folded).
+
+    The sum is evaluated only for u <= t/2: the entries are integers, so
+    the value at t - u is the exact complex conjugate of the value at u.
+    The factors go to _advisory_check in increasing u, all phi(t) of them.
+    """
+    terms = [(e, w) for e, w in enumerate(vec) if w]
+    values = {}
+    for u in range(1, t):
+        if math.gcd(u, t) == 1:
+            if 2 * u <= t:
+                values[u] = _root_sum(t, ((u * e, w) for e, w in terms))
+            else:
+                values[u] = values[t - u].conjugate()
+    _advisory_check(list(values.values()), exact, what)
 
 
 def _digit_norm(dp: DigitPolynomials, t: int) -> int:
@@ -272,11 +292,9 @@ def _digit_norm(dp: DigitPolynomials, t: int) -> int:
             pairs = [(k, c) for k, c in enumerate(dp.degree_poly) if c]
         else:
             pairs = [(x, 1) for x in dp.twist]
-        vec = [0] * t
-        for e, w in pairs:
-            vec[e % t] += w
+        vec = _folded(t, pairs)
         value = norm(t, vec)
-        _orbit_guard(t, pairs, value, f"digit route orbit of order {t}")
+        _orbit_guard(t, vec, value, f"digit route orbit of order {t}")
         dp._norm_memo[t] = value
     return dp._norm_memo[t]
 
@@ -367,9 +385,10 @@ def _orbit_value(ctx: ResidueCtx, t: int) -> int:
             pairs = [(k, 1) for k, _ in _monic_window(ctx, 0)]
         else:
             pairs = [(k, -s) for k, s in _monic_window(ctx, 0) if s]
+        vec = _folded(t, pairs)
         what = f"character sum orbit of order {t}"
-        value = _collapse(_orbit_product(exponent_sum(t, pairs)), what)
-        _orbit_guard(t, pairs, value, what)
+        value = _collapse(_orbit_product(exponent_sum(t, enumerate(vec))), what)
+        _orbit_guard(t, vec, value, what)
         memo[t] = value
     return memo[t]
 

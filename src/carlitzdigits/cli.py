@@ -71,6 +71,11 @@ SWEEP_ORDER_BOUND = 10**6
 # (_check_norm_degree).  One cycint.norm of a random vector on a 2-core
 # shared host: phi 432 (t = 511) 2.6 s, phi 600 (t = 1023) 7.3 s, phi 708
 # (t = 709) 10.3 s, phi 800 (t = 1025) 16.4 s, phi 1936 (t = 2047) 234 s.
+# The character-sum oracle takes the same orbit's value as one
+# classnum._orbit_product of a random +-1 window in Z[zeta_t]: 0.15-0.21 s
+# at t = 511 and 0.90-1.12 s at t = 701 (phi 700), where norm took 2.1 and
+# 8.3-8.4 s on the same vectors and host.  The digit norm, not the oracle,
+# sets the bound.
 NORM_DEGREE_BOUND = 700
 
 # A request whose output takes more than this many coefficient slots in all

@@ -29,7 +29,7 @@ from carlitzdigits.classnum import (
     window_degree_identity,
     window_twist_identity,
 )
-from carlitzdigits.cycint import CycloInt, cyclotomic_poly, exponent_sum, int_poly_resultant
+from carlitzdigits.cycint import CycloInt, cyclotomic_poly, exponent_sum, int_poly_resultant, norm
 from carlitzdigits.errors import ExactnessError, HypothesisError
 from carlitzdigits.ffq import FieldElement, FieldSpec, mult_order, unit_character
 from carlitzdigits.numutil import divisors, prime_factors
@@ -555,6 +555,26 @@ def test_advisory_check_beyond_float_range(sign):
     for wrong in (2 * exact, -exact):
         with pytest.raises(ExactnessError):
             classnum._advisory_check(factors, wrong, "control")
+
+
+@pytest.mark.parametrize("t", [3, 4, 5, 7, 8, 9, 12, 15, 16, 21, 30, 63, 124])
+def test_orbit_guard_rejects_wrong_values(t):
+    """The guard, which evaluates half of (Z/t)^x and conjugates the rest,
+    passes the exact norm of an orbit for t > 2 and rejects, with the
+    advisory's messages, that value off by a relative 1e-5, its negative
+    and zero.  The pairs repeat exponents mod t and are folded first."""
+    rng = random.Random(t)
+    pairs = [(rng.randrange(-3 * t, 3 * t), rng.randint(-10**4, 10**4)) for _ in range(2 * t)]
+    vec = classnum._folded(t, pairs)
+    assert vec == [sum(w for e, w in pairs if e % t == k) for k in range(t)]
+    exact = norm(t, vec)
+    assert abs(exact) > 10**6
+    classnum._orbit_guard(t, vec, exact, "control")
+    for wrong, message in ((exact + exact // 10**5, "advisory complex product differs by"),
+                           (-exact, "advisory complex product differs by"),
+                           (0, "exact value is zero")):
+        with pytest.raises(ExactnessError, match=f"^control: {message}"):
+            classnum._orbit_guard(t, vec, wrong, "control")
 
 
 @pytest.mark.parametrize("route, bad_t", [

@@ -5,8 +5,10 @@ import random
 import pytest
 
 from carlitzdigits.cycint import (
+    KRONECKER_MIN_LEN,
     CycloInt,
     _crt_prime,
+    _kronecker,
     _reduce,
     cyclotomic_poly,
     exponent_sum,
@@ -129,16 +131,104 @@ def _reduce_dense(n, vec):
 
 
 def test_reduce_matches_dense_reduction():
-    """_reduce subtracts through the nonzero terms of Phi_n only; it agrees
-    with the dense reduction for every n <= 130, Phi_105 (a coefficient -2)
-    included, on vectors shorter and longer than phi(n)."""
+    """_reduce folds mod x^n - 1 from the top down, reduces mod the sparse
+    multiple of Phi_n at the least prime of n, then through the nonzero
+    terms of Phi_n; it agrees with the dense reduction for every n <= 130,
+    Phi_105 (a coefficient -2) included, on vectors shorter and longer than
+    phi(n), up to 3n + 1 (folded more than once), with entries of 3 to 200
+    bits."""
     assert -2 in cyclotomic_poly(105)
     rng = random.Random(130)
     for n in range(1, 131):
         deg = len(cyclotomic_poly(n)) - 1
-        for length in (1, deg, n, 2 * n - 1, 2 * deg + 3):
-            vec = [rng.randint(-9, 9) for _ in range(length)]
-            assert _reduce(n, vec) == _reduce_dense(n, vec)
+        for length in (1, deg, n, 2 * n - 1, 2 * deg + 3, 3 * n + 1):
+            for bits in (3, 64, 200):
+                vec = [rng.randint(-(2**bits), 2**bits) for _ in range(length)]
+                assert _reduce(n, vec) == _reduce_dense(n, vec)
+
+
+def _mul_reference(n, a, b):
+    """The schoolbook product reduced densely mod Phi_n."""
+    return _reduce_dense(n, int_poly_mul(a, b))
+
+
+def _operand_pairs(rng, deg):
+    """Operand pairs of length deg: random signed entries of 1 to 200 bits,
+    an all-zero and a one-term operand, and every entry +-max on both
+    sides, where one product coefficient is exactly deg * max|a| * max|b|."""
+    pairs = []
+    for bits in (1, 7, 40, 200):
+        big = lambda: rng.randint(-(2**bits), 2**bits)
+        pairs.append(([big() for _ in range(deg)], [big() for _ in range(deg)]))
+    x = [rng.randint(-9, 9) for _ in range(deg)]
+    one_term = [0] * deg
+    one_term[rng.randrange(deg)] = rng.choice((1, -(2**100), 2**200))
+    pairs += [([0] * deg, x), (x, [0] * deg), (one_term, x), (x, one_term)]
+    for ma, mb in ((1, 1), (255, 2**8), (2**31 - 1, 2**32), (2**200, 3)):
+        for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+            pairs.append(([sa * ma] * deg, [sb * mb] * deg))
+    return pairs
+
+
+def test_kronecker_product_matches_schoolbook():
+    """_kronecker against the schoolbook on unequal lengths, and at the
+    slot's bound: with every entry +-max, the middle coefficient of the
+    product is min(len) * max|a| * max|b| in absolute value."""
+    rng = random.Random(132)
+    for la in (1, 2, 7, 12, 33):
+        for lb in (1, 5, 12, 40):
+            for a, b in _operand_pairs(rng, la):
+                b = (b * lb)[:lb]
+                assert _kronecker(a, b) == int_poly_mul(a, b)
+    for m in (1, 127, 128, 255, 2**15, 2**31, 2**63 - 1, 2**64, 2**100):
+        for length in (1, 12, 65):
+            prod = _kronecker([m] * length, [-m] * length)
+            assert prod[length - 1] == -length * m * m
+            assert prod == int_poly_mul([m] * length, [-m] * length)
+
+
+def test_products_match_schoolbook_every_order():
+    """CycloInt products, Kronecker (phi(n) >= KRONECKER_MIN_LEN) or
+    schoolbook, against the schoolbook product reduced densely, for every
+    n <= 130, on the operand pairs above."""
+    assert 1 < KRONECKER_MIN_LEN < 130
+    rng = random.Random(133)
+    for n in range(1, 131):
+        deg = len(cyclotomic_poly(n)) - 1
+        for a, b in _operand_pairs(rng, deg):
+            got = CycloInt(n, tuple(a)) * CycloInt(n, tuple(b))
+            assert got.coeffs == _mul_reference(n, a, b)
+
+
+def test_powers_galois_lifts_and_sums_match_dense():
+    """__pow__, galois, lift and exponent_sum, which reduce through the
+    sparse multiple of Phi_n, against products and vectors reduced densely,
+    for every n <= 130 (lift to every multiple m <= 130 of n)."""
+    rng = random.Random(134)
+    for n in range(1, 131):
+        deg = len(cyclotomic_poly(n)) - 1
+        x = [rng.randint(-(2**40), 2**40) for _ in range(deg)]
+        e = rng.randint(2, 4)
+        want = [1] + [0] * (deg - 1)
+        for _ in range(e):
+            want = list(_mul_reference(n, want, x))
+        assert (CycloInt(n, tuple(x)) ** e).coeffs == tuple(want)
+        u = rng.choice([u for u in range(1, n + 1) if math.gcd(u, n) == 1])
+        vec = [0] * n
+        for i, c in enumerate(x):
+            vec[u * i % n] += c
+        assert CycloInt(n, tuple(x)).galois(u).coeffs == _reduce_dense(n, vec)
+        for m in range(n, 131, n):
+            k = m // n
+            vec = [0] * ((deg - 1) * k + 1)
+            for i, c in enumerate(x):
+                vec[i * k] += c
+            assert CycloInt(n, tuple(x)).lift(m).coeffs == _reduce_dense(m, vec)
+        pairs = [(rng.randint(-3 * n, 3 * n), rng.randint(-(2**200), 2**200)) for _ in range(9)]
+        vec = [0] * n
+        for k, w in pairs:
+            vec[k % n] += w
+        assert exponent_sum(n, pairs).coeffs == _reduce_dense(n, vec)
 
 
 def test_cyclotomic_poly_degree_and_product():
