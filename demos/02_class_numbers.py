@@ -59,6 +59,11 @@ print(f"full field (l = 26): h+ = {full.h_plus}, h- = {full.h_minus}")
 print(f"  h = {full.h}, agree = {full.agree}")
 cs = h_from_char_sums(ctx, 26)
 print(f"  character sums give ({cs.h_plus}, {cs.h_minus})")
+# The point count takes any subfield within its bound: the real subfield
+# of degree 13 has genus 6, its places counted from the splitting of primes.
+real = compute_report(ctx, 13, verify_charsum=True, verify_pointcount=True)
+print(f"real subfield (l = 13): h = {real.h}, point count route: "
+      f"{point_count_class_number(P, 13)}, agree = {real.agree}")
 print()
 
 # -- 4. a small table ----------------------------------------------------

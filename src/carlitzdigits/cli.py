@@ -23,6 +23,7 @@ from .carlitz import carlitz_poly
 from .chars import _require_monic, _require_subfield_degree, build_context
 from .classnum import (
     CSV_COLUMNS,
+    POINT_COUNT_BOUND,
     ClassNumberReport,
     _point_count_refusal,
     canonical_primitive_lift,
@@ -226,18 +227,18 @@ def cmd_period(args) -> int:
 def cmd_classnum(args) -> int:
     spec = _field_of(args)
     P = parse_poly(spec, args.P)
+    # refusals that need no context come before the lift and the division
+    _require_monic(P)
     order = spec.q ** (len(P.ints) - 1) - 1
     if order > SWEEP_ORDER_BOUND:
         raise ResourceLimitError(
             f"q^deg P - 1 = {order} exceeds the classnum bound {SWEEP_ORDER_BOUND}"
         )
     _check_norm_degree(args.l, order, "classnum")
-    # refusals that need no context come before the lift and the division
-    _require_monic(P)
     _require_subfield_degree(args.l, order)
     why = "pointcount" in args.verify and _point_count_refusal(spec.q, len(P.ints) - 1, args.l)
     if why:
-        raise HypothesisError(why)
+        raise ResourceLimitError(why)
     G = canonical_primitive_lift(P) if args.G is None else parse_poly(spec, args.G)
     ctx = build_context(P, G)
     report = compute_report(
@@ -621,7 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=f"Requests whose group order q^deg P - 1 exceeds {SWEEP_ORDER_BOUND},\n"
                     f"or whose l has phi(l) above {NORM_DEGREE_BOUND} (the largest degree of\n"
                     "the norms from Q(zeta_t), t | l, that the class numbers take),\n"
-                    "are refused with exit code 4.",
+                    "are refused with exit code 4, as is a --verify pointcount of genus g\n"
+                    f"with sum_(f <= g) q^f above {POINT_COUNT_BOUND} (the polynomials it sieves).",
         epilog=GRAMMAR_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
     _add_field_args(p_class)
     p_class.add_argument("--P", required=True, help="monic irreducible polynomial")
@@ -662,7 +664,9 @@ def build_parser() -> argparse.ArgumentParser:
                       "degree d with the canonical base",
         description=f"Sweeps whose group order q^d - 1 exceeds {SWEEP_ORDER_BOUND}, or that\n"
                     f"need a norm from Q(zeta_t) of degree phi(t) above {NORM_DEGREE_BOUND}\n"
-                    "for some t | l (t | q^d - 1 without --l), are refused with exit code 4.",
+                    "for some t | l (t | q^d - 1 without --l), are refused with exit code 4.\n"
+                    "--verify pointcount skips a row of genus g with sum_(f <= g) q^f above\n"
+                    f"{POINT_COUNT_BOUND}, which classnum refuses with exit code 4.",
         formatter_class=argparse.RawDescriptionHelpFormatter)
     _add_field_args(p_sweep)
     p_sweep.add_argument("--d", type=_positive_int, required=True,

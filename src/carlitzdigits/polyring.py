@@ -452,14 +452,11 @@ def mod_pow(base: Poly, e: int, m: Poly) -> Poly:
     base._check(m)
     mod = _Modulus(m)
     product = mod.F.product
-    result = mod.divmod((1,))[1]
-    acc = mod.divmod(base.ints)[1]
-    while e:  # square-and-multiply, without the last squaring
-        if e & 1:
+    acc = result = mod.divmod(base.ints if e else (1,))[1]
+    for bit in bin(e)[3:]:  # square-and-multiply from the top bit down
+        result = mod.divmod(product(result, result))[1]
+        if bit == "1":
             result = mod.divmod(product(result, acc))[1]
-        e >>= 1
-        if e:
-            acc = mod.divmod(product(acc, acc))[1]
     return _make(m.spec, result)
 
 

@@ -30,7 +30,7 @@ from carlitzdigits.classnum import (
     window_twist_identity,
 )
 from carlitzdigits.cycint import CycloInt, cyclotomic_poly, exponent_sum, int_poly_resultant, norm
-from carlitzdigits.errors import ExactnessError, HypothesisError
+from carlitzdigits.errors import ExactnessError, HypothesisError, ResourceLimitError
 from carlitzdigits.ffq import FieldElement, FieldSpec, mult_order, unit_character
 from carlitzdigits.numutil import divisors, prime_factors
 from carlitzdigits.polyring import (
@@ -232,7 +232,7 @@ def test_point_count_quadratic_and_quintic():
     for P in all_irreducibles(spec, 2):
         assert point_count_class_number(P) == 1  # genus zero
     assert point_count_class_number(parse_poly(spec, EX3["P"])) == 7
-    for q in (3, 9):  # over F_9 the genus-2 count takes F_81 as F_9[T]/(Q_2)
+    for q in (3, 9):  # genus 2: the count takes the places of degree 1 and 2
         spec_q = FieldSpec.from_order(q)
         quintic = next(P for P in monic_polys(spec_q, 5) if is_irreducible(P))
         h_pc = point_count_class_number(quintic)
@@ -243,22 +243,50 @@ def test_point_count_quadratic_and_quintic():
 def test_point_count_errors():
     spec2 = FieldSpec.from_order(2)
     spec3 = FieldSpec.from_order(3)
-    with pytest.raises(HypothesisError):
-        point_count_class_number(parse_poly(spec2, "T^3+T+1"))  # q even
-    with pytest.raises(HypothesisError):
-        point_count_class_number(parse_poly(spec3, "T^6+1"))  # degree too big
-    with pytest.raises(HypothesisError):
-        point_count_class_number(parse_poly(spec3, "T"))  # degree too small
     sq = parse_poly(spec3, "T^2+1")
+    # reducible; irreducible but not monic; constant
+    for P in (sq * sq, parse_poly(spec3, "2*T^2+2"), parse_poly(spec3, "1")):
+        with pytest.raises(HypothesisError, match="monic irreducible"):
+            point_count_class_number(P)
+    with pytest.raises(HypothesisError, match="l = 3 does not divide N = 8"):
+        point_count_class_number(sq, 3)
+    with pytest.raises(HypothesisError, match="l = 2 does not divide N = 7"):
+        point_count_class_number(parse_poly(spec2, "T^3+T+1"))
+    # the checks run in order: P itself, then l, then the work bound
     with pytest.raises(HypothesisError, match="monic irreducible"):
-        point_count_class_number(sq * sq)  # reducible
-    with pytest.raises(HypothesisError, match="monic irreducible"):
-        point_count_class_number(parse_poly(spec3, "2*T^2+2"))  # irreducible, not monic
-    # the checks run in order: q, then the degree, then P itself
-    with pytest.raises(HypothesisError, match="needs q odd"):
-        point_count_class_number(parse_poly(spec2, "T^6+T^2"))
-    with pytest.raises(HypothesisError, match="2 <= deg P <= 5"):
-        point_count_class_number(parse_poly(spec3, "2*T^6"))
+        point_count_class_number(parse_poly(spec3, "2*T^12+T^2+2"), 3)
+    with pytest.raises(HypothesisError, match="l = 3 does not divide"):
+        point_count_class_number(parse_poly(spec3, "T^12+T^2+2"), 3)
+    # g = 15 and 20: sum of q^f over f <= g is (3^16 - 3) / 2 and 2^21 - 2 polynomials
+    for P, l, g in ((parse_poly(spec3, "T^12+T^2+2"), 4, 15),
+                    (parse_poly(spec2, "T^12+T^6+T^5+T^3+1"), 5, 20)):
+        with pytest.raises(ResourceLimitError, match=f"l = {l} has genus {g}: .* bound 30000"):
+            point_count_class_number(P, l)
+    # deg P = 1, l = 7 over F_2 and deg P = 6 are answered too
+    assert point_count_class_number(parse_poly(spec3, "T")) == 1  # genus 0
+    assert point_count_class_number(parse_poly(spec2, "T^3+T+1"), 7) == EX2["h_plus_full"]
+    P6 = next(P for P in monic_polys(spec3, 6) if is_irreducible(P))
+    assert point_count_class_number(P6) == quadratic_class_number(P6, canonical_primitive_lift(P6))
+
+
+def test_point_count_on_whole_tables():
+    """Every row of the (2, 6), (3, 4), (4, 3), (5, 2) and (7, 2) tables
+    within the bound: the count equals the digit route's h.  Among them are
+    rows of genus >= 1, rows with l not dividing q - 1 (the Frobenius taken
+    mod P) and rows over even q."""
+    rows = Counter()
+    for q, d in ((2, 6), (3, 4), (4, 3), (5, 2), (7, 2)):
+        spec = FieldSpec.from_order(q)
+        for P in all_irreducibles(spec, d):
+            ctx = build_context(P, canonical_primitive_lift(P))
+            for l in divisors(ctx.N):
+                if classnum._point_count_refusal(q, d, l) is None:
+                    assert point_count_class_number(P, l) == compute_report(ctx, l).h
+                    if classnum._genus(q, d, l)[1] >= 1:
+                        rows["g >= 1"] += 1
+                        rows["l not dividing q - 1"] += (q - 1) % l > 0
+                        rows["even q"] += q % 2 == 0
+    assert len(rows) == 3 and all(rows.values()), rows
 
 
 def first_irreducibles(spec, d, count):
@@ -379,18 +407,22 @@ def test_canonical_primitive_lift_is_first_of_full_search(q):
             assert canonical_primitive_lift(P) == g0 + P
 
 
-def test_report_refuses_point_count_before_any_norm(monkeypatch, ctx1):
+def test_report_refuses_point_count_before_any_norm(monkeypatch, ctx1, ctx3):
+    # l = 4 and 8 over F_3, deg P = 2 (genus 0 and 2), and deg P = 1, answer
+    for l in (4, 8):
+        rep = compute_report(ctx1, l, verify_charsum=True, verify_pointcount=True)
+        assert rep.agree and rep.methods == ("digits", "charsum", "pointcount")
+    linear = build_context(parse_poly(FieldSpec(3), "T+1"), parse_poly(FieldSpec(3), "T"))
+    assert compute_report(linear, 2, verify_pointcount=True).agree
+
     def no_work(*args):
         raise AssertionError("a refused report took a norm")
 
     monkeypatch.setattr(classnum, "_digit_norm", no_work)
     monkeypatch.setattr(classnum, "_orbit_value", no_work)
-    for l in (4, 8):
-        with pytest.raises(HypothesisError, match="quadratic subfield"):
-            compute_report(ctx1, l, verify_charsum=True, verify_pointcount=True)
-    linear = build_context(parse_poly(FieldSpec(3), "T+1"), parse_poly(FieldSpec(3), "T"))
-    with pytest.raises(HypothesisError, match="2 <= deg P <= 5"):
-        compute_report(linear, 2, verify_pointcount=True)
+    # l = 26 over F_3, deg P = 3: genus 19, over the bound
+    with pytest.raises(ResourceLimitError, match="l = 26 has genus 19"):
+        compute_report(ctx3, 26, verify_charsum=True, verify_pointcount=True)
 
 
 def test_report_roundtrip_and_csv(ctx1, ctx3):
@@ -407,7 +439,7 @@ def test_report_roundtrip_and_csv(ctx1, ctx3):
     rep3 = compute_report(ctx3, 2, verify_charsum=True, verify_pointcount=True)
     assert rep3.agree and rep3.h == 7
     assert rep3.methods == ("digits", "charsum", "pointcount")
-    with pytest.raises(HypothesisError):
+    with pytest.raises(ResourceLimitError):  # genus 19, over the bound
         compute_report(ctx3, 26, verify_pointcount=True)
     trivial = compute_report(ctx1, 1)
     assert (trivial.h_plus, trivial.h_minus, trivial.h) == (1, 1, 1)

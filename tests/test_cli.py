@@ -362,6 +362,14 @@ def test_norm_degree_bound():
         assert code == 0 and f"{phrase} {cli.NORM_DEGREE_BOUND}" in text
 
 
+def test_point_count_bound_help():
+    for command in ("classnum", "sweep"):
+        code, text, _ = _main_in_process([command, "--help"])
+        text = " ".join(text.split())
+        assert code == 0 and f"sum_(f <= g) q^f above {cli.POINT_COUNT_BOUND}" in text
+        assert "exit code 4" in text
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_expand_writes_each_digit_as_it_is_made(monkeypatch, fmt):
     """When H_k is drawn from the division, H_(k-1) is already written."""
@@ -488,10 +496,11 @@ def _no_work(*args, **kwargs):
     # ahead of the refusals of a reducible P and of a non-primitive G
     (["--q", "3", "--P", "T^2+2", "--l", "3"], "l = 3 does not divide N = 8"),
     (["--q", "3", "--P", "T^2+1", "--G", "T", "--l", "3"], "l = 3 does not divide N = 8"),
-    (["--q", "3", "--P", "T^12+T^2+2", "--l", "4", "--verify", "pointcount"],
-     "the point count oracle applies to the quadratic subfield (l = 2)"),
-    (["--q", "3", "--P", "T^12+T^2+2", "--l", "2", "--verify", "pointcount"],
-     "point counting supports 2 <= deg P <= 5"),
+    # ahead of the point count's work bound
+    (["--q", "3", "--P", "T^12+T^2+2", "--l", "3", "--verify", "pointcount"],
+     "l = 3 does not divide N = 531440"),
+    # q^0 - 1 = 0 is divisible by every l: P is refused ahead of the norm degree
+    (["--q", "3", "--P", "1", "--l", "1009"], "P must be monic of positive degree"),
     (["--q", "3", "--P", "2*T^2+1", "--l", "3"], "P must be monic of positive degree"),
     # a constant or zero P is refused as such, before the lift
     (["--q", "3", "--P", "1", "--l", "2"], "P must be monic of positive degree"),
@@ -499,8 +508,28 @@ def _no_work(*args, **kwargs):
 ])
 def test_classnum_refuses_before_the_context(monkeypatch, argv, message):
     """Refusals that need no context come before the lift, the division
-    and any norm: an l not dividing N, and a point count outside its domain."""
+    and any norm: a P that is not monic of positive degree and an l not
+    dividing N."""
     monkeypatch.setattr(cli, "canonical_primitive_lift", _no_work)
     monkeypatch.setattr(cli, "build_context", _no_work)
     monkeypatch.setattr(classnum, "_digit_norm", _no_work)
     assert _main_in_process(["classnum", *argv]) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, l, g", [
+    (["--q", "3", "--P", "T^12+T^2+2", "--l", "4", "--verify", "pointcount"], 4, 15),
+    # even q, l = 5 not dividing q - 1
+    (["--q", "2", "--P", "T^12+T^6+T^5+T^3+1", "--l", "5", "--verify", "pointcount"], 5, 20),
+])
+def test_classnum_refuses_point_count_over_bound_before_the_context(monkeypatch, argv, l, g):
+    """A --verify pointcount whose sum of q^f over f <= g passes
+    POINT_COUNT_BOUND exits 4 before the lift, the division and any norm."""
+    monkeypatch.setattr(cli, "canonical_primitive_lift", _no_work)
+    monkeypatch.setattr(cli, "build_context", _no_work)
+    monkeypatch.setattr(classnum, "_digit_norm", _no_work)
+    start = time.monotonic()
+    code, out, err = _main_in_process(["classnum", *argv])
+    assert time.monotonic() - start < 0.5
+    assert (code, out) == (4, "")
+    assert err == (f"error: the point count for l = {l} has genus {g}: it sieves "
+                   f"sum_(f <= g) q^f polynomials, over the bound {cli.POINT_COUNT_BOUND}\n")

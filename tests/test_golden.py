@@ -34,6 +34,12 @@ CASES = {
                                  "--format", "json"],
     "sweep_q7_d2": ["sweep", "--q", "7", "--d", "2", "--verify", "charsum",
                     "--verify", "pointcount"],
+    # even q, l | q - 1: m = 3 places at infinity, genus 1, h = 9
+    "classnum_q4_cubic_l3": ["classnum", "--q", "4", "--P", "T^3+T+1", "--l", "3",
+                             "--verify", "charsum", "--verify", "pointcount"],
+    # l = 5 does not divide q - 1: the Frobenius order is taken mod P, genus 4, h = 121
+    "classnum_q2_quartic_l5": ["classnum", "--q", "2", "--P", "T^4+T+1", "--l", "5",
+                               "--verify", "charsum", "--verify", "pointcount"],
     # r = 3906, m = 2, n = 4: lc(G) = 2 enters both the twist and the logs
     "classnum_q5_sextic_nonmonic_json": ["classnum", "--q", "5", "--P", "T^6+T+2",
                                          "--G", "2*T^6+T+3", "--l", "8", "--verify",
