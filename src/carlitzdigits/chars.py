@@ -22,7 +22,8 @@ Subgroups of the character group come from subfields: for l | N the field
 fixed by the index-l subgroup H_L has character group X_L = {chi : chi^l = 1}.
 The subgroup generated by H_L and the scalars is generated by G^l and G^r,
 hence has index gcd(l, r); that gcd is the character count m of the real
-part X_L^+, and n = l/m divides q - 1.
+part X_L^+, and n = l/m divides q - 1.  A subfield is those three integers
+(the class numbers read no more); its character sets are built when read.
 """
 
 from __future__ import annotations
@@ -224,25 +225,44 @@ def restriction(chi: DirichletChar) -> UnitCharacter:
 
 @dataclass(frozen=True)
 class SubfieldDescriptor:
-    """Character data of the degree-l subfield L inside the P-th cyclotomic
-    function field, plus its real subfield L+.
+    """The degree-l subfield L inside the P-th cyclotomic function field, as
+    l, m = gcd(l, r) (the count of real characters, X_L^+) and n = l/m.
 
-    chis / chis_plus / chis_minus are the chi_j index sets for X_L, X_L^+
-    and their difference.  unit_chars lists the restrictions lambda of X_L
-    to scalars (the group Y_L of order n), and alpha_exponents maps each
+    The character data is built on first read: chis / chis_plus / chis_minus
+    are the chi_j index sets for X_L (multiples of N/l), X_L^+ (multiples of
+    N/m) and their difference.  unit_chars lists the restrictions lambda of
+    X_L to scalars (the group Y_L of order n), and alpha_exponents maps each
     lambda index s to the exponent a with alpha_lambda = zeta_N^a, where
-    alpha_lambda = chi(G)^m for any chi in X_L restricting to lambda.
+    alpha_lambda = chi(G)^m for any chi in X_L restricting to lambda:
+    chi_j restricts to s = j mod (q-1) and gives a = j*m mod N.
     """
 
     ctx: ResidueCtx
     l: int
     m: int
     n: int
-    chis: tuple[int, ...]
-    chis_plus: tuple[int, ...]
-    chis_minus: tuple[int, ...]
-    unit_chars: tuple[UnitCharacter, ...]
-    alpha_exponents: dict = field(compare=False)
+
+    @functools.cached_property
+    def chis(self) -> tuple[int, ...]:
+        return tuple(range(0, self.ctx.N, self.ctx.N // self.l))
+
+    @functools.cached_property
+    def chis_plus(self) -> tuple[int, ...]:
+        return tuple(range(0, self.ctx.N, self.ctx.N // self.m))
+
+    @functools.cached_property
+    def chis_minus(self) -> tuple[int, ...]:
+        return tuple(j for j in self.chis if j % (self.ctx.N // self.m))
+
+    @functools.cached_property
+    def alpha_exponents(self) -> dict:
+        q1, N = self.ctx.spec.q - 1, self.ctx.N
+        return {j % q1: j * self.m % N for j in self.chis}
+
+    @functools.cached_property
+    def unit_chars(self) -> tuple[UnitCharacter, ...]:
+        return tuple(UnitCharacter(self.ctx.spec, s, self.ctx.unit_gen)
+                     for s in sorted(self.alpha_exponents))
 
     def alpha(self, lam: UnitCharacter) -> CycloInt:
         return root_of_unity(self.ctx.N, self.alpha_exponents[lam.s])
@@ -252,36 +272,7 @@ def subfield(ctx: ResidueCtx, l: int) -> SubfieldDescriptor:
     """Descriptor for the subfield of degree l over the base field; l | N.
     Memoized on the ctx."""
     _require_subfield_degree(l, ctx.N)
-    if l in ctx._subfield_memo:
-        return ctx._subfield_memo[l]
-    q = ctx.spec.q
-    m = math.gcd(l, ctx.r)
-    n = l // m
-    if (q - 1) % n:
-        raise RuntimeError("n must divide q - 1")
-    chis = tuple(t * (ctx.N // l) for t in range(l))
-    plus_step = ctx.N // m
-    plus_set = frozenset(t * plus_step for t in range(m))
-    chis_plus = tuple(sorted(plus_set))
-    chis_minus = tuple(sorted(set(chis) - plus_set))
-    alpha_exponents: dict[int, int] = {}
-    for j in chis:
-        s = j % (q - 1)
-        a = j * m % ctx.N
-        if s in alpha_exponents:
-            if alpha_exponents[s] != a:
-                raise RuntimeError("alpha is not constant on restriction fibers")
-        else:
-            alpha_exponents[s] = a
-    if len(alpha_exponents) != n:
-        raise RuntimeError("restriction image has unexpected size")
-    if len(set(alpha_exponents.values())) != n:
-        raise RuntimeError("alpha must be injective on Y_L")
-    unit_chars = tuple(
-        UnitCharacter(ctx.spec, s, ctx.unit_gen) for s in sorted(alpha_exponents)
-    )
-    desc = ctx._subfield_memo[l] = SubfieldDescriptor(
-        ctx=ctx, l=l, m=m, n=n, chis=chis, chis_plus=chis_plus,
-        chis_minus=chis_minus, unit_chars=unit_chars, alpha_exponents=alpha_exponents,
-    )
-    return desc
+    if l not in ctx._subfield_memo:
+        m = math.gcd(l, ctx.r)
+        ctx._subfield_memo[l] = SubfieldDescriptor(ctx, l, m, l // m)
+    return ctx._subfield_memo[l]

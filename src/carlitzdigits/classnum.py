@@ -38,7 +38,7 @@ import cmath
 import functools
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from itertools import islice
 from typing import NamedTuple
 
@@ -560,7 +560,9 @@ class ClassNumberReport:
 
     def to_json_dict(self) -> dict:
         """The fields in their order, methods as a list."""
-        return {**asdict(self), "methods": list(self.methods)}
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["methods"] = list(self.methods)
+        return data
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ClassNumberReport":

@@ -55,7 +55,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .ffq import FieldSpec, quadratic_character, unit_character
-from .numutil import RHO_BUDGET, divisors, totient
+from .numutil import RHO_BUDGET, divisors, mobius, totient
 from .polyring import Poly, format_poly, is_irreducible, monic_polys, parse_poly, poly_gcd
 
 EXIT_OK = 0
@@ -65,6 +65,13 @@ EXIT_HYPOTHESIS = 3
 EXIT_RESOURCE = 4
 
 SWEEP_ORDER_BOUND = 10**6
+
+# A sweep builds one residue context of r = (q^d - 1)/(q - 1) division steps
+# for each monic irreducible P of degree d; sweeps of more steps in all are
+# refused (_check_sweep_steps).  A step takes 3-5 us on a 2-core shared host
+# (a (3, 12) context of 265720 steps 1.1-1.4 s, a (2, 19) one of 524287 steps
+# 2.1 s), so the divisions of a sweep take at most about 5 s.
+SWEEP_STEP_BOUND = 10**6
 
 # A class number request for the degree-l subfield takes one norm from
 # Q(zeta_t) for each t | l (every t | q^d - 1 in a sweep without --l), of
@@ -158,6 +165,24 @@ def _check_norm_degree(l: int, order: int, command: str) -> None:
         raise ResourceLimitError(
             f"l = {l} needs a norm of degree phi(l) = {totient(l)}, over the "
             f"{command} bound {NORM_DEGREE_BOUND}"
+        )
+
+
+def _irreducible_count(q: int, d: int) -> int:
+    """The number (1/d) sum_{k | d} mu(d/k) q^k of monic irreducible
+    polynomials of degree d over F_q (Gauss)."""
+    return sum(mobius(d // k) * q**k for k in divisors(d)) // d
+
+
+def _check_sweep_steps(q: int, d: int) -> None:
+    """Refuse a sweep whose contexts take more than SWEEP_STEP_BOUND division
+    steps, r each for every monic irreducible P of degree d."""
+    count = _irreducible_count(q, d)
+    steps = count * ((q**d - 1) // (q - 1))
+    if steps > SWEEP_STEP_BOUND:
+        raise ResourceLimitError(
+            f"{count} contexts of degree {d} take {steps} division steps, over the "
+            f"sweep bound {SWEEP_STEP_BOUND}"
         )
 
 
@@ -536,6 +561,7 @@ def cmd_sweep(args) -> int:
     jobs = []
     # an l not dividing q^d - 1 is the degree of no subfield: no P gives a row
     if args.l is None or order % args.l == 0:
+        _check_sweep_steps(spec.q, args.d)
         jobs = [(P, args.l, args.verify) for P in monic_polys(spec, args.d) if is_irreducible(P)]
     workers = min(args.parallel, len(jobs), os.cpu_count() or 1)
     if workers > 1:
@@ -664,7 +690,9 @@ def build_parser() -> argparse.ArgumentParser:
                       "degree d with the canonical base",
         description=f"Sweeps whose group order q^d - 1 exceeds {SWEEP_ORDER_BOUND}, or that\n"
                     f"need a norm from Q(zeta_t) of degree phi(t) above {NORM_DEGREE_BOUND}\n"
-                    "for some t | l (t | q^d - 1 without --l), are refused with exit code 4.\n"
+                    "for some t | l (t | q^d - 1 without --l), or whose residue contexts take\n"
+                    f"more than {SWEEP_STEP_BOUND} division steps in all ((q^d - 1)/(q - 1)\n"
+                    "for each monic irreducible P of degree d), are refused with exit code 4.\n"
                     "--verify pointcount skips a row of genus g with sum_(f <= g) q^f above\n"
                     f"{POINT_COUNT_BOUND}, which classnum refuses with exit code 4.",
         formatter_class=argparse.RawDescriptionHelpFormatter)

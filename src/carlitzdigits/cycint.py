@@ -16,10 +16,10 @@ determinant for ``int_poly_resultant``, a Parseval/AM-GM bound for
 input mod Phi_n with its own loop: it calls neither ``_reduce`` nor
 ``_kronecker``.
 
-CycloInt serves the character-sum route's Galois-orbit products.  A
-product of operands of at least KRONECKER_MIN_LEN coefficients is one
-signed Kronecker product: each operand packed into one int in byte slots
-with an offset of half a slot, one multiplication, one ``to_bytes``.
+CycloInt serves the character-sum route's Galois-orbit products.  Every
+product is one signed Kronecker product: each operand packed into one int
+in byte slots with an offset of half a slot, one multiplication, one
+``to_bytes``.
 Every vector (products, ``galois``, ``lift``, ``root_of_unity``,
 ``exponent_sum``) is reduced by ``_reduce``: folded mod x^n - 1, reduced
 mod the sparse multiple sum_{i<p} x^(i*n/p) of Phi_n, p the least prime
@@ -37,39 +37,30 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .numutil import divisors, is_prime, prime_factors
+from .numutil import divisors, is_prime, mobius, prime_factors
 
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending.  Phi_1 = x - 1."""
+    """Coefficients of Phi_n, ascending.  Phi_1 = x - 1.
+
+    Phi_n = prod_{d | n} (x^d - 1)^mu(n/d): the factors with mu = +1 are
+    multiplied in first, then those with mu = -1 divided out, each division
+    exact.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return (-1, 1)
-    # divide x^n - 1 by Phi_d for every proper divisor d; all divisions exact
-    f = [0] * (n + 1)
-    f[0], f[n] = -1, 1
-    for d in divisors(n):
-        if d < n:
-            f = _int_poly_div_exact(f, cyclotomic_poly(d))
+    ds = divisors(n)
+    f = [1]
+    for d in (d for d in ds if mobius(n // d) == 1):  # f * (x^d - 1)
+        f = [0] * d + f
+        for i in range(len(f) - d):
+            f[i] -= f[i + d]
+    for d in (d for d in ds if mobius(n // d) == -1):  # f / (x^d - 1)
+        f = [-c for c in f[:-d]]
+        for i in range(d, len(f)):
+            f[i] += f[i - d]
     return tuple(f)
-
-
-def _int_poly_div_exact(f, g):
-    """Quotient of integer polynomials when g is monic and divides f."""
-    f = list(f)
-    dg = len(g) - 1
-    quo = [0] * (len(f) - dg)
-    for k in range(len(f) - dg - 1, -1, -1):
-        c = f[k + dg]
-        if c:
-            quo[k] = c
-            for i, b in enumerate(g):
-                f[k + i] -= c * b
-    if any(f[:dg]):
-        raise ArithmeticError("division was not exact")
-    return quo
 
 
 @functools.lru_cache(maxsize=None)
@@ -121,17 +112,6 @@ def _reduce(n: int, vec: list[int]) -> tuple[int, ...]:
     out = vec[:deg]
     out += [0] * (deg - len(out))
     return tuple(out)
-
-
-# CycloInt products whose operands have fewer coefficients than this use
-# the schoolbook.  Measured on a 2-core shared host (best of seven, per
-# product): dense random entries of 8 bits, 14 x 14 coefficients take 17 us
-# by schoolbook and 16 us by _kronecker, 18 x 18 42 and 35 us, 24 x 24 79
-# and 42 us; the orbit products' own 16 x 16 operands, which have zero
-# entries the schoolbook skips, 20 and 26 us, and their 30 x 30 ones 79 and
-# 49 us.  The 1590 products of one seed-1 sweep_all_l round take 59-64 ms
-# at every bound from 12 to 30 and 104 ms by schoolbook alone.
-KRONECKER_MIN_LEN = 18
 
 
 def _kronecker(a, b) -> list[int]:
@@ -210,21 +190,11 @@ class CycloInt:
 
     def __mul__(self, other):
         """Product by an int, or in Z[zeta_n]: one signed Kronecker product
-        (_kronecker) from KRONECKER_MIN_LEN coefficients on, the schoolbook
-        below, then _reduce."""
+        (_kronecker), then _reduce."""
         if isinstance(other, int):
             return CycloInt(self.n, tuple(a * other for a in self.coeffs))
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if min(len(a), len(b)) >= KRONECKER_MIN_LEN:
-            prod = _kronecker(a, b)
-        else:
-            prod = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        prod[i + j] += x * y
-        return CycloInt(self.n, _reduce(self.n, prod))
+        return CycloInt(self.n, _reduce(self.n, _kronecker(self.coeffs, other.coeffs)))
 
     def __rmul__(self, other):
         if isinstance(other, int):

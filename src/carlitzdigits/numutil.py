@@ -1,5 +1,5 @@
-"""Small integer helpers: a primality test, factoring, divisor lists, and
-the one order loop of the package.
+"""Small integer helpers: a primality test, factoring, divisor lists, the
+Moebius function, and the one order loop of the package.
 
 Factoring trial-divides by the integers below TRIAL_BOUND only.  Each
 cofactor left is certified prime by is_prime, or split by Pollard's rho
@@ -154,6 +154,13 @@ def totient(n: int) -> int:
     for p in prime_factors(n):
         n = n // p * (p - 1)
     return n
+
+
+def mobius(n: int) -> int:
+    """The Moebius function: 0 when a square above 1 divides n, else
+    (-1)^(number of primes of n)."""
+    exps = [e for _, e in factorize(n)]
+    return 0 if max(exps, default=1) > 1 else (-1) ** len(exps)
 
 
 def divisors(n: int) -> list[int]:

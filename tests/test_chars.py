@@ -19,7 +19,7 @@ from carlitzdigits.errors import (
     ResourceLimitError,
 )
 from carlitzdigits.digits import digit_closed_form, digit_expand
-from carlitzdigits.ffq import FieldSpec
+from carlitzdigits.ffq import FieldSpec, UnitCharacter
 from carlitzdigits.numutil import prime_factors
 from carlitzdigits.polyring import (
     Poly,
@@ -353,6 +353,44 @@ def test_division_matches_digits_module(ctx_pool, ctx2):
             assert _power(ctx, k) == g.monic()
         for k in range(ctx.N):
             assert ctx.dlog_of(_power(ctx, k)) == k
+
+
+def _eager_subfield(ctx, l):
+    """The five character sets of the degree-l subfield as the descriptor
+    built them eagerly, with its self-checks: the reference for the views
+    that SubfieldDescriptor builds on first read."""
+    q = ctx.spec.q
+    m = math.gcd(l, ctx.r)
+    n = l // m
+    assert (q - 1) % n == 0
+    chis = tuple(t * (ctx.N // l) for t in range(l))
+    plus_set = frozenset(t * (ctx.N // m) for t in range(m))
+    chis_plus = tuple(sorted(plus_set))
+    chis_minus = tuple(sorted(set(chis) - plus_set))
+    alpha_exponents = {}
+    for j in chis:
+        s, a = j % (q - 1), j * m % ctx.N
+        assert alpha_exponents.setdefault(s, a) == a
+    assert len(alpha_exponents) == n == len(set(alpha_exponents.values()))
+    unit_chars = tuple(UnitCharacter(ctx.spec, s, ctx.unit_gen) for s in sorted(alpha_exponents))
+    return chis, chis_plus, chis_minus, unit_chars, alpha_exponents
+
+
+def test_subfield_views_match_eager_construction():
+    """For every l | N, on contexts over q in {2, 3, 4, 5, 9} with d <= 3,
+    the descriptor's five views equal the eager construction, alpha_exponents
+    in the same order."""
+    rng = random.Random(20)
+    for q in (2, 3, 4, 5, 9):
+        for _ in range(4):
+            ctx = random_context(rng, qs=(q,), d_range=(1, 3))
+            for l in (l for l in range(1, ctx.N + 1) if ctx.N % l == 0):
+                desc = subfield(ctx, l)
+                assert (desc.m, desc.n) == (math.gcd(l, ctx.r), l // math.gcd(l, ctx.r))
+                chis, plus, minus, units, alphas = _eager_subfield(ctx, l)
+                assert (desc.chis, desc.chis_plus, desc.chis_minus) == (chis, plus, minus)
+                assert desc.unit_chars == units
+                assert list(desc.alpha_exponents.items()) == list(alphas.items())
 
 
 def test_subfield_is_memoized(ctx3):

@@ -771,6 +771,21 @@ def test_full_table_builds_few_field_elements(monkeypatch):
     assert held == [ctx.P, ctx.G]
 
 
+def test_report_builds_no_character_set():
+    """Every row of a (q, d) = (3, 4) table, with the character-sum oracle,
+    reads only l, m and n of its subfield: no memoized descriptor holds a
+    character set."""
+    spec = FieldSpec.from_order(3)
+    P = next(f for f in monic_polys(spec, 4) if is_irreducible(f))
+    ctx = build_context(P, canonical_primitive_lift(P))
+    for l in divisors(ctx.N):
+        compute_report(ctx, l, verify_charsum=True)
+    assert sorted(ctx._subfield_memo) == divisors(ctx.N) == divisors(80)
+    views = {"chis", "chis_plus", "chis_minus", "alpha_exponents", "unit_chars"}
+    for desc in ctx._subfield_memo.values():
+        assert not views & set(vars(desc))
+
+
 def test_guard_checks_each_orbit_once(ctx_pool, monkeypatch):
     """Over two passes of every row of a table with the character-sum oracle,
     each route calls the float guard exactly once per order t | N, t > 1,

@@ -12,7 +12,7 @@ from carlitzdigits.errors import ExactnessError
 from carlitzdigits.ffq import FieldSpec
 from carlitzdigits.polyring import Poly, format_poly, mod_pow, parse_poly
 
-from conftest import run_cli, trial_factorize
+from conftest import all_irreducibles, run_cli, trial_factorize
 
 
 def test_expand_text_golden():
@@ -255,6 +255,31 @@ def test_sweep_for_no_subfield_degree_does_no_work():
     for fmt, want in (("text", text_header), ("csv", SWEEP_HEADER), ("json", "[]\n")):
         argv = ["sweep", "--q", "2", "--d", "3", "--l", "3", "--format", fmt]
         assert _main_in_process(argv) == (0, want, "")
+
+
+def test_sweep_step_bound():
+    """(2, 19) with --l 1 (27594 contexts of 524287 steps) and (3, 12) with
+    --l 2 (44220 of 265720) pass the order and norm-degree bounds; the step
+    bound refuses both before any P is enumerated, naming the steps and the
+    bound.  The (2, 10) table, 99 contexts of 1023 steps, stays inside."""
+    for q, d, l, count, r in ((2, 19, 1, 27594, 524287), (3, 12, 2, 44220, 265720)):
+        start = time.monotonic()
+        res = run_cli("sweep", "--q", str(q), "--d", str(d), "--l", str(l))
+        assert time.monotonic() - start < 1
+        assert (res.returncode, res.stdout) == (4, "")
+        assert f"{count * r} division steps" in res.stderr
+        assert f"bound {cli.SWEEP_STEP_BOUND}" in res.stderr
+    assert 99 * 1023 <= cli.SWEEP_STEP_BOUND
+    code, text, _ = _main_in_process(["sweep", "--help"])
+    assert code == 0 and f"more than {cli.SWEEP_STEP_BOUND} division steps" in text
+
+
+def test_irreducible_count_matches_enumeration():
+    """Gauss's count of the monic irreducibles of degree d over F_q."""
+    for q, top in ((2, 10), (3, 5), (4, 4), (5, 3), (9, 2)):
+        spec = FieldSpec.from_order(q)
+        for d in range(1, top + 1):
+            assert cli._irreducible_count(q, d) == len(all_irreducibles(spec, d))
 
 
 def test_classnum_resource_bound():

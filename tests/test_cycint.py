@@ -1,11 +1,11 @@
 import cmath
 import math
 import random
+import time
 
 import pytest
 
 from carlitzdigits.cycint import (
-    KRONECKER_MIN_LEN,
     CycloInt,
     _crt_prime,
     _kronecker,
@@ -115,6 +115,42 @@ def test_cyclotomic_poly_pinned():
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
 
 
+_PHI_RECURSIVE = {1: [-1, 1]}
+
+
+def _cyclotomic_recursive(n):
+    """Phi_n as x^n - 1 divided by Phi_d for every proper divisor d, by
+    long division, Phi_d built the same way."""
+    if n not in _PHI_RECURSIVE:
+        f = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d:
+                continue
+            g = _cyclotomic_recursive(d)
+            dg = len(g) - 1
+            quo = [0] * (len(f) - dg)
+            for k in range(len(quo) - 1, -1, -1):
+                c = quo[k] = f[k + dg]
+                if c:
+                    f[k : k + dg + 1] = [x - c * b for x, b in zip(f[k : k + dg + 1], g)]
+            assert not any(f[:dg])
+            f = quo
+        _PHI_RECURSIVE[n] = f
+    return _PHI_RECURSIVE[n]
+
+
+def test_cyclotomic_poly_matches_recursive_division():
+    """The Moebius product against x^n - 1 divided by every Phi_d, d | n,
+    d < n, for every n <= 1200; a cold Phi_65535 (65535 = 3 * 5 * 17 * 257,
+    phi = 32768) takes less than a second."""
+    for n in range(1, 1201):
+        assert cyclotomic_poly(n) == tuple(_cyclotomic_recursive(n))
+    start = time.process_time()
+    phi = cyclotomic_poly.__wrapped__(65535)
+    assert time.process_time() - start < 1
+    assert len(phi) == 32769 and phi[0] == phi[-1] == 1
+
+
 def _reduce_dense(n, vec):
     """Reduction mod Phi_n through every low coefficient of Phi_n."""
     phi = cyclotomic_poly(n)
@@ -188,10 +224,9 @@ def test_kronecker_product_matches_schoolbook():
 
 
 def test_products_match_schoolbook_every_order():
-    """CycloInt products, Kronecker (phi(n) >= KRONECKER_MIN_LEN) or
-    schoolbook, against the schoolbook product reduced densely, for every
-    n <= 130, on the operand pairs above."""
-    assert 1 < KRONECKER_MIN_LEN < 130
+    """CycloInt products, one Kronecker product each, against the schoolbook
+    product reduced densely, for every n <= 130, on the operand pairs
+    above."""
     rng = random.Random(133)
     for n in range(1, 131):
         deg = len(cyclotomic_poly(n)) - 1

@@ -14,6 +14,7 @@ from carlitzdigits.numutil import (
     factorize,
     is_prime,
     least_witness,
+    mobius,
     prime_factors,
     totient,
 )
@@ -121,6 +122,16 @@ def test_divisors_sorted_and_complete():
 def test_totient_counts_the_units():
     for n in list(range(1, 600)) + [1023, 8191, 524287]:
         assert totient(n) == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def test_mobius_matches_definition():
+    """mu(n) is 0 when a square k^2 > 1 divides n, else (-1)^(number of
+    primes dividing n); its sum over the divisors of n is [n = 1]."""
+    for n in range(1, 1001):
+        primes = [p for p in range(2, n + 1) if n % p == 0 and brute_is_prime(p)]
+        squarefree = all(n % (k * k) for k in range(2, math.isqrt(n) + 1))
+        assert mobius(n) == ((-1) ** len(primes) if squarefree else 0)
+        assert sum(mobius(d) for d in divisors(n)) == (n == 1)
 
 
 def test_order_and_witness_match_stepping():
