@@ -76,14 +76,15 @@ SWEEP_STEP_BOUND = 10**6
 # A class number request for the degree-l subfield takes one norm from
 # Q(zeta_t) for each t | l (every t | q^d - 1 in a sweep without --l), of
 # degree phi(t) <= phi(l).  Requests with phi(l) above this are refused
-# (_check_norm_degree).  One cycint.norm of a random vector on a 2-core
-# shared host: phi 432 (t = 511) 2.6 s, phi 600 (t = 1023) 7.3 s, phi 708
-# (t = 709) 10.3 s, phi 800 (t = 1025) 16.4 s, phi 1936 (t = 2047) 234 s.
-# The character-sum oracle takes the same orbit's value as one
-# classnum._orbit_product of a random +-1 window in Z[zeta_t]: 0.15-0.21 s
-# at t = 511 and 0.90-1.12 s at t = 701 (phi 700), where norm took 2.1 and
-# 8.3-8.4 s on the same vectors and host.  The digit norm, not the oracle,
-# sets the bound.
+# (_check_norm_degree).  One cycint.norm of a random +-1 vector in a fresh
+# process on a 2-core shared host (its primes and chirps built on the way):
+# phi 432 (t = 511) 0.13-0.14 s, phi 600 (t = 1023) 0.28-0.45 s, phi 708
+# (t = 709) 0.34-0.35 s, phi 800 (t = 1025) 0.40-0.59 s, phi 1936
+# (t = 2047) 2.7-3.0 s.  The character-sum oracle takes the same orbit's
+# value as one classnum._orbit_product of a random +-1 window in
+# Z[zeta_t]: 0.99-1.03 s at t = 701 (phi 700), where norm took 0.32-0.34 s
+# on the same vectors and host.  The oracle, not the digit norm, sets the
+# bound.
 NORM_DEGREE_BOUND = 700
 
 # A request whose output takes more than this many coefficient slots in all

@@ -7,14 +7,18 @@ has exactly one representation (everything in coordinate 0), which is what
 makes ``as_integer`` a sound collapse test for class number products.
 
 ``norm`` (the digit route's exact norm) and ``int_poly_resultant`` work on
-plain int lists, not CycloInt, through one modular resultant: Euclid in
-F_p[x] for primes p just below 2^62 (certified by ``numutil.is_prime``),
-the residues joined by CRT until the product of the primes exceeds twice
-a proven bound on the answer (Hadamard's bound on the Sylvester
-determinant for ``int_poly_resultant``, a Parseval/AM-GM bound for
-``norm``), and the symmetric residue returned.  ``norm`` reduces its
-input mod Phi_n with its own loop: it calls neither ``_reduce`` nor
-``_kronecker``.
+plain int lists, not CycloInt, and each joins residues mod primes just
+below 2^62 (certified by ``numutil.is_prime``) by CRT until the product of
+the primes exceeds twice a proven bound on the answer, then returns the
+symmetric residue.  ``norm`` folds its input mod x^t - 1 and evaluates it
+at the primitive t-th roots of unity mod primes p = 1 (mod 2t), by one
+cyclic Bluestein transform per prime (``_norm_mod``): a chirp, one
+unsigned Kronecker product by a filter packed once, and a fold mod
+x^t - 1.  Its primes, roots, chirps and filters are cached per order and
+prime (``_norm_plan``), and its bound is Parseval/AM-GM.  It calls none of
+``_reduce``, ``_kronecker`` or the oracle's orbit products.
+``int_poly_resultant`` runs Euclid in F_p[x] under Hadamard's bound on
+the Sylvester determinant.
 
 CycloInt serves the character-sum route's Galois-orbit products.  Every
 product is one signed Kronecker product: each operand packed into one int
@@ -33,9 +37,11 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numutil import divisors, is_prime, mobius, prime_factors
 
@@ -267,30 +273,113 @@ def exponent_sum(n: int, weighted_exponents) -> CycloInt:
 def norm(t: int, coeffs) -> int:
     """N_{Q(zeta_t)/Q} of sum_k coeffs[k] * zeta_t^k, exactly.
 
-    This is res(Phi_t, b) for b the input folded mod x^t - 1 (Phi_t divides
-    x^t - 1 and is monic, so the resultant is the product of b over the
-    primitive t-th roots of unity).  Parseval over all t-th roots and
-    AM-GM over the phi(t) primitive ones bound the value:
-    |N|^2 <= (t * sum b_j^2 / phi(t))^phi(t).  b is reduced mod Phi_t
-    over Z once, through the nonzero terms of Phi_t only, before the
-    modular resultant.
+    This is the product of b over the primitive t-th roots of unity, b the
+    input folded mod x^t - 1.  Parseval over all t-th roots and AM-GM over
+    the phi(t) primitive ones bound it: |N|^2 <= (t * sum b_j^2 /
+    phi(t))^phi(t).  The product is taken mod the primes of _norm_plan(t,
+    k), k = 0, 1, ..., by _norm_mod, and the residues are joined by CRT
+    until the modulus M satisfies M^2 > 4 * bound^2; the symmetric residue
+    in (-M/2, M/2] is then exact.
     """
-    phi = cyclotomic_poly(t)
-    deg = len(phi) - 1
     b = [0] * t
     for k, c in enumerate(coeffs):
         b[k % t] += c
-    bound_sq = -(-(t * sum(c * c for c in b)) ** deg // deg**deg)
-    low = [(i, a) for i, a in enumerate(phi[:deg]) if a]
-    for k in range(t - 1, deg - 1, -1):
-        c = b.pop()
-        if c:
-            for i, a in low:
-                b[k - deg + i] -= c * a
-    b = _trim_int(b)
-    if not b:
-        return 0
-    return _modular_resultant(list(phi), b, bound_sq)
+    units = _units(t)
+    deg = len(units)
+    bound_sq = -(-(t * sum(map(operator.mul, b, b))) ** deg // deg**deg)
+    residue, modulus, k = 0, 1, 0
+    while modulus * modulus <= 4 * bound_sq:
+        plan = _norm_plan(t, k)
+        k += 1
+        r, p = _norm_mod(b, units, plan), plan.p
+        residue = r if k == 1 else residue + modulus * ((r - residue) * pow(modulus, -1, p) % p)
+        modulus *= p
+    return residue - modulus if 2 * residue > modulus else residue
+
+
+def _norm_mod(b: list[int], units: tuple[int, ...], plan: _NormPlan) -> int:
+    """prod_u b(omega^u) mod p over u in (Z/t)^x, t = len(b), by one
+    cyclic Bluestein transform mod the prime p of plan.
+
+    omega = psi^2 has order t and 2kj = k^2 + j^2 - (k - j)^2, so
+    b(omega^k) = psi^(k^2) * sum_j (b_j psi^(j^2)) psi^(-(k-j)^2), a cyclic
+    convolution of length t, since psi^(-m^2) has period t in m.  It is one
+    unsigned Kronecker product of the chirped b by the packed filter,
+    folded mod x^t - 1 by adding its top t - 1 slots to its bottom ones: a
+    slot holds the t terms of at most (p - 1)^2 of one coefficient.  The
+    product over the units is then scale * prod_u conv[u].
+    """
+    p, _, chirp, filt, size, scale = plan
+    w = 8 * size * len(b)
+    conv = int.from_bytes(
+        b"".join([(x * c % p).to_bytes(size, "little") for x, c in zip(b, chirp)]), "little"
+    ) * filt
+    buf = ((conv >> w) + (conv & ((1 << w) - 1))).to_bytes(w // 8, "little")
+    r = scale
+    for u in units:
+        r = r * int.from_bytes(buf[u * size : u * size + size], "little") % p
+    return r
+
+
+@functools.lru_cache(maxsize=None)
+def _units(t: int) -> tuple[int, ...]:
+    """(Z/t)^x as the residues 0 <= u < t prime to t ((0,) for t = 1)."""
+    return tuple(u for u in range(t) if math.gcd(u, t) == 1)
+
+
+class _NormPlan(NamedTuple):
+    """What norm reads mod one prime p = 1 (mod 2t) at order t."""
+
+    p: int
+    psi: int  # of order 2t for even t, t for odd t; psi^2 has order t
+    chirp: tuple[int, ...]  # psi^(j^2), j < t
+    filt: int  # psi^(-m^2), m < t, one per slot of size bytes
+    size: int  # the fewest bytes that hold t * (p - 1)^2
+    scale: int  # prod_u psi^(u^2) over (Z/t)^x
+
+
+def _square_powers(z: int, t: int, p: int) -> tuple[int, ...]:
+    """z^(j^2) mod p for j < t, each from the last by z^(2j+1)."""
+    out, c, d, z2 = [], 1, z, z * z % p
+    for _ in range(t):
+        out.append(c)
+        c = c * d % p
+        d = d * z2 % p
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _norm_plan(t: int, k: int) -> _NormPlan:
+    """norm's k-th prime p = 1 (mod 2t) below 2^62 (k >= 0), counted down
+    from the largest in steps of 2t, and what the transform reads mod p.
+
+    x = g^((p-1)/(2t)) for the least g >= 2 whose x has exact order 2t
+    (x^(2t/r) != 1 for each prime r | 2t).  psi = x for even t, where
+    psi^(-m^2) has period t because t^2 = 0 (mod 2t); psi = -x = x^(t+1)
+    for odd t, of order t, so that psi^(m^2) has period t; psi^2 = x^2 has
+    order t either way.
+    """
+    step = 2 * t
+    n = ((1 << 62) - 2) // step * step + 1 + step if k == 0 else _norm_plan(t, k - 1).p
+    n -= step
+    while not is_prime(n):
+        n -= step
+    e = (n - 1) // step
+    for g in itertools.count(2):
+        x = pow(g, e, n)
+        if all(pow(x, step // r, n) != 1 for r in prime_factors(step)):
+            break
+    psi = x if t % 2 == 0 else n - x
+    chirp = _square_powers(psi, t, n)
+    size = -(-(t * (n - 1) ** 2).bit_length() // 8)
+    filt = int.from_bytes(
+        b"".join([h.to_bytes(size, "little") for h in _square_powers(pow(psi, -1, n), t, n)]),
+        "little",
+    )
+    scale = 1
+    for u in _units(t):
+        scale = scale * chirp[u] % n
+    return _NormPlan(n, psi, chirp, filt, size, scale)
 
 
 def int_poly_resultant(f, g) -> int:

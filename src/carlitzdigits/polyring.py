@@ -443,6 +443,14 @@ def _indices(coords: list[int], p: int, a: int) -> list[int]:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _modulus(m: Poly) -> _Modulus:
+    """The _Modulus of m, built once for each of the last 64 moduli that
+    mod_pow was given: a caller that powers many bases mod one P (a
+    primitivity witness, a point count) sets up the division once."""
+    return _Modulus(m)
+
+
 def mod_pow(base: Poly, e: int, m: Poly) -> Poly:
     """base^e mod m for e >= 0 (e may be a big integer)."""
     if e < 0:
@@ -450,7 +458,7 @@ def mod_pow(base: Poly, e: int, m: Poly) -> Poly:
     if m.is_zero():
         raise ZeroDivisionError("zero modulus")
     base._check(m)
-    mod = _Modulus(m)
+    mod = _modulus(m)
     product = mod.F.product
     acc = result = mod.divmod(base.ints if e else (1,))[1]
     for bit in bin(e)[3:]:  # square-and-multiply from the top bit down

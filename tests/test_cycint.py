@@ -1,21 +1,33 @@
 import cmath
+import hashlib
 import math
 import random
 import time
 
 import pytest
 
+from carlitzdigits.chars import build_context
+from carlitzdigits.classnum import canonical_primitive_lift, compute_report, digit_polynomials
 from carlitzdigits.cycint import (
     CycloInt,
     _crt_prime,
     _kronecker,
+    _modular_resultant,
+    _norm_mod,
+    _norm_plan,
     _reduce,
+    _resultant_mod,
+    _trim_int,
+    _units,
     cyclotomic_poly,
     exponent_sum,
     int_poly_resultant,
     norm,
     root_of_unity,
 )
+from carlitzdigits.ffq import FieldSpec
+from carlitzdigits.numutil import divisors, is_prime, prime_factors
+from carlitzdigits.polyring import is_irreducible, monic_polys
 
 
 def euler_phi(n):
@@ -428,15 +440,20 @@ def test_norm_matches_bareiss_every_order():
 
 def test_bounds_attained():
     """Inputs at which each bound is attained, with |answer| = 0.55 p for
-    the first CRT prime p: stopping after that prime, under a bound too
-    small by a factor of 2 or more, returns the wrong residue.
+    the first prime p the routine uses: stopping after that prime, under a
+    bound too small by a factor of 2 or more, returns the wrong residue.
     Hadamard: the Sylvester rows of x + c and c*x - 1 are orthogonal.
-    Parseval/AM-GM at t = 2 and 4: b = c - c*x^(t/2) vanishes at 1 and -1."""
+    Parseval/AM-GM at t = 2 and 4, whose first primes are those of norm's
+    transform: b = c - c*x^(t/2) vanishes at 1 and -1."""
     p = _crt_prime(0)
     c = math.isqrt(11 * p // 20)
     assert int_poly_resultant((c, 1), (-1, c)) == -(1 + c * c)
+    p = _norm_plan(2, 0).p
     c = 11 * p // 40
     assert norm(2, (c, -c)) == 2 * c
+    p = _norm_plan(4, 0).p
+    c = math.isqrt(11 * p // 80)
+    assert 4 * c * c > p // 2
     assert norm(4, (c, 0, -c, 0)) == 4 * c * c
 
 
@@ -490,3 +507,86 @@ def test_galois_conjugation():
         assert x.galois(1) == x
     with pytest.raises(ValueError):
         root_of_unity(12, 1).galois(4)
+
+
+def _folded(t, v):
+    b = [0] * t
+    for k, c in enumerate(v):
+        b[k % t] += c
+    return b
+
+
+def test_transform_matches_euclid_every_order():
+    """norm, by the transform, against the retained Euclid: for every
+    t <= 256, _modular_resultant(Phi_t, b) under norm's own bound, on
+    signed digit-like entries (-7..7) and, for t <= 40, entries up to 2^64
+    in size; and for every t <= 256 each of the first two primes' residues
+    (_norm_mod) against _resultant_mod on entries up to 2^64 in size.
+    Chirped, the entries are residues spread over [0, p), so the slots of
+    the convolution come near their bound t * (p - 1)^2."""
+    rng = random.Random(29)
+    for t in range(1, 257):
+        phi = list(cyclotomic_poly(t))
+        deg = len(phi) - 1
+        for bits in (3, 64) if t <= 40 else (3,):
+            b = [rng.randint(-(2**bits) + 1, 2**bits - 1) for _ in range(t)]
+            bound_sq = -(-(t * sum(c * c for c in b)) ** deg // deg**deg)
+            want = _modular_resultant(phi, _trim_int(b), bound_sq) if any(b) else 0
+            assert norm(t, b) == want, t
+        b = [rng.randint(-(2**64), 2**64) for _ in range(t)]
+        b[-1] = b[-1] or 1
+        for k in (0, 1):
+            plan = _norm_plan(t, k)
+            assert _norm_mod(b, _units(t), plan) == _resultant_mod(phi, b, plan.p), (t, k)
+        assert norm(t, [0] * rng.randint(1, 2 * t)) == 0
+
+
+def test_norm_primes_and_roots():
+    """For every t <= 256, norm's first three primes are prime, = 1 (mod 2t)
+    and counted down from 2^62 with no prime of that progression skipped;
+    psi has order 2t for even t and t for odd t, psi^2 has order t; the
+    chirp, the packed filter and the scale are the powers of psi they name,
+    and the slot is the fewest bytes that hold t * (p - 1)^2."""
+
+    def has_order(x, n, p):
+        return pow(x, n, p) == 1 and all(pow(x, n // r, p) != 1 for r in prime_factors(n))
+
+    for t in range(1, 257):
+        above = 1 << 62
+        for k in range(3):
+            p, psi, chirp, filt, size, scale = _norm_plan(t, k)
+            assert is_prime(p) and p % (2 * t) == 1 and p < above, (t, k)
+            assert not any(is_prime(n) for n in range(p + 2 * t, above, 2 * t)), (t, k)
+            above = p
+            assert has_order(psi, 2 * t if t % 2 == 0 else t, p), (t, k)
+            assert has_order(psi * psi % p, t, p), (t, k)
+            assert chirp == tuple(pow(psi, j * j, p) for j in range(t))
+            slots = filt.to_bytes(t * size, "little")
+            assert [int.from_bytes(slots[j * size : (j + 1) * size], "little")
+                    for j in range(t)] == [pow(psi, -j * j, p) for j in range(t)]
+            assert 256 ** (size - 1) <= t * (p - 1) ** 2 < 256**size
+            assert scale == math.prod(chirp[u] for u in _units(t)) % p
+
+
+# sha256 of repr(sorted memo items) of the (2, 8) and (5, 4) full tables,
+# as norm gave them by Euclid in F_p[x] before the transform.
+_TABLE_NORM_DIGESTS = {
+    (2, 8): "3eec56e3165ecc20cbae6fe2eed2d9fcd2b08bfbacb44801133f8a7ae1ff0b05",
+    (5, 4): "4b072ce95338ca08265ebfb4437800b11ede2d0796cae2f421927550d9f698ec",
+}
+
+
+def test_digit_norms_of_full_tables_unchanged():
+    """Every _digit_norm that a full class-number table takes (compute_report
+    with the character sums for every l | N, on the first irreducible P
+    with P(0) != 0 and its canonical lift) equals the value of the
+    Euclid-based norm, pinned as one digest per table: (2, 8) takes 7
+    orders up to t = 255, (5, 4) 19 up to t = 624."""
+    for (q, d), digest in _TABLE_NORM_DIGESTS.items():
+        spec = FieldSpec.from_order(q)
+        P = next(f for f in monic_polys(spec, d) if is_irreducible(f) and f.ints[0])
+        ctx = build_context(P, canonical_primitive_lift(P))
+        for l in divisors(ctx.N):
+            assert compute_report(ctx, l, verify_charsum=True).agree
+        memo = sorted(digit_polynomials(ctx)._norm_memo.items())
+        assert hashlib.sha256(repr(memo).encode()).hexdigest() == digest, (q, d)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from carlitzdigits import polyring
 from carlitzdigits.errors import ParseError
 from carlitzdigits.ffq import FieldSpec
 from carlitzdigits.polyring import (
@@ -197,6 +198,31 @@ def test_mod_pow_matches_naive():
         for _ in range(e):
             naive = (naive * b) % m
         assert mod_pow(b, e, m) == naive
+
+
+def test_mod_pow_sets_up_each_modulus_once(monkeypatch):
+    """Powers of many bases mod one m build one _Modulus of m; an equal m
+    made anew reuses it, and a second modulus gets its own."""
+    built = []
+
+    class Counting(polyring._Modulus):
+        def __init__(self, m):
+            built.append(m)
+            super().__init__(m)
+
+    monkeypatch.setattr(polyring, "_Modulus", Counting)
+    polyring._modulus.cache_clear()
+    try:
+        spec = FieldSpec.from_order(3)
+        m = parse_poly(spec, "T^4+T+2")
+        for k in range(1, 30):
+            base = poly(spec, k % 3, 1)
+            assert mod_pow(base, k, m) == mod_pow(base, k, parse_poly(spec, "T^4+T+2"))
+        m2 = parse_poly(spec, "T^3+2*T+1")
+        mod_pow(gen(spec), 5, m2)
+        assert built == [m, m2]
+    finally:
+        polyring._modulus.cache_clear()
 
 
 def test_poly_gcd_properties():
