@@ -165,13 +165,6 @@ def build_context(P: Poly, G: Poly) -> ResidueCtx:
     )
 
 
-def deg_map(ctx: ResidueCtx, k: int) -> int:
-    """Degree of the canonical representative of G^k = w^(k//r) G^(k%r)."""
-    if not 0 <= k < ctx.N:
-        raise ValueError("exponent out of range")
-    return ctx.power_degrees[k % ctx.r]
-
-
 @dataclass(frozen=True)
 class DirichletChar:
     """chi_j on (A/P)^x: chi_j(G^k) = zeta_N^(j*k), and 0 on multiples of P."""

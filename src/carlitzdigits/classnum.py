@@ -15,12 +15,12 @@ roots of unity give the plus part and the relative part of the class number
 of any subfield of the P-th cyclotomic function field.  Each product runs
 over Galois orbits of characters, one per order t, so it is a product of
 exact norms N_{Q(zeta_t)/Q} (cycint.norm); floats only guard.  Each route
-checks each orbit where it makes its exact value, against the product of
-the orbit's phi(t) floating values over the t-th roots of unity, and only
-then memoizes that value per order t, the digit route on its
-DigitPolynomials and the character sums on the ResidueCtx.  So a table
-over every l | N takes and checks each orbit once, and a row's product is
-that of checked factors.
+checks each orbit where it makes its exact value, against the floating
+values at the orbit's characters, one per pair of complex conjugates
+(_orbit_guard), and only then memoizes that value per order t, the digit
+route on its DigitPolynomials and the character sums on the ResidueCtx.
+So a table over every l | N takes and checks each orbit once, and a row's
+product is that of checked factors.
 
 Independent routes kept alongside the digit route, sharing no product code
 with it: the classical character sum formulas over monic polynomials of
@@ -211,38 +211,6 @@ def _roots(n: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * cmath.pi * k / n) for k in range(n))
 
 
-def _root_sum(n: int, weighted_exponents) -> complex:
-    """Floating sum of w * exp(2 pi i e / n) over (e, w) pairs."""
-    roots = _roots(n)
-    return sum(w * roots[e % n] for e, w in weighted_exponents)
-
-
-def _advisory_check(factors, exact: int, what: str) -> None:
-    """Compare the floating product of factors against the exact integer.
-
-    Factors are complex numbers or anything with a complex value (CycloInt).
-    Accumulated in log space so large products cannot overflow.  This is
-    an advisory cross-check: a violation is an internal error.
-    """
-    if not factors:
-        return
-    total = 0j
-    for f in factors:
-        z = complex(f)
-        if z == 0:
-            raise ExactnessError(f"{what}: advisory factor evaluated to zero")
-        total += cmath.log(z)
-    if exact == 0:
-        raise ExactnessError(f"{what}: exact value is zero")
-    # math.log takes the int exactly; complex(exact) overflows past ~1.8e308
-    target = complex(math.log(abs(exact)), math.pi if exact < 0 else 0.0)
-    diff = cmath.exp(total - target)
-    if abs(diff - 1) > _ADVISORY_REL_TOL:
-        raise ExactnessError(
-            f"{what}: advisory complex product differs by {abs(diff - 1):.3e} (relative)"
-        )
-
-
 def _folded(t: int, pairs) -> list[int]:
     """The (e, w) pairs as a vector mod x^t - 1: entry k sums w over e = k mod t."""
     vec = [0] * t
@@ -252,23 +220,32 @@ def _folded(t: int, pairs) -> list[int]:
 
 
 def _orbit_guard(t: int, vec, exact: int, what: str) -> None:
-    """Float guard of one Galois orbit: the exact value against the product,
-    over u in (Z/t)^x, of the sum of vec[e] * zeta_t^(u * e), the value at
-    chi_{u N/t} of the orbit's pairs folded mod t (_folded).
+    """Float guard of one Galois orbit, t >= 2: the exact value against the
+    product, over u in (Z/t)^x, of z_u = sum of vec[e] * zeta_t^(u * e), the
+    value at chi_{u N/t} of the orbit's pairs folded mod t (_folded).
 
-    The sum is evaluated only for u <= t/2: the entries are integers, so
-    the value at t - u is the exact complex conjugate of the value at u.
-    The factors go to _advisory_check in increasing u, all phi(t) of them.
+    The entries are integers, so z_(t-u) is the complex conjugate of z_u and
+    the product is real, and only u <= t/2 is evaluated.  For t > 2 the
+    product is that of |z_u|^2 over u < t/2, so the exact value must be
+    positive and ln(exact) must match the sum of the 2 * ln|z_u|; math.log
+    takes the int exactly, so the guard works past the float range.  For
+    t = 2 it is the one real value z_1 = b(-1), compared in sign and in
+    magnitude.  A violation is an internal error.
     """
+    roots = _roots(t)
     terms = [(e, w) for e, w in enumerate(vec) if w]
-    values = {}
-    for u in range(1, t):
-        if math.gcd(u, t) == 1:
-            if 2 * u <= t:
-                values[u] = _root_sum(t, ((u * e, w) for e, w in terms))
-            else:
-                values[u] = values[t - u].conjugate()
-    _advisory_check(list(values.values()), exact, what)
+    factors = [sum(w * roots[u * e % t] for e, w in terms)
+               for u in range(1, t // 2 + 1) if math.gcd(u, t) == 1]
+    weight = 1 if t == 2 else 2  # for t > 2, z_u stands for z_u and z_(t-u)
+    if 0 in factors:
+        raise ExactnessError(f"{what}: advisory factor evaluated to zero")
+    if exact == 0:
+        raise ExactnessError(f"{what}: exact value is zero")
+    log_ratio = sum(weight * math.log(abs(z)) for z in factors) - math.log(abs(exact))
+    ratio = math.exp(log_ratio) if log_ratio < 700 else math.inf  # exp overflows past 709
+    off = abs(ratio - 1) if (exact > 0) == (t > 2 or factors[0].real > 0) else ratio + 1
+    if off > _ADVISORY_REL_TOL:
+        raise ExactnessError(f"{what}: advisory complex product differs by {off:.3e} (relative)")
 
 
 def _digit_norm(dp: DigitPolynomials, t: int) -> int:

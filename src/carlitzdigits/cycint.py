@@ -8,13 +8,13 @@ makes ``as_integer`` a sound collapse test for class number products.
 
 ``norm`` (the digit route's exact norm) and ``int_poly_resultant`` work on
 plain int lists, not CycloInt, and each joins residues mod primes just
-below 2^62 (certified by ``numutil.is_prime``) by CRT until the product of
-the primes exceeds twice a proven bound on the answer, then returns the
-symmetric residue.  ``norm`` folds its input mod x^t - 1 and evaluates it
-at the primitive t-th roots of unity mod primes p = 1 (mod 2t), by one
-cyclic Bluestein transform per prime (``_norm_mod``): a chirp, one
-unsigned Kronecker product by a filter packed once, and a fold mod
-x^t - 1.  Its primes, roots, chirps and filters are cached per order and
+below 2^62 (``_prime``, certified by ``numutil.is_prime``) by one CRT loop
+(``_crt``) until the product of the primes exceeds twice a proven bound on
+the answer, then returns the symmetric residue.  ``norm`` folds its input
+mod x^t - 1 and evaluates it at the primitive t-th roots of unity mod
+primes p = 1 (mod 2t), by one cyclic Bluestein transform per prime
+(``_norm_mod``): a chirp, one unsigned Kronecker product by a filter
+packed once, and a fold mod x^t - 1.  Its primes, roots, chirps and filters are cached per order and
 prime (``_norm_plan``), and its bound is Parseval/AM-GM.  It calls none of
 ``_reduce``, ``_kronecker`` or the oracle's orbit products.
 ``int_poly_resultant`` runs Euclid in F_p[x] under Hadamard's bound on
@@ -277,9 +277,7 @@ def norm(t: int, coeffs) -> int:
     input folded mod x^t - 1.  Parseval over all t-th roots and AM-GM over
     the phi(t) primitive ones bound it: |N|^2 <= (t * sum b_j^2 /
     phi(t))^phi(t).  The product is taken mod the primes of _norm_plan(t,
-    k), k = 0, 1, ..., by _norm_mod, and the residues are joined by CRT
-    until the modulus M satisfies M^2 > 4 * bound^2; the symmetric residue
-    in (-M/2, M/2] is then exact.
+    k), k = 0, 1, ..., by _norm_mod, and the residues are joined by _crt.
     """
     b = [0] * t
     for k, c in enumerate(coeffs):
@@ -287,12 +285,20 @@ def norm(t: int, coeffs) -> int:
     units = _units(t)
     deg = len(units)
     bound_sq = -(-(t * sum(map(operator.mul, b, b))) ** deg // deg**deg)
-    residue, modulus, k = 0, 1, 0
+    plans = map(functools.partial(_norm_plan, t), itertools.count())
+    return _crt(((_norm_mod(b, units, plan), plan.p) for plan in plans), bound_sq)
+
+
+def _crt(residues, bound_sq: int) -> int:
+    """The integer x with x^2 <= bound_sq from its residues (r, p), x = r
+    (mod p) for distinct primes p: they are joined by CRT, drawing from the
+    iterable only until the modulus M satisfies M^2 > 4 * bound_sq; the
+    symmetric residue in (-M/2, M/2] is then exact."""
+    residues = iter(residues)
+    residue, modulus = 0, 1
     while modulus * modulus <= 4 * bound_sq:
-        plan = _norm_plan(t, k)
-        k += 1
-        r, p = _norm_mod(b, units, plan), plan.p
-        residue = r if k == 1 else residue + modulus * ((r - residue) * pow(modulus, -1, p) % p)
+        r, p = next(residues)
+        residue += modulus * ((r - residue) * pow(modulus, -1, p) % p)
         modulus *= p
     return residue - modulus if 2 * residue > modulus else residue
 
@@ -327,6 +333,17 @@ def _units(t: int) -> tuple[int, ...]:
     return tuple(u for u in range(t) if math.gcd(u, t) == 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _prime(step: int, k: int) -> int:
+    """The k-th prime p = 1 (mod step) below 2^62 (k >= 0), counting down
+    from the largest; step 2 gives the odd primes, step 2t norm's at order t."""
+    n = ((1 << 62) - 2) // step * step + 1 + step if k == 0 else _prime(step, k - 1)
+    n -= step
+    while not is_prime(n):
+        n -= step
+    return n
+
+
 class _NormPlan(NamedTuple):
     """What norm reads mod one prime p = 1 (mod 2t) at order t."""
 
@@ -350,8 +367,7 @@ def _square_powers(z: int, t: int, p: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _norm_plan(t: int, k: int) -> _NormPlan:
-    """norm's k-th prime p = 1 (mod 2t) below 2^62 (k >= 0), counted down
-    from the largest in steps of 2t, and what the transform reads mod p.
+    """norm's k-th prime p = _prime(2t, k) and what the transform reads mod p.
 
     x = g^((p-1)/(2t)) for the least g >= 2 whose x has exact order 2t
     (x^(2t/r) != 1 for each prime r | 2t).  psi = x for even t, where
@@ -360,10 +376,7 @@ def _norm_plan(t: int, k: int) -> _NormPlan:
     order t either way.
     """
     step = 2 * t
-    n = ((1 << 62) - 2) // step * step + 1 + step if k == 0 else _norm_plan(t, k - 1).p
-    n -= step
-    while not is_prime(n):
-        n -= step
+    n = _prime(step, k)
     e = (n - 1) // step
     for g in itertools.count(2):
         x = pow(g, e, n)
@@ -412,34 +425,15 @@ def _trim_int(f) -> list[int]:
     return f
 
 
-@functools.lru_cache(maxsize=None)
-def _crt_prime(k: int) -> int:
-    """The k-th prime below 2^62, counting down from the largest (k >= 0)."""
-    n = (1 << 62) + 1 if k == 0 else _crt_prime(k - 1)
-    n -= 2
-    while not is_prime(n):
-        n -= 2
-    return n
-
-
 def _modular_resultant(f: list[int], g: list[int], bound_sq: int) -> int:
     """res(f, g) for deg f, deg g >= 0, given |res(f, g)|^2 <= bound_sq.
 
-    Residues mod primes not dividing lc(f) * lc(g) (so the degrees survive
-    reduction) are joined by CRT until the modulus M satisfies
-    M^2 > 4 * bound_sq; the symmetric residue in (-M/2, M/2] is then exact.
+    Residues mod the primes _prime(2, k) that do not divide lc(f) * lc(g)
+    (so the degrees survive reduction) are joined by _crt.
     """
     lead = f[-1] * g[-1]
-    residue, modulus, k = 0, 1, 0
-    while modulus * modulus <= 4 * bound_sq:
-        p = _crt_prime(k)
-        k += 1
-        if lead % p == 0:
-            continue
-        r = _resultant_mod(f, g, p)
-        residue += modulus * ((r - residue) * pow(modulus, -1, p) % p)
-        modulus *= p
-    return residue - modulus if 2 * residue > modulus else residue
+    primes = map(functools.partial(_prime, 2), itertools.count())
+    return _crt(((_resultant_mod(f, g, p), p) for p in primes if lead % p), bound_sq)
 
 
 def _resultant_mod(f: list[int], g: list[int], p: int) -> int:

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import HypothesisError, ParseError
-from .numutil import element_order, factorize, is_prime, least_witness
+from .numutil import factorize, is_prime, least_witness
 
 # Fixed moduli for the extension fields with q = p^a <= 64, coefficients
 # ascending.  These are the classical Conway polynomials, but nothing below
@@ -223,13 +223,6 @@ class FieldElement:
             else:
                 terms.append(f"{c}*g^{i}")
         return "+".join(terms) if terms else "0"
-
-
-def mult_order(x: FieldElement) -> int:
-    """Order of x in the unit group F_q^x."""
-    if x.is_zero():
-        raise ValueError("zero has no multiplicative order")
-    return element_order(x.spec.q - 1, lambda e: x**e == x.spec.one)
 
 
 @functools.lru_cache(maxsize=None)

@@ -134,23 +134,24 @@ def test_criterion_6_property_suites(ctx_pool):
 
 
 def test_criterion_7_exactness_guard():
-    # every class number in criteria 1-5 passes through the advisory
-    # complex check and the exact integer collapse; recompute the pinned
-    # ones here so a silent weakening of the guard cannot hide
+    # every class number in criteria 1-5 passes through the float guard of
+    # its orbits and the exact integer collapse; recompute the pinned ones
+    # here so a silent weakening of the guard cannot hide
     _, _, ctx1 = build(EX1)
     _, _, ctx2 = build(EX2)
     _, _, ctx3 = build(EX3)
     assert h_plus_from_digits(ctx1, 8) == 1
     assert h_plus_from_digits(ctx2, 7) == 71
     assert h_minus_from_digits(ctx3, 26) == 774144
-    # the advisory must actually reject a wrong exact value
+    # the guard must actually reject a wrong exact value: zeta_8 has norm 1
+    classnum._orbit_guard(8, [0, 1, 0, 0, 0, 0, 0, 0], 1, "control")
     with pytest.raises(ExactnessError):
-        classnum._advisory_check([root_of_unity(8, 1)], 2, "control")
+        classnum._orbit_guard(8, [0, 1, 0, 0, 0, 0, 0, 0], 2, "control")
     # and a non-integer can never collapse silently
     with pytest.raises(ExactnessError):
         classnum._collapse(root_of_unity(8, 1), "control")
     assert classnum._collapse(CycloInt.from_int(8, -5), "control") == -5
-    print("\nPASS criterion 7: advisory float check and integer collapse guard")
+    print("\nPASS criterion 7: float guard and integer collapse guard")
 
 
 def test_criterion_8_determinism():

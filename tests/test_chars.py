@@ -8,7 +8,6 @@ from carlitzdigits.chars import (
     DirichletChar,
     ResidueCtx,
     build_context,
-    deg_map,
     restriction,
     subfield,
 )
@@ -167,16 +166,11 @@ def test_resource_bound_refused():
 
 
 def test_deg_map(ctx1):
-    assert deg_map(ctx1, 0) == 0
-    assert deg_map(ctx1, 1) == 1
+    """G^k = w^(k // r) G^(k % r), w a scalar, so the degree of G^k mod P
+    is power_degrees[k % r] for every k < N."""
+    assert ctx1.power_degrees[:2] == (0, 1)
     for k in range(ctx1.N):
-        assert deg_map(ctx1, k) == _power(ctx1, k).degree()
-        if k % ctx1.r == 0:
-            assert deg_map(ctx1, k) == 0
-    with pytest.raises(ValueError):
-        deg_map(ctx1, ctx1.N)
-    with pytest.raises(ValueError):
-        deg_map(ctx1, -1)
+        assert ctx1.power_degrees[k % ctx1.r] == _power(ctx1, k).degree()
 
 
 def test_char_values(ctx1):

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import random
@@ -13,7 +14,6 @@ from carlitzdigits.classnum import (
     CSV_COLUMNS,
     ClassNumberReport,
     _orbit_product,
-    _root_sum,
     _twisted_factor,
     canonical_primitive_lift,
     compute_report,
@@ -31,8 +31,8 @@ from carlitzdigits.classnum import (
 )
 from carlitzdigits.cycint import CycloInt, cyclotomic_poly, exponent_sum, int_poly_resultant, norm
 from carlitzdigits.errors import ExactnessError, HypothesisError, ResourceLimitError
-from carlitzdigits.ffq import FieldElement, FieldSpec, mult_order, unit_character
-from carlitzdigits.numutil import divisors, prime_factors
+from carlitzdigits.ffq import FieldElement, FieldSpec, unit_character
+from carlitzdigits.numutil import divisors, element_order, prime_factors
 from carlitzdigits.polyring import (
     Poly,
     all_polys_below,
@@ -578,23 +578,29 @@ def test_resultant_of_long_degree_polynomial():
     assert value == sum(c * (-1) ** k for k, c in enumerate(F)) == -12
 
 
-@pytest.mark.parametrize("sign", [1, -1])
-def test_advisory_check_beyond_float_range(sign):
-    # |exact| = 10^400 has no complex() value; the guard works in log space
-    exact = sign * 10**400
-    factors = [complex(sign * 1e100)] + [complex(1e100)] * 3
-    classnum._advisory_check(factors, exact, "control")
+def test_orbit_guard_beyond_float_range():
+    """An orbit of order 127 whose norm exceeds 10^308, so it has no float
+    value: the guard compares logarithms and takes the int's exactly."""
+    rng = random.Random(127)
+    vec = [rng.randint(-10**3, 10**3) for _ in range(127)]
+    exact = norm(127, vec)
+    assert exact > 10**400
+    classnum._orbit_guard(127, vec, exact, "control")
     for wrong in (2 * exact, -exact):
-        with pytest.raises(ExactnessError):
-            classnum._advisory_check(factors, wrong, "control")
+        with pytest.raises(ExactnessError, match="^control: advisory complex product differs by"):
+            classnum._orbit_guard(127, vec, wrong, "control")
+    # an exact value too small by more than e^709 fails the guard, not the float exp
+    with pytest.raises(ExactnessError, match="^control: advisory complex product differs by inf"):
+        classnum._orbit_guard(127, vec, 1, "control")
 
 
 @pytest.mark.parametrize("t", [3, 4, 5, 7, 8, 9, 12, 15, 16, 21, 30, 63, 124])
 def test_orbit_guard_rejects_wrong_values(t):
     """The guard, which evaluates half of (Z/t)^x and conjugates the rest,
-    passes the exact norm of an orbit for t > 2 and rejects, with the
-    advisory's messages, that value off by a relative 1e-5, its negative
-    and zero.  The pairs repeat exponents mod t and are folded first."""
+    passes the exact norm of an orbit and rejects, with the guard's
+    messages, that value off by a relative 1e-5 or 2e-6 (the tolerance is
+    1e-6), its negative and zero.  The pairs repeat exponents mod t and are
+    folded first."""
     rng = random.Random(t)
     pairs = [(rng.randrange(-3 * t, 3 * t), rng.randint(-10**4, 10**4)) for _ in range(2 * t)]
     vec = classnum._folded(t, pairs)
@@ -603,10 +609,81 @@ def test_orbit_guard_rejects_wrong_values(t):
     assert abs(exact) > 10**6
     classnum._orbit_guard(t, vec, exact, "control")
     for wrong, message in ((exact + exact // 10**5, "advisory complex product differs by"),
+                           (exact + exact // 500000, "advisory complex product differs by"),
                            (-exact, "advisory complex product differs by"),
                            (0, "exact value is zero")):
         with pytest.raises(ExactnessError, match=f"^control: {message}"):
             classnum._orbit_guard(t, vec, wrong, "control")
+
+
+@pytest.mark.parametrize("vec", [(5, 2), (2, 5), (-5, -2), (-2, -5), (10**7, 3), (3, 10**7)])
+def test_orbit_guard_order_two_sign(vec):
+    """At t = 2 the orbit is the one real value b(-1), of either sign: the
+    guard passes it and rejects its negative, its double and, where it is
+    large, that value off by a relative 2e-6."""
+    exact = vec[0] - vec[1]
+    assert exact == norm(2, vec)
+    classnum._orbit_guard(2, vec, exact, "control")
+    for wrong in (-exact, 2 * exact) + ((exact + exact // 500000,) if abs(exact) > 10**6 else ()):
+        with pytest.raises(ExactnessError, match="^control: advisory complex product differs by"):
+            classnum._orbit_guard(2, vec, wrong, "control")
+
+
+def _reference_orbit_guard(t, vec, exact, what):
+    """The guard in its earlier form, kept as the reference: the
+    complex-log product over all phi(t) values, each z_(t-u), u <= t/2,
+    taken as the conjugate of z_u."""
+    roots = [cmath.exp(2j * cmath.pi * k / t) for k in range(t)]
+    terms = [(e, w) for e, w in enumerate(vec) if w]
+    values = {}
+    for u in range(1, t):
+        if math.gcd(u, t) == 1:
+            if 2 * u <= t:
+                values[u] = sum(w * roots[u * e % t] for e, w in terms)
+            else:
+                values[u] = values[t - u].conjugate()
+    total = 0j
+    for z in values.values():
+        if z == 0:
+            raise ExactnessError(f"{what}: advisory factor evaluated to zero")
+        total += cmath.log(z)
+    if exact == 0:
+        raise ExactnessError(f"{what}: exact value is zero")
+    target = complex(math.log(abs(exact)), math.pi if exact < 0 else 0.0)
+    diff = cmath.exp(total - target)
+    if abs(diff - 1) > 1e-6:
+        raise ExactnessError(
+            f"{what}: advisory complex product differs by {abs(diff - 1):.3e} (relative)"
+        )
+
+
+def test_orbit_guard_matches_complex_log_reference():
+    """The guard against the complex-log product over all of (Z/t)^x, for
+    every 2 <= t <= 130 (t = 1 is no character order), on six vectors each
+    and seven candidate values per vector: the exact norm, off by a relative +-1e-5, its negative,
+    zero, its double and the norm + 1.  Same outcome, same message."""
+
+    def outcome(guard, *args):
+        try:
+            guard(*args)
+        except ExactnessError as exc:
+            return str(exc)
+        return None
+
+    rng = random.Random(22)
+    cases, rejected = 0, 0
+    for t in range(2, 131):
+        for lo, hi in ((0, 7), (-1, 1), (-10**4, 10**4), (0, 1), (-3, 3), (0, 7)):
+            vec = [rng.randint(lo, hi) for _ in range(t)]
+            exact = norm(t, vec)
+            for value in {exact, exact + exact // 10**5, exact - exact // 10**5, -exact, 0,
+                          2 * exact, exact + 1}:
+                want = outcome(_reference_orbit_guard, t, vec, value, "control")
+                assert outcome(classnum._orbit_guard, t, vec, value, "control") == want, \
+                    (t, vec, value)
+                cases += 1
+                rejected += want is not None
+    assert cases > 4000 and cases - rejected > 700 and rejected > 3000
 
 
 @pytest.mark.parametrize("route, bad_t", [
@@ -706,6 +783,11 @@ def test_char_sum_guard(monkeypatch, bad_t):
     assert hit == (12 if bad_t == 4 else 4)
 
 
+def _complex_sum(n, weighted_exponents):
+    """Floating sum of w * exp(2 pi i e / n) over (e, w) pairs."""
+    return sum(w * cmath.exp(2j * cmath.pi * (e % n) / n) for e, w in weighted_exponents)
+
+
 def _twisted_exponents_reference(dp, lam):
     """The lam-twisted coefficient exponents digit by digit, from the
     exponents of lam at lc(G) and lc(H_k)."""
@@ -732,7 +814,8 @@ def test_twisted_exponents_match_per_digit_formula(ctx_pool):
     for ctx in ctx_pool:
         spec = ctx.spec
         dp = digit_polynomials(ctx)
-        gens = [w for w in spec.elements() if w and mult_order(w) == spec.q - 1]
+        gens = [w for w in spec.elements()
+                if w and element_order(spec.q - 1, lambda e: w**e == spec.one) == spec.q - 1]
         for w in gens:
             for s in range(spec.q - 1):
                 lam = unit_character(spec, s, w)
@@ -789,17 +872,18 @@ def test_report_builds_no_character_set():
 def test_guard_checks_each_orbit_once(ctx_pool, monkeypatch):
     """Over two passes of every row of a table with the character-sum oracle,
     each route calls the float guard exactly once per order t | N, t > 1,
-    with the exact value it then memoizes and phi(t) factors: the values at
-    chi_j, j = u*N/t for u in (Z/t)^x in increasing order, each within 1e-12
-    (relative) of the same sum over the N-th roots."""
-    true_check = classnum._advisory_check
+    with the exact value it then memoizes and a vector mod x^t - 1 whose
+    value z_u at zeta_t^u is the value at chi_j, j = u*N/t, for every u in
+    (Z/t)^x: each within 1e-12 (relative) of the same sum over the N-th
+    roots."""
+    true_guard = classnum._orbit_guard
     calls = []
 
-    def check(factors, exact, what):
-        calls.append((what, factors, exact))
-        true_check(factors, exact, what)
+    def guard(t, vec, exact, what):
+        calls.append((what, t, vec, exact))
+        true_guard(t, vec, exact, what)
 
-    monkeypatch.setattr(classnum, "_advisory_check", check)
+    monkeypatch.setattr(classnum, "_orbit_guard", guard)
     routes = (("digits", "digit route orbit of order "),
               ("charsum", "character sum orbit of order "))
     for pooled in [c for c in ctx_pool if c.e >= c.d][:8]:
@@ -814,17 +898,18 @@ def test_guard_checks_each_orbit_once(ctx_pool, monkeypatch):
         window = [(ctx.dlog[I], s) for s in range(ctx.d) for I in monic_polys(ctx.spec, s)]
         F = dp.degree_poly
         for route, prefix in routes:
-            got = [(int(w[len(prefix):]), f, x) for w, f, x in calls if w.startswith(prefix)]
+            got = [(t, vec, x) for w, t, vec, x in calls if w.startswith(prefix)]
             assert sorted(t for t, _, _ in got) == orders
-            for t, factors, exact in got:
+            assert all(w == f"{prefix}{t}" for w, t, _, _ in calls if w.startswith(prefix))
+            for t, vec, exact in got:
                 if route == "digits":
                     assert exact == classnum._digit_norm(dp, t)
                 else:
                     assert exact == classnum._orbit_value(ctx, t)
-                units = [u for u in range(1, t) if math.gcd(u, t) == 1]
-                assert len(factors) == len(units)
+                assert len(vec) == t
                 plus = ctx.r % t == 0
-                for u, z in zip(units, factors):
+                for u in (u for u in range(1, t) if math.gcd(u, t) == 1):
+                    z = _complex_sum(t, ((u * e, w) for e, w in enumerate(vec)))
                     j = u * (ctx.N // t)
                     if route == "digits" and plus:
                         terms = [(j * k, c) for k, c in enumerate(F) if c]
@@ -834,7 +919,7 @@ def test_guard_checks_each_orbit_once(ctx_pool, monkeypatch):
                         terms = [(j * k, -s) for k, s in window if s]
                     else:
                         terms = [(j * k, 1) for k, _ in window]
-                    reference = _root_sum(ctx.N, terms)  # the N-th roots form
+                    reference = _complex_sum(ctx.N, terms)  # the N-th roots form
                     assert abs(z - reference) <= 1e-12 * abs(reference)
 
 

@@ -10,11 +10,11 @@ from carlitzdigits.chars import build_context
 from carlitzdigits.classnum import canonical_primitive_lift, compute_report, digit_polynomials
 from carlitzdigits.cycint import (
     CycloInt,
-    _crt_prime,
     _kronecker,
     _modular_resultant,
     _norm_mod,
     _norm_plan,
+    _prime,
     _reduce,
     _resultant_mod,
     _trim_int,
@@ -408,7 +408,7 @@ def test_resultant_matches_sylvester_bareiss():
     inputs whose leading coefficients the first CRT primes divide, entries
     up to 2^200 (many primes), and zero and constant inputs."""
     rng = random.Random(27)
-    p0, p1, p2 = _crt_prime(0), _crt_prime(1), _crt_prime(2)
+    p0, p1, p2 = _prime(2, 0), _prime(2, 1), _prime(2, 2)
     leads = (p0, p0 * p1, -p1 * p2, 3 * p0 * p1 * p2, 2, -1)
     for _ in range(60):
         f = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))] + [rng.choice(leads)]
@@ -445,7 +445,7 @@ def test_bounds_attained():
     Hadamard: the Sylvester rows of x + c and c*x - 1 are orthogonal.
     Parseval/AM-GM at t = 2 and 4, whose first primes are those of norm's
     transform: b = c - c*x^(t/2) vanishes at 1 and -1."""
-    p = _crt_prime(0)
+    p = _prime(2, 0)
     c = math.isqrt(11 * p // 20)
     assert int_poly_resultant((c, 1), (-1, c)) == -(1 + c * c)
     p = _norm_plan(2, 0).p
@@ -458,9 +458,9 @@ def test_bounds_attained():
 
 
 def test_crt_primes():
-    """The CRT primes are the ten primes just below 2^62, largest first."""
+    """The resultant's CRT primes are the ten primes just below 2^62, largest first."""
     gaps = (57, 87, 117, 143, 153, 167, 171, 195, 203, 273)
-    assert [2**62 - _crt_prime(k) for k in range(10)] == list(gaps)
+    assert [2**62 - _prime(2, k) for k in range(10)] == list(gaps)
 
 
 def test_norm_matches_resultant_and_conjugates():

@@ -12,12 +12,17 @@ from carlitzdigits.ffq import (
     UnitCharacter,
     canonical_generator,
     dlog,
-    mult_order,
     quadratic_character,
     unit_character,
 )
+from carlitzdigits.numutil import element_order
 
 FIELDS = (2, 3, 4, 5, 7, 8, 9, 25, 49)
+
+
+def mult_order(x):
+    """Order of the unit x in F_q^x, by numutil.element_order."""
+    return element_order(x.spec.q - 1, lambda e: x**e == x.spec.one)
 
 
 def specs():
