@@ -578,11 +578,13 @@ def test_resultant_of_long_degree_polynomial():
     assert value == sum(c * (-1) ** k for k, c in enumerate(F)) == -12
 
 
-def test_orbit_guard_beyond_float_range():
+@pytest.mark.parametrize("sign", [1, -1])
+def test_advisory_check_beyond_float_range(sign):
     """An orbit of order 127 whose norm exceeds 10^308, so it has no float
-    value: the guard compares logarithms and takes the int's exactly."""
+    value: the guard compares logarithms and takes the int's exactly.  The
+    vector and its negative have the same norm, positive as for every t > 2."""
     rng = random.Random(127)
-    vec = [rng.randint(-10**3, 10**3) for _ in range(127)]
+    vec = [sign * rng.randint(-10**3, 10**3) for _ in range(127)]
     exact = norm(127, vec)
     assert exact > 10**400
     classnum._orbit_guard(127, vec, exact, "control")
