@@ -421,13 +421,17 @@ def canonical_primitive_lift(P: Poly) -> Poly:
 # A point count of genus g sieves sum_{f <= g} q^f monic polynomials and takes
 # one Frobenius order per irreducible; above this it exits 4 (sweep skips it).
 # CPU time of one count with a cold sieve, on a 2-core shared host, at the
-# costliest (d, l) within the bound per q:
-# q = 2, g = 12 (work 8190) 0.43 s; q = 3, g = 9 (29523) 1.3 s; q = 4,
-# g = 7 (21844) 1.4 s; q = 5, g = 6 (19530) 1.6 s; q = 11, g = 4 (16104)
-# 0.9 s; q = 25, g = 3 (16275) 1.3 s; q = 27, g = 3 (20439, l = 4, each
-# order by a mod_pow of exponent N/4 over F_27) 3.1 s.  The sieve takes
-# the 8190 monic polynomials over F_2 of degree <= 12 in 0.09 s, where
-# is_irreducible on each takes 1.1 s.
+# costliest (d, l) within the bound per q (two to four runs each, first
+# irreducible P with P(0) != 0):
+# q = 2, g = 12 (work 8190; d = 14, l = 3) 0.2-0.3 s; q = 3, g = 9 (29523;
+# d = 19, l = 2) 1.0-1.6 s; q = 4, g = 7 (21844; d = 8, l = 3) 0.9-1.5 s;
+# q = 5, g = 6 (19530; d = 8, l = 3) 0.8-1.1 s; q = 11, g = 4 (16104;
+# d = 6, l = 3) 0.8-1.3 s; q = 25, g = 3 (16275; d = 4, l = 4) 0.9-1.4 s;
+# q = 27, g = 3 (20439): d = 7, l = 2 (each order a power mod its own Q,
+# Zech products over F_27) 1.3-2.5 s, and d = 4, l = 4 (each order a
+# mod_pow of exponent N/4 mod P, through the Frobenius map of P) 1.4-1.9 s.
+# The sieve takes the 8190 monic polynomials over F_2 of degree <= 12 in
+# 0.09-0.17 s, where is_irreducible on each takes 1.1-1.6 s.
 POINT_COUNT_BOUND = 30000
 
 

@@ -28,14 +28,10 @@ Every vector (products, ``galois``, ``lift``, ``root_of_unity``,
 ``exponent_sum``) is reduced by ``_reduce``: folded mod x^n - 1, reduced
 mod the sparse multiple sum_{i<p} x^(i*n/p) of Phi_n, p the least prime
 of n, and only then through the nonzero terms of Phi_n.
-
-complex_eval is advisory only: it maps a value to floating complex for
-cross-checking magnitudes, never for producing results.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -243,15 +239,6 @@ class CycloInt:
         if any(self.coeffs[1:]):
             return None
         return self.coeffs[0]
-
-    def complex_eval(self) -> complex:
-        z = cmath.exp(2j * cmath.pi / self.n)
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
-    __complex__ = complex_eval
 
 
 def root_of_unity(n: int, k: int = 1) -> CycloInt:

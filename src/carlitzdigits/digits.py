@@ -127,6 +127,11 @@ def _order_mod(g: Poly, m: Poly) -> int:
 
     g^n = 1 for the exponent n of (A/m)^x is verified (ExactnessError
     otherwise), and element_order divides the primes of n out of the order.
+    Every power is mod the one m, so mod_pow reads its exponents in base q
+    through the Frobenius map of m, built at the first or second of them (n
+    has about deg m base-q digits): one application per digit and a few
+    products per bit of a digit, where square-and-multiply squares log2(q)
+    times per digit.
     """
     one = Poly.one(g.spec) % m
     n = _unit_exponent(m)

@@ -24,6 +24,19 @@ by m is one loop on lists of ints (_Modulus.divmod), with the inverse of
 the leading coefficient and the negated low coefficients of m set up once:
 divmod and mod_pow run it, and wrap only their results in Poly.
 
+Powers mod m go through the Frobenius map x -> x^q mod m, which is F_q-
+linear: c^q = c for c in F_q, so (sum_i c_i T^i)^q = sum_i c_i R_i with the
+rows R_i = T^(iq) mod m (Berlekamp's Q-matrix), packed as the division
+steps below pack theirs, one sum of coordinate * row per application (by
+axpy on indices where no slot is wide enough).
+With e = sum_i d_i q^i, base^e = prod_b y_b^(2^b), y_b the product of the
+Frob^i(base) whose digit d_i has bit b set (_Modulus.power): L - 1 maps for
+L digits and about L*B/2 + 2B products, B the bits of q - 1, where
+square-and-multiply takes about 1.5*L*log2(q).  The map is built once per
+modulus (mod_pow keeps the last 64), when the applications asked of it
+would take FROBENIUS_MAP_MIN products by square-and-multiply; until then a
+power is square-and-multiply.
+
 The long division of digits, b * G_{k-1} = H_k * m + G_k for a fixed b and
 m, steps by a packed map instead (_Modulus.steps).  With deg G_{k-1} <
 deg m = d the step is F_p-linear in the coordinates of G_{k-1} (a canonical
@@ -38,7 +51,8 @@ holds d*a*(p - 1)^2, chosen from _SLOTS as product chooses its slots.
 Where no item is wide enough (p above about 2^30), for a constant m, and
 for a first step with deg G_0 >= d, the step is a divmod.  One
 distinct-degree split (_factor_degrees) answers is_irreducible and the
-unit-group exponent of A/(m) in digits.
+unit-group exponent of A/(m) in digits; its h <- h^q steps are powers
+mod m, and it takes one gcd per block of FACTOR_BLOCK degrees.
 
 Enumeration of polynomials is lexicographic with the constant coefficient
 varying fastest, matching the element order of the coefficient field; there
@@ -71,12 +85,37 @@ NEG_INF = float("-inf")
 # 6.4 and 5.4 us, 3 x 16 9.5 and 5.4 us; over F_7, 2 x 2 take 5.5 and 2.9 us.
 KRONECKER_MIN_LEN = 2
 
+# _Modulus.power builds the Frobenius map of a modulus once the x -> x^q
+# applications asked of it, the current power's included, would take this
+# many products by square-and-multiply (bitlen(q) + popcount(q) - 2 each),
+# so that a modulus spends on plain powers about what the map would cost
+# before it gets one.  Measured (best of five, 2-core shared host) at
+# deg m = 8: a plain x^q took 14-23 us over F_2 (one product), 28-43 us
+# over F_3 (two) and 362-389 us over F_25 (six), building the map 25-40,
+# 36-45 and 591-621 us, applying it 1.6-2.7, 1.4-2.5 and 7-13 us; so the
+# map costs 2-10 products, and 2-21 over q <= 25 and deg m in 4..16.  All
+# monic polynomials of degree 5 over F_5 took 10-30% longer in
+# is_irreducible with the map built at the second application (six
+# products), the last one their split needs.
+FROBENIUS_MAP_MIN = 10
+
+# _factor_degrees tries degree 1 alone, then this many degrees per gcd.
+# Measured as above (best of 150 calls): is_irreducible of
+# T^19+T^5+T^2+T+1 over F_2 took 677-702 us at one gcd per degree, 485-513
+# us with blocks of 4, 441-446 us with 8 and 429 us with 16 (709-747 us
+# before the Frobenius map); the 600 moduli of degree 2-4 and 7 that
+# sweep_all_l sets up, most with a factor of degree 1, took 35.8-37.4 ms at
+# one gcd per degree and 36.3-37.3 ms with blocks of 8 (35.6-39.8 ms
+# before).  A block that holds a factor costs its products and one gcd more.
+FACTOR_BLOCK = 8
+
 # (bits, typecode) of the unsigned array items, narrowest first.  Ints and
 # items both use the native byte order: on a big-endian host both operands
 # and the product are packed backwards, which is the same product.
 _SLOTS = sorted((array(tc).itemsize * 8, tc) for tc in "BHIQ")
 
 
+@functools.lru_cache(maxsize=None)
 def _slot(bits: int):
     """The narrowest (bits, typecode) of _SLOTS at least bits wide, or None."""
     return next((s for s in _SLOTS if s[0] >= bits), None)
@@ -88,7 +127,7 @@ class _PrimeField:
     a = 1
 
     def __init__(self, p: int):
-        self.p = p
+        self.p = self.q = p
         self.minus_one = p - 1
 
     def add(self, x: int, y: int) -> int:
@@ -131,7 +170,7 @@ class _ExtensionField:
     """
 
     def __init__(self, spec: FieldSpec):
-        self.p, self.a = spec.p, spec.a
+        self.p, self.a, self.q = spec.p, spec.a, spec.q
         n = spec.q - 1
         self.exp, self.log = exp, log = _exp_log(spec)
         self.zech = [log[(spec.one + spec.from_index(x)).index()] for x in exp[:n]]
@@ -346,9 +385,10 @@ class _Modulus:
     """Division by a fixed nonzero m on index lists: the field, the inverse
     of the leading coefficient and the negated low coefficients are set up
     once.  divmod is the one long-division loop of the package; steps
-    repeats the division of b * G_{k-1} by m as one packed F_p-linear map."""
+    repeats the division of b * G_{k-1} by m as one packed F_p-linear map,
+    and power reads its exponent in base q through another, x -> x^q."""
 
-    __slots__ = ("F", "dg", "inv", "minus_low")
+    __slots__ = ("F", "dg", "inv", "minus_low", "frobenius", "asked")
 
     def __init__(self, m: Poly):
         if not m.ints:
@@ -357,6 +397,12 @@ class _Modulus:
         self.dg = len(m.ints) - 1
         self.inv = F.inv(m.ints[-1])
         self.minus_low = F.scale(m.ints[:-1], F.minus_one)
+        self.frobenius = None  # x -> x^q mod m, built by power once it pays
+        self.asked = 0  # products the x^q asked of m so far take by square-and-multiply
+
+    def mul(self, u, v) -> list[int]:
+        """u * v mod m."""
+        return self.divmod(self.F.product(u, v))[1]
 
     def divmod(self, a) -> tuple[list[int], list[int]]:
         """(quotient, remainder) of the index sequence a, the remainder
@@ -399,7 +445,6 @@ class _Modulus:
         if len(c) > dg:
             hk, c = self.divmod(product(b, c))
             yield hk, c
-        tc, order = slot[1], sys.byteorder
         e = max(len(b) - 1, 0)  # deg H_k < deg b once deg G_{k-1} < deg m
         table = [[] for _ in range(dg)]  # table[i][j]: the row of x^j * T^i
         for j in range(a):
@@ -410,20 +455,95 @@ class _Modulus:
                     t = F.mul(rem[-1], self.inv)
                     quo, rem = [t] + quo, F.axpy([0] + rem[:-1], t, self.minus_low)
                 table[i].append(rem + quo[:e] + [0] * (e - len(quo)))
-        rows = [int.from_bytes(array(tc, _coordinates(row, p, a)), order)
-                for per_i in table for row in per_i]
-        # byte slots go mod p in one pass, through a table of residues
-        residues = (bytes(range(p)) * (256 // p + 1))[:256] if tc == "B" else None
+        apply = _packed([_coordinates(row, p, a) for per_i in table for row in per_i], p, slot[1])
         x, n = _coordinates(c, p, a), dg * a
-        size = (dg + e) * a * array(tc).itemsize
         while True:
-            packed = sum(map(operator.mul, x, rows)).to_bytes(size, order)
-            if residues:
-                out = list(packed.translate(residues))
-            else:
-                out = list(map(p.__rmod__, memoryview(packed).cast(tc)))
+            out = apply(x)
             x, ints = out[:n], _indices(out, p, a)
             yield ints[dg:], ints[:dg]
+
+    def power(self, x, e: int) -> list[int]:
+        """x^e mod m for x nonzero and reduced mod m, e >= 1.
+
+        With e = sum_i d_i q^i, x^e is prod_b y_b^(2^b), y_b the product of
+        Frob^i(x) = x^(q^i) over the i whose digit d_i has bit b set: L - 1
+        applications of the Frobenius map for L digits, about L*B/2 products
+        into the y_b and 2(B - 1) to join them from the top bit down, B the
+        bits of a digit.  Until the map serves m (FROBENIUS_MAP_MIN), e is
+        one digit: square-and-multiply."""
+        q, digits, rest = self.F.q, [], e
+        while rest:
+            rest, digit = divmod(rest, q)
+            digits.append(digit)
+        if self.frobenius is None and len(digits) > 1:
+            # the products a square-and-multiply x^q takes, per application
+            self.asked += (len(digits) - 1) * (q.bit_length() + bin(q).count("1") - 2)
+            if self.asked < FROBENIUS_MAP_MIN:
+                return self._power(x, [e])
+            self.frobenius = self._frobenius_map()
+        return self._power(x, digits)
+
+    def _power(self, x, digits) -> list[int]:
+        """x^e mod m, e = sum_i digits[i] q^i (see power)."""
+        divmod, product = self.divmod, self.F.product
+        planes, f = [None] * max(digits).bit_length(), x
+        for i, digit in enumerate(digits):
+            if i:
+                f = self.frobenius(f)
+            for b in range(digit.bit_length()):
+                if digit >> b & 1:
+                    planes[b] = f if planes[b] is None else divmod(product(planes[b], f))[1]
+        acc = None
+        for y in reversed(planes):
+            if acc is not None:
+                acc = divmod(product(acc, acc))[1]
+            if y is not None:
+                acc = y if acc is None else divmod(product(acc, y))[1]
+        return acc
+
+    def _frobenius_map(self):
+        """x -> x^q mod m on index lists reduced mod m (Berlekamp's Q-matrix).
+
+        c^q = c on F_q, so (sum_i c_i T^i)^q = sum_i c_i R_i with rows R_i =
+        T^(iq) mod m, R_i = R_(i-1) * T^q mod m.  Packed as steps packs its
+        rows, row (i, j) holds the F_p coordinates of x^j * R_i, and a map
+        is one sum of coordinate * row (_packed) in slots that hold deg m *
+        a * (p - 1)^2; without such a slot the sum runs on indices by axpy."""
+        F, dg, p, a, q = self.F, self.dg, self.F.p, self.F.a, self.F.q
+        tq = self._power([0, 1], [q]) if 1 < dg <= q else None
+        rows = [[1]]
+        while len(rows) < dg:  # for q < deg m, T^q * R is a shift and q reduction steps
+            rows.append(self.divmod([0] * q + rows[-1])[1] if tq is None else self.mul(rows[-1], tq))
+        rows = [row + [0] * (dg - len(row)) for row in rows]
+        slot = _slot((dg * a * (p - 1) ** 2).bit_length())
+        if slot is None:
+            def frobenius(x):
+                out = [0] * dg
+                for c, row in zip(x, rows):
+                    if c:
+                        out = F.axpy(out, c, row)
+                return _trimmed(out)
+            return frobenius
+        apply = _packed([_coordinates(F.scale(row, p**j) if j else row, p, a)
+                         for row in rows for j in range(a)], p, slot[1])
+        return lambda x: _trimmed(_indices(apply(_coordinates(x, p, a)), p, a))
+
+
+def _packed(rows, p: int, tc: str):
+    """The F_p-linear map x -> sum_k x[k] * rows[k] mod p on coordinate
+    lists, its rows of equal length packed one coordinate per slot of array
+    type tc, each into one int: one sum of products of ints, one to_bytes
+    and one reduction mod p per slot (byte slots in one pass, through a
+    table of residues).  tc must hold every sum."""
+    order = sys.byteorder
+    ints = [int.from_bytes(array(tc, row), order) for row in rows]
+    size = len(rows[0]) * array(tc).itemsize
+    if tc == "B":
+        residues = (bytes(range(p)) * (256 // p + 1))[:256]
+        return lambda x: list(sum(map(operator.mul, x, ints)).to_bytes(size, order)
+                              .translate(residues))
+    return lambda x: list(map(p.__rmod__, memoryview(
+        sum(map(operator.mul, x, ints)).to_bytes(size, order)).cast(tc)))
 
 
 def _coordinates(ints, p: int, a: int) -> list[int]:
@@ -452,27 +572,26 @@ def _modulus(m: Poly) -> _Modulus:
 
 
 def mod_pow(base: Poly, e: int, m: Poly) -> Poly:
-    """base^e mod m for e >= 0 (e may be a big integer)."""
+    """base^e mod m for e >= 0 (e may be a big integer), by _Modulus.power."""
     if e < 0:
         raise ValueError("negative exponents are not supported")
     if m.is_zero():
         raise ZeroDivisionError("zero modulus")
     base._check(m)
     mod = _modulus(m)
-    product = mod.F.product
-    acc = result = mod.divmod(base.ints if e else (1,))[1]
-    for bit in bin(e)[3:]:  # square-and-multiply from the top bit down
-        result = mod.divmod(product(result, result))[1]
-        if bit == "1":
-            result = mod.divmod(product(result, acc))[1]
-    return _make(m.spec, result)
+    x = mod.divmod(base.ints if e else (1,))[1]
+    return _make(m.spec, mod.power(x, e) if e and x else x)
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd; gcd(0, 0) = 0."""
-    while not g.is_zero():
-        f, g = g, f % g
-    return f.monic() if not f.is_zero() else f
+    """Monic gcd; gcd(0, 0) = 0.  Euclid on index lists, one _Modulus per
+    division."""
+    f._check(g)
+    spec, a, b = f.spec, f.ints, g.ints
+    while b:
+        a, b = b, _Modulus(_make(spec, b)).divmod(a)[1] if len(a) >= len(b) else a
+    F = _field(spec)
+    return _make(spec, F.scale(a, F.inv(a[-1])) if a else a)
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -491,20 +610,33 @@ def _factor_degrees(m: Poly):
     gcd(h - T, a) is the product of the irreducible factors of a of degree
     i once those of lower degree are gone, and a is divided by it until
     they are coprime, in as many rounds as their largest multiplicity.
-    Once 2i > deg a, what is left of a is 1 or irreducible, yielded last."""
+    Once 2i > deg a, what is left of a is 1 or irreducible, yielded last.
+    Degree 1 is tried alone, then FACTOR_BLOCK degrees at a time: one gcd
+    of a with the product of their h - T mod a, and only when it is
+    nontrivial one gcd per degree with it (von zur Gathen and Shoup 1992)."""
     q, t = m.spec.q, gen(m.spec)
     a, h, i = m.monic(), t, 0
     while 2 * (i + 1) <= len(a.ints) - 1:
-        i += 1
-        h = mod_pow(h, q, a)
-        f = poly_gcd(h - t, a)
-        if len(f.ints) > 1:
-            e = 0
-            while len(f.ints) > 1:
-                a, e = a // f, e + 1
-                f = poly_gcd(a, f)
-            yield i, e
-            h = h % a
+        block, size = [], FACTOR_BLOCK if i else 1
+        while len(block) < size and 2 * (i + 1) <= len(a.ints) - 1:
+            i += 1
+            h = mod_pow(h, q, a)
+            block.append((i, h - t))
+        mod, prod = _modulus(a), block[0][1].ints
+        for _, x in block[1:]:
+            prod = mod.mul(prod, x.ints)
+        g = poly_gcd(_make(m.spec, prod), a)  # the factors of a of the block's degrees
+        for j, x in block:
+            if len(g.ints) == 1 or 2 * j > len(a.ints) - 1:
+                break
+            f = poly_gcd(x, g) if len(block) > 1 else g
+            if len(f.ints) > 1:
+                e = 0
+                while len(f.ints) > 1:
+                    a, e = a // f, e + 1
+                    f = poly_gcd(a, f)
+                yield j, e
+                h, g = h % a, poly_gcd(g, a)
     if len(a.ints) > 1:
         yield len(a.ints) - 1, 1
 
