@@ -25,8 +25,8 @@ product is that of checked factors.
 Independent routes kept alongside the digit route, sharing no product code
 with it: the classical character sum formulas over monic polynomials of
 degree < d (no hypothesis on deg G), taken as one Galois-orbit product in
-Z[zeta_t] per character order t (products of conjugates under
-CycloInt.galois), each of which must collapse to a rational integer, and
+Z[zeta_t] per character order t (products a * sigma_u(b) of conjugates,
+each one cycint._mul), each of which must collapse to a rational integer, and
 a point count for any subfield, from P alone: the places of degree <= g
 come from the splitting of primes (the Frobenius of Q is Q mod P), and
 Newton's identities turn their counts into the zeta numerator.
@@ -37,6 +37,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import islice
@@ -44,7 +45,7 @@ from typing import NamedTuple
 
 from .chars import (DirichletChar, ResidueCtx, _require_subfield_degree, build_context,
                     primitivity_witness, subfield)
-from .cycint import CycloInt, exponent_sum, norm, root_of_unity
+from .cycint import CycloInt, _mul, exponent_sum, norm, root_of_unity
 from .errors import ExactnessError, HypothesisError, ResourceLimitError
 from .ffq import UnitCharacter, _exp_log, _inverse_log, quadratic_character
 from .numutil import divisors
@@ -206,9 +207,13 @@ def _collapse(value: CycloInt, what: str) -> int:
 
 
 @functools.lru_cache(maxsize=32)
-def _roots(n: int) -> tuple[complex, ...]:
-    """exp(2 pi i k / n) for 0 <= k < n, as floats."""
-    return tuple(cmath.exp(2j * cmath.pi * k / n) for k in range(n))
+def _roots(t: int) -> tuple[tuple[complex, ...], ...]:
+    """For each unit u <= t/2 mod t, in order, the row of zeta_t^(u * e),
+    0 <= e < t, as floats: each row a permutation of the first (u = 1),
+    sharing its complex objects."""
+    first = tuple(cmath.exp(2j * cmath.pi * k / t) for k in range(t))
+    return (first, *(operator.itemgetter(*(u * e % t for e in range(t)))(first)
+                     for u in range(2, t // 2 + 1) if math.gcd(u, t) == 1))
 
 
 def _folded(t: int, pairs) -> list[int]:
@@ -230,12 +235,15 @@ def _orbit_guard(t: int, vec, exact: int, what: str) -> None:
     positive and ln(exact) must match the sum of the 2 * ln|z_u|; math.log
     takes the int exactly, so the guard works past the float range.  For
     t = 2 it is the one real value z_1 = b(-1), compared in sign and in
-    magnitude.  A violation is an internal error.
+    magnitude.  The nonzero entries are picked once per vector, and each
+    z_u is read off row u of _roots(t) by one itemgetter and summed term by
+    term in the order of e.  A violation is an internal error.
     """
-    roots = _roots(t)
-    terms = [(e, w) for e, w in enumerate(vec) if w]
-    factors = [sum(w * roots[u * e % t] for e, w in terms)
-               for u in range(1, t // 2 + 1) if math.gcd(u, t) == 1]
+    idx = [e for e, w in enumerate(vec) if w] or [0]
+    # itemgetter of one index returns the item, of a one-item slice a tuple
+    pick = operator.itemgetter(*idx if len(idx) > 1 else [slice(idx[0], idx[0] + 1)])
+    terms = functools.partial(map, operator.mul, pick(vec))
+    factors = list(map(sum, map(terms, map(pick, _roots(t)))))
     weight = 1 if t == 2 else 2  # for t > 2, z_u stands for z_u and z_(t-u)
     if 0 in factors:
         raise ExactnessError(f"{what}: advisory factor evaluated to zero")
@@ -309,31 +317,46 @@ class CharSumClassNumbers(NamedTuple):
     h: int
 
 
-def _orbit_product(x: CycloInt) -> CycloInt:
-    """prod over u in (Z/t)^x of sigma_u(x), t = x.n.
+@functools.lru_cache(maxsize=None)
+def _orbit_chain(t: int) -> tuple[tuple[int, tuple[tuple[int, bool], ...]], ...]:
+    """_orbit_product's steps at order t: for each g that extends the
+    subgroup chain, g and, per doubling, (g^n, whether y * sigma_g follows).
 
-    Climbs a subgroup chain H of (Z/t)^x, keeping y = prod_{h in H}
-    sigma_h(x).  For each g not in H, with k least such that g^k is in H,
-    y becomes prod_{j<k} sigma_{g^j}(y) = P(k), taken by doubling:
-    P(2n) = P(n) * sigma_{g^n}(P(n)) and P(n+1) = y * sigma_g(P(n)).
+    Climbs a subgroup chain H of (Z/t)^x.  For each g not in H, with k least
+    such that g^k is in H, P(k) = prod_{j<k} sigma_{g^j}(y) is taken by
+    doubling from P(1) = y: P(2n) = P(n) * sigma_{g^n}(P(n)) and P(n+1) =
+    y * sigma_g(P(n)), one step per bit of k after the first.
     """
-    t = x.n
-    H = {1}
-    y = x
+    H, chain = {1}, []
     for g in range(2, t):
         if g in H or math.gcd(g, t) != 1:
             continue
         k, gk = 1, g
         while gk not in H:
             k, gk = k + 1, gk * g % t
-        p, n = y, 1
+        steps, n = [], 1
         for bit in bin(k)[3:]:
-            p, n = p * p.galois(pow(g, n, t)), 2 * n
-            if bit == "1":
-                p, n = y * p.galois(g), n + 1
-        y = p
+            steps.append((pow(g, n, t), bit == "1"))
+            n = 2 * n + (bit == "1")
+        chain.append((g, tuple(steps)))
         H = {h * pow(g, j, t) % t for h in H for j in range(k)}
-    return y
+    return tuple(chain)
+
+
+def _orbit_product(x: CycloInt) -> CycloInt:
+    """prod over u in (Z/t)^x of sigma_u(x), t = x.n, along _orbit_chain(t):
+    y = prod_{h in H} sigma_h(x) becomes P(k) for each g of the chain, each
+    product one cycint._mul."""
+    t = x.n
+    y = x.coeffs
+    for g, steps in _orbit_chain(t):
+        p = y
+        for u, plus_one in steps:
+            p = _mul(t, p, p, u)
+            if plus_one:
+                p = _mul(t, y, p, g)
+        y = p
+    return CycloInt(t, y)
 
 
 def _orbit_value(ctx: ResidueCtx, t: int) -> int:
@@ -586,8 +609,11 @@ def compute_report(
     if verify_pointcount:
         methods.append("pointcount")
         agree = agree and _point_count(ctx.P, l) == h
+    names = getattr(ctx, "_name_memo", None)
+    if names is None:
+        names = ctx._name_memo = (format_poly(ctx.P), format_poly(ctx.G))
     return ClassNumberReport(
-        q=ctx.spec.q, d=ctx.d, P=format_poly(ctx.P), G=format_poly(ctx.G),
+        q=ctx.spec.q, d=ctx.d, P=names[0], G=names[1],
         e=ctx.e, r=ctx.r, l=l, m=desc.m, n=desc.n,
         h_plus=h_plus, h_minus=h_minus, h=h,
         methods=tuple(methods), agree=agree,

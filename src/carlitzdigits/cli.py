@@ -82,9 +82,9 @@ SWEEP_STEP_BOUND = 10**6
 # (t = 709) 0.34-0.35 s, phi 800 (t = 1025) 0.40-0.59 s, phi 1936
 # (t = 2047) 2.7-3.0 s.  The character-sum oracle takes the same orbit's
 # value as one classnum._orbit_product of a random +-1 window in
-# Z[zeta_t]: 0.99-1.03 s at t = 701 (phi 700), where norm took 0.32-0.34 s
-# on the same vectors and host.  The oracle, not the digit norm, sets the
-# bound.
+# Z[zeta_t], 14 products by cycint._mul: 0.71-0.98 s at t = 701 (phi 700)
+# in five fresh processes, where norm took 0.24-0.33 s on the same vectors
+# and host.  The oracle, not the digit norm, sets the bound.
 NORM_DEGREE_BOUND = 700
 
 # A request whose output takes more than this many coefficient slots in all

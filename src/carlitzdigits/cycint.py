@@ -14,20 +14,22 @@ the answer, then returns the symmetric residue.  ``norm`` folds its input
 mod x^t - 1 and evaluates it at the primitive t-th roots of unity mod
 primes p = 1 (mod 2t), by one cyclic Bluestein transform per prime
 (``_norm_mod``): a chirp, one unsigned Kronecker product by a filter
-packed once, and a fold mod x^t - 1.  Its primes, roots, chirps and filters are cached per order and
-prime (``_norm_plan``), and its bound is Parseval/AM-GM.  It calls none of
-``_reduce``, ``_kronecker`` or the oracle's orbit products.
+packed once, and a fold mod x^t - 1.  Its primes, roots, chirps and
+filters are cached per order and prime (``_norm_plan``), and its bound is
+Parseval/AM-GM.  It calls none of ``_reduce``, ``_mul`` or the oracle's
+orbit products.
 ``int_poly_resultant`` runs Euclid in F_p[x] under Hadamard's bound on
 the Sylvester determinant.
 
 CycloInt serves the character-sum route's Galois-orbit products.  Every
-product is one signed Kronecker product: each operand packed into one int
-in byte slots with an offset of half a slot, one multiplication, one
-``to_bytes``.
-Every vector (products, ``galois``, ``lift``, ``root_of_unity``,
-``exponent_sum``) is reduced by ``_reduce``: folded mod x^n - 1, reduced
-mod the sparse multiple sum_{i<p} x^(i*n/p) of Phi_n, p the least prime
-of n, and only then through the nonzero terms of Phi_n.
+product, a * b and the orbit product's a * sigma_u(b) alike, is one call
+of ``_mul``: b's slots packed once and laid out as sigma_u(b), one signed
+Kronecker product in byte slots with an offset of half a slot, folded mod
+x^n - 1 and reduced mod the sparse multiple sum_{i<p} x^(i*n/p) of Phi_n
+(p the least prime of n) while still packed, then one ``to_bytes`` and a
+pass through the nonzero terms of Phi_n.  Every other vector (``galois``,
+``lift``, ``root_of_unity``, ``exponent_sum``) is reduced by ``_reduce``,
+which takes the same three stages on a list.
 """
 
 from __future__ import annotations
@@ -106,6 +108,13 @@ def _reduce(n: int, vec: list[int]) -> tuple[int, ...]:
         del vec[cut:]
         for i in range(0, cut, m):
             vec[i : i + len(top)] = map(operator.sub, vec[i : i + len(top)], top)
+    return _reduce_terms(vec, deg, terms)
+
+
+def _reduce_terms(vec: list[int], deg: int, terms) -> tuple[int, ...]:
+    """The last stage of _reduce and _mul: vec, of degree below n - m,
+    reduced through the nonzero terms (i - deg, a) of Phi_n, top down, and
+    padded to deg = phi(n) coordinates."""
     for k in range(len(vec) - 1, deg - 1, -1):
         c = vec[k]
         if c:
@@ -116,32 +125,66 @@ def _reduce(n: int, vec: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _kronecker(a, b) -> list[int]:
-    """a*b for int lists by one signed Kronecker product.
+@functools.lru_cache(maxsize=1024)
+def _spread(n: int, u: int) -> operator.itemgetter:
+    """The map laying sigma_u(b) out over n slots, n >= 2, u a unit mod n:
+    slot k reads b's slot j = k / u (mod n) where j < phi(n), and else the
+    zero slot phi(n) packed after b's."""
+    deg = len(cyclotomic_poly(n)) - 1
+    inv = pow(u, -1, n)
+    return operator.itemgetter(*(min(k * inv % n, deg) for k in range(n)))
 
-    No coefficient of a*b exceeds B = min(len) * max|a| * max|b| in size,
-    so a slot of the fewest bytes with 2^(w-1) > B, w its bits, holds each.
-    Each operand is packed into one int with 2^(w-1) added to every
-    coefficient, and the offset taken back out as 2^(w-1) times the int of
-    all-one slots.  After the one product the same offset is added to each
-    of its slots, which then hold c + 2^(w-1) in [1, 2^w) and are read off
-    one to_bytes with no carry.
+
+@functools.lru_cache(maxsize=256)
+def _offset(size: int, length: int) -> int:
+    """2^(w-1) in each of length slots of w = 8 * size bits."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * length, "little")
+
+
+@functools.lru_cache(maxsize=256)
+def _blocks(size: int, m: int, count: int) -> int:
+    """sum_{i<count} 2^(w*i*m), w = 8 * size: times a packed block of m
+    slots of w bits, count copies of it side by side."""
+    return int.from_bytes((b"\x01" + bytes(size * m - 1)) * count, "little")
+
+
+def _mul(n: int, a, b, u: int) -> tuple[int, ...]:
+    """a * sigma_u(b) mod Phi_n for reduced coefficient tuples a, b and a
+    unit u mod n, by one signed Kronecker product.
+
+    Each slot of w bits holds its coefficient plus 2^(w-1).  b's slots are
+    packed once, laid out as sigma_u(b) over n slots (_spread) and reduced
+    mod Psi = sum_{i<p} x^(i*m), m = n/p for p the least prime of n, as in
+    _reduce: the top block of m slots comes off each of the p - 1 blocks
+    below it, as one product by sum_{i<p-1} 2^(w*i*m) (_blocks).  That
+    leaves n - m slots of at most 2 * max|b|, each of which meets each of
+    a's phi(n) slots once in the product and in its fold mod x^n - 1 (the
+    top slots added to the low n ones), so both have coefficients of at
+    most 2 * phi(n) * max|a| * max|b|; the fold reduced mod Psi in the same
+    way has twice that.  So a slot of the fewest bytes with
+    2^(w-1) > 4 * phi(n) * max|a| * max|b| holds every stage.  Only the
+    n - m slots left are unpacked, by one to_bytes, for _reduce_terms.
     """
-    n = len(a) + len(b) - 1
-    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
-    if not bound:  # a slot for B = 0 could not hold the other operand
-        return [0] * n
+    if n == 1:
+        return (a[0] * b[0],)
+    m, deg, terms = _reduction_plan(n)
+    bound = 4 * deg * max(map(abs, a)) * max(map(abs, b))
+    if not bound:
+        return (0,) * deg
     size = -(-(bound.bit_length() + 1) // 8)
-    w = 8 * size
-    half = 1 << (w - 1)
-    ones = ((1 << (w * n)) - 1) // ((1 << w) - 1)
-    A, B = (
-        int.from_bytes(b"".join([(x + half).to_bytes(size, "little") for x in v]), "little")
-        - half * (ones >> w * (n - len(v)))
-        for v in (a, b)
-    )
-    buf = (A * B + half * ones).to_bytes(n * size, "little")
-    return [int.from_bytes(buf[i : i + size], "little") - half for i in range(0, len(buf), size)]
+    w, cut = 8 * size, n - m
+    half, low, blocks = 1 << (w - 1), (1 << (w * cut)) - 1, _blocks(size, m, cut // m)
+    slots = [(x + half).to_bytes(size, "little") for x in b]
+    slots.append(half.to_bytes(size, "little"))
+    spread = int.from_bytes(b"".join(_spread(n, u % n)(slots)), "little")
+    spread = (spread & low) - (spread >> (w * cut)) * blocks  # signed, the offsets cancel
+    A = int.from_bytes(b"".join([(x + half).to_bytes(size, "little") for x in a]), "little")
+    prod = (A - _offset(size, deg)) * spread + _offset(size, n)  # the low n slots offset
+    prod = (prod >> (w * n)) + (prod & ((1 << (w * n)) - 1))
+    prod = (prod & low) - ((prod >> (w * cut)) - _offset(size, m)) * blocks
+    buf = prod.to_bytes(cut * size, "little")
+    vec = [int.from_bytes(buf[i : i + size], "little") - half for i in range(0, cut * size, size)]
+    return _reduce_terms(vec, deg, terms)
 
 
 @dataclass(frozen=True)
@@ -191,12 +234,11 @@ class CycloInt:
         return self + (-other)
 
     def __mul__(self, other):
-        """Product by an int, or in Z[zeta_n]: one signed Kronecker product
-        (_kronecker), then _reduce."""
+        """Product by an int, or in Z[zeta_n] (_mul)."""
         if isinstance(other, int):
             return CycloInt(self.n, tuple(a * other for a in self.coeffs))
         self._check(other)
-        return CycloInt(self.n, _reduce(self.n, _kronecker(self.coeffs, other.coeffs)))
+        return CycloInt(self.n, _mul(self.n, self.coeffs, other.coeffs, 1))
 
     def __rmul__(self, other):
         if isinstance(other, int):

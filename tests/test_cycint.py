@@ -7,11 +7,13 @@ import time
 import pytest
 
 from carlitzdigits.chars import build_context
-from carlitzdigits.classnum import canonical_primitive_lift, compute_report, digit_polynomials
+from carlitzdigits import cycint
+from carlitzdigits.classnum import (_orbit_product, canonical_primitive_lift, compute_report,
+                                    digit_polynomials)
 from carlitzdigits.cycint import (
     CycloInt,
-    _kronecker,
     _modular_resultant,
+    _mul,
     _norm_mod,
     _norm_plan,
     _prime,
@@ -218,21 +220,144 @@ def _operand_pairs(rng, deg):
     return pairs
 
 
-def test_kronecker_product_matches_schoolbook():
-    """_kronecker against the schoolbook on unequal lengths, and at the
-    slot's bound: with every entry +-max, the middle coefficient of the
-    product is min(len) * max|a| * max|b| in absolute value."""
+def _kronecker_reference(a, b):
+    """a*b for int lists by one signed Kronecker product, as CycloInt
+    products took it before _mul: both operands packed over their own
+    lengths with an offset of half a slot, the offsets taken back out by
+    the int of all-one slots, unpacked before any reduction."""
+    n = len(a) + len(b) - 1
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    if not bound:
+        return [0] * n
+    size = -(-(bound.bit_length() + 1) // 8)
+    w = 8 * size
+    half = 1 << (w - 1)
+    ones = ((1 << (w * n)) - 1) // ((1 << w) - 1)
+    A, B = (
+        int.from_bytes(b"".join([(x + half).to_bytes(size, "little") for x in v]), "little")
+        - half * (ones >> w * (n - len(v)))
+        for v in (a, b)
+    )
+    buf = (A * B + half * ones).to_bytes(n * size, "little")
+    return [int.from_bytes(buf[i : i + size], "little") - half for i in range(0, len(buf), size)]
+
+
+def _galois_reference(n, coeffs, u):
+    """sigma_u of a reduced vector, as CycloInt.galois takes it: spread
+    over n slots, then _reduce."""
+    vec = [0] * n
+    for i, c in enumerate(coeffs):
+        vec[u * i % n] += c
+    return _reduce(n, vec)
+
+
+def _mul_galois_reference(n, a, b, u):
+    """a * sigma_u(b) by galois, the reference Kronecker product and _reduce."""
+    return _reduce(n, _kronecker_reference(a, _galois_reference(n, b, u)))
+
+
+def _orbit_product_reference(x):
+    """_orbit_product's subgroup chain and doubling on the reference product."""
+    t = x.n
+    H = {1}
+    y = x.coeffs
+    for g in range(2, t):
+        if g in H or math.gcd(g, t) != 1:
+            continue
+        k, gk = 1, g
+        while gk not in H:
+            k, gk = k + 1, gk * g % t
+        p, n = y, 1
+        for bit in bin(k)[3:]:
+            p, n = _mul_galois_reference(t, p, p, pow(g, n, t)), 2 * n
+            if bit == "1":
+                p, n = _mul_galois_reference(t, y, p, g), n + 1
+        y = p
+        H = {h * pow(g, j, t) % t for h in H for j in range(k)}
+    return y
+
+
+def _sample_units(rng, n):
+    """1, -1 and up to four more units mod n."""
+    units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
+    return sorted({1, n - 1 or 1, *rng.sample(units, min(4, len(units)))})
+
+
+def test_mul_matches_galois_and_kronecker():
+    """_mul(n, a, b, u) = a * sigma_u(b) against galois, the Kronecker
+    product and _reduce taken apart, for every n <= 130 and a sample of
+    units u (u and u + n alike), on entries from {0, +-1, +-2^200}, zero
+    operands and a aliased to b."""
+    rng = random.Random(135)
+    for n in range(1, 131):
+        deg = len(cyclotomic_poly(n)) - 1
+        for u in _sample_units(rng, n):
+            for values in ((0, 1, -1), (0, 2**200, -(2**200)), (1, -1, 2**200, -(2**200))):
+                a = tuple(rng.choice(values) for _ in range(deg))
+                b = tuple(rng.choice(values) for _ in range(deg))
+                want = _mul_galois_reference(n, a, b, u)
+                assert _mul(n, a, b, u) == want, (n, u)
+                assert _mul(n, a, b, u + n) == want
+                assert _mul(n, a, a, u) == _mul_galois_reference(n, a, a, u)
+                assert _mul(n, (0,) * deg, b, u) == _mul(n, a, (0,) * deg, u) == (0,) * deg
+
+
+def test_mul_slot_bound_matches_schoolbook():
+    """_mul at its slot bound: with every entry +-max the products reach
+    phi(n) * max|a| * max|b| (at n = 2^k, u = 1, coefficient phi(n) - 1
+    is exactly that), for max around each byte boundary, against the
+    schoolbook product reduced densely, and sigma_u against galois."""
     rng = random.Random(132)
-    for la in (1, 2, 7, 12, 33):
-        for lb in (1, 5, 12, 40):
-            for a, b in _operand_pairs(rng, la):
-                b = (b * lb)[:lb]
-                assert _kronecker(a, b) == int_poly_mul(a, b)
+    orders = list(range(1, 41)) + [63, 64, 105, 124, 127, 128]
     for m in (1, 127, 128, 255, 2**15, 2**31, 2**63 - 1, 2**64, 2**100):
-        for length in (1, 12, 65):
-            prod = _kronecker([m] * length, [-m] * length)
-            assert prod[length - 1] == -length * m * m
-            assert prod == int_poly_mul([m] * length, [-m] * length)
+        for n in orders:
+            deg = len(cyclotomic_poly(n)) - 1
+            for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+                a, b = (sa * m,) * deg, (sb * m,) * deg
+                got = _mul(n, a, b, 1)
+                assert got == _mul_reference(n, a, b)
+                if n > 1 and n & (n - 1) == 0:
+                    assert got[deg - 1] == sa * sb * deg * m * m
+                u = rng.choice(_sample_units(rng, n))
+                assert _mul(n, a, b, u) == _mul_galois_reference(n, a, b, u)
+
+
+def test_orbit_product_matches_galois_route():
+    """_orbit_product by _mul against its subgroup chain on galois, the
+    Kronecker product and _reduce taken apart, for every t <= 130, on
+    vectors of -1, 0, 1 and of up to 40 bits."""
+    rng = random.Random(136)
+    for t in range(1, 131):
+        deg = len(cyclotomic_poly(t)) - 1
+        for bits in (1, 40):
+            x = CycloInt(t, tuple(rng.randint(-(2**bits) + 1, 2**bits - 1) for _ in range(deg)))
+            assert _orbit_product(x).coeffs == _orbit_product_reference(x)
+
+
+@pytest.mark.parametrize("t", [256, 509, 701])
+def test_orbit_product_equals_norm_at_large_orders(t):
+    """The orbit product of a random -1, 0, 1 window collapses to the digit
+    route's norm at orders up to the degree bound (phi 128, 508, 700)."""
+    rng = random.Random(t)
+    v = [rng.choice((-1, 0, 1)) for _ in range(t)]
+    assert _orbit_product(exponent_sum(t, enumerate(v))).coeffs == (norm(t, v),) + (0,) * (
+        len(cyclotomic_poly(t)) - 2)
+
+
+def test_norm_needs_no_product_code(monkeypatch):
+    """norm shares no code that computes the answer with the oracle's
+    products: with _mul and _reduce made to raise, it still answers."""
+    rng = random.Random(137)
+    cases = [(t, [rng.randint(-5, 5) for _ in range(t + 3)]) for t in (1, 2, 12, 105, 127)]
+    want = [norm(t, v) for t, v in cases]
+
+    def refuse(*args):
+        raise AssertionError("norm reached the product code")
+
+    monkeypatch.setattr(cycint, "_mul", refuse)
+    monkeypatch.setattr(cycint, "_reduce", refuse)
+    cycint._norm_plan.cache_clear()
+    assert [norm(t, v) for t, v in cases] == want
 
 
 def test_products_match_schoolbook_every_order():
