@@ -47,7 +47,7 @@ from .chars import (DirichletChar, ResidueCtx, _require_subfield_degree, build_c
                     primitivity_witness, subfield)
 from .cycint import CycloInt, _mul, exponent_sum, norm, root_of_unity
 from .errors import ExactnessError, HypothesisError, ResourceLimitError
-from .ffq import UnitCharacter, _exp_log, _inverse_log, quadratic_character
+from .ffq import UnitCharacter, _inverse_log, _log, quadratic_character
 from .numutil import divisors
 from .polyring import Poly, all_polys_below, format_poly, is_irreducible, mod_pow, monic_polys
 
@@ -71,7 +71,7 @@ class DigitPolynomials:
 
     def __post_init__(self):
         ctx = self.ctx
-        log = _exp_log(ctx.spec)[1]
+        log = _log(ctx.spec)
         n, base, lg = ctx.spec.q - 1, _inverse_log(ctx.unit_gen), log[ctx.G.ints[-1]]
         self.twist = tuple(k + ctx.r * ((lg - log[c]) * base % n)
                            for k, c in enumerate(ctx.digit_leads) if c)
@@ -520,6 +520,12 @@ def _point_count(P: Poly, l: int) -> int:
         orders = [k for k in divisors(l) if k * f <= g]  # the o that give degrees <= g
         for Q in _irreducibles(spec, f):
             if Q != P:
+                # the power mod Q for l | q - 1, timed against the one mod P
+                # through P's Frobenius map (warm sieve, first irreducible P,
+                # 2-core host): (q, d, l) = (27, 7, 2) 1.5-2.6 against 5.1-7.0 s,
+                # (3, 19, 2) 0.87-1.08 against 3.9-4.4 s; mod P won only at
+                # (4, 8, 3), 0.81-1.07 against 1.13-1.41 s, and (7, 5, 3), which
+                # no workload reaches.
                 base, e, mod = ((signed, (q**f - 1) // l, Q) if (q - 1) % l == 0
                                 else (Q, (q**d - 1) // l, P))
                 x = mod_pow(base, e, mod)  # x^l = 1: o is the least k | l with x^k = 1

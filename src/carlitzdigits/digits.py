@@ -80,8 +80,8 @@ def long_division(base: Poly, m: Poly, cur: Poly) -> Iterator[Poly]:
     (polyring._Modulus.steps): one row per coordinate of G_{k-1}, packing
     the remainder and quotient of base * x^j * T^i by m, is built per call,
     and a step sums coordinate * row and reduces each slot mod p.  A first
-    step with deg G_0 >= deg m, a constant m and a p too large for the
-    widest slot take _Modulus.divmod.  Only the digits are made Polys
+    step with deg G_0 >= deg m takes _Modulus.divmod, after which a
+    constant m leaves every digit zero.  Only the digits are made Polys
     (chars.build_context runs the steps itself, keeping a few ints per step)."""
     base._check(m)
     cur._check(m)

@@ -13,8 +13,9 @@ polynomial enumeration, sweep order) refers to that order.
 Moduli for small extension fields (q <= 64) are built in; any other
 extension field needs an explicit monic irreducible modulus.
 
-Each field has one exp/log table of F_q^x for its canonical generator,
-built on first use; every scalar discrete log reads it.  Orders and the
+Each field has one log table of F_q^x for its canonical generator, built
+on first use; every scalar discrete log reads it, and an extension field's
+arithmetic (polyring) derives its exp table from it.  Orders and the
 quadratic character are computed by powering; the canonical generator is
 the first unit, in the canonical order and past the prime field when a > 1,
 that numutil.least_witness finds primitive.
@@ -248,26 +249,22 @@ def quadratic_character(x: FieldElement) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _exp_log(spec: FieldSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(exp, log) on indices, n = q - 1: exp[k] = w^k, w the canonical
-    generator, and log inverts it.  log[0] is the sentinel 2n - 1, and exp
-    reads 0 from 2n - 1 on, so exp takes any sum of two logs."""
+def _log(spec: FieldSpec) -> tuple[int, ...]:
+    """log[x] = k with w^k = x on indices, 0 <= k < n = q - 1, w the
+    canonical generator; log[0] is the sentinel 2n - 1."""
     n = spec.q - 1
-    w = canonical_generator(spec)
-    powers, cur = [], spec.one
-    for _ in range(n):
-        powers.append(cur.index())
-        cur = cur * w
+    w, cur = canonical_generator(spec), spec.one
     log = [2 * n - 1] * spec.q
-    for k, x in enumerate(powers):
-        log[x] = k
-    return tuple(powers + powers[: n - 1] + [0] * (2 * n)), tuple(log)
+    for k in range(n):
+        log[cur.index()] = k
+        cur = cur * w
+    return tuple(log)
 
 
 def _inverse_log(w: FieldElement) -> int:
     """1 / log w mod q - 1, so log_w x = log x * _inverse_log(w).  Refuses any
     w but a generator, zero by name: its sentinel log is prime to q - 1."""
-    lw, n = _exp_log(w.spec)[1][w.index()], w.spec.q - 1
+    lw, n = _log(w.spec)[w.index()], w.spec.q - 1
     if w.is_zero() or math.gcd(lw, n) != 1:
         raise ValueError(f"{w} does not generate the unit group")
     return pow(lw, -1, n)
@@ -279,7 +276,7 @@ def dlog(x: FieldElement, generator: FieldElement) -> int:
         raise ValueError("zero has no discrete log")
     if x.spec != generator.spec:
         raise ValueError("x and the generator lie in different fields")
-    return _exp_log(x.spec)[1][x.index()] * _inverse_log(generator) % (x.spec.q - 1)
+    return _log(x.spec)[x.index()] * _inverse_log(generator) % (x.spec.q - 1)
 
 
 @dataclass(frozen=True)

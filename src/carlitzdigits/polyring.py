@@ -18,17 +18,16 @@ machine array item), the two ints are multiplied once (CPython switches to
 Karatsuba for large ones), and the slots are unpacked and reduced mod p.
 Every other product is a schoolbook, row by row over the nonzero
 coefficients of the sparser operand.  Over an extension field the
-coefficients go through the field's exp/log table (ffq._exp_log) and a
-table of Zech logarithms of q - 1 entries, built once per field.  Division
-by m is one loop on lists of ints (_Modulus.divmod), with the inverse of
-the leading coefficient and the negated low coefficients of m set up once:
-divmod and mod_pow run it, and wrap only their results in Poly.
+coefficients go through the field's log table (ffq._log), its inverse exp
+and q - 1 Zech logarithms, built once per field.  Division by m is one
+loop on lists of ints (_Modulus.divmod), with the inverse of the leading
+coefficient and the negated low coefficients of m set up once: divmod and
+mod_pow run it, and wrap only their results in Poly.
 
 Powers mod m go through the Frobenius map x -> x^q mod m, which is F_q-
 linear: c^q = c for c in F_q, so (sum_i c_i T^i)^q = sum_i c_i R_i with the
-rows R_i = T^(iq) mod m (Berlekamp's Q-matrix), packed as the division
-steps below pack theirs, one sum of coordinate * row per application (by
-axpy on indices where no slot is wide enough).
+rows R_i = T^(iq) mod m (Berlekamp's Q-matrix), one packed F_p-linear map
+(_linear_map, below) per modulus.
 With e = sum_i d_i q^i, base^e = prod_b y_b^(2^b), y_b the product of the
 Frob^i(base) whose digit d_i has bit b set (_Modulus.power): L - 1 maps for
 L digits and about L*B/2 + 2B products, B the bits of q - 1, where
@@ -38,21 +37,20 @@ would take FROBENIUS_MAP_MIN products by square-and-multiply; until then a
 power is square-and-multiply.
 
 The long division of digits, b * G_{k-1} = H_k * m + G_k for a fixed b and
-m, steps by a packed map instead (_Modulus.steps).  With deg G_{k-1} <
-deg m = d the step is F_p-linear in the coordinates of G_{k-1} (a canonical
-index is its string of base-p coordinates, q = p^a), so it has one row per
-basis element x^j T^i, i < d, j < a, x the generator of F_q over F_p: the
-remainder and then the quotient of b * x^j T^i by m, one coordinate per
-slot of one int, built once per call (one divmod per j, then row (i, j) is
-T times row (i - 1, j) reduced).  A step is the sum of coordinate * row,
-one to_bytes and one reduction mod p per slot.  A slot receives d*a
-terms of at most (p - 1)^2, so its width is the narrowest array item that
-holds d*a*(p - 1)^2, chosen from _SLOTS as product chooses its slots.
-Where no item is wide enough (p above about 2^30), for a constant m, and
-for a first step with deg G_0 >= d, the step is a divmod.  One
-distinct-degree split (_factor_degrees) answers is_irreducible and the
-unit-group exponent of A/(m) in digits; its h <- h^q steps are powers
-mod m, and it takes one gcd per block of FACTOR_BLOCK degrees.
+m, steps by such a map too (_Modulus.steps): with deg G_{k-1} < deg m = d
+the step is F_q-linear in G_{k-1}, its row for T^i the remainder and then
+the quotient of b * T^i by m (one divmod of b, then T times the row above).
+A first step with deg G_0 >= d is a divmod; a constant m leaves only zeros.
+_linear_map packs such a map from its rows for T^i, i < d: a canonical
+index is its string of base-p coordinates (q = p^a), so basis element
+x^j T^i, x the generator of F_q over F_p, gets the coordinates of x^j times
+row i, one per slot of one int.  An application sums coordinate * row,
+writes the int out once and reduces each slot mod p.  A slot receives d*a
+terms of at most (p - 1)^2: it is the narrowest item of _SLOTS that holds
+d*a*(p - 1)^2, and without one the map sums each column on ints mod p.
+One distinct-degree split (_factor_degrees) answers is_irreducible and the
+unit-group exponent of A/(m) in digits; its h <- h^q steps are powers mod
+m, and it takes one gcd per block of FACTOR_BLOCK degrees.
 
 Enumeration of polynomials is lexicographic with the constant coefficient
 varying fastest, matching the element order of the coefficient field; there
@@ -75,7 +73,7 @@ import sys
 from array import array
 
 from .errors import ParseError
-from .ffq import FieldElement, FieldSpec, _exp_log
+from .ffq import FieldElement, FieldSpec, _log
 
 NEG_INF = float("-inf")
 
@@ -164,15 +162,17 @@ class _PrimeField:
 class _ExtensionField:
     """F_q, q = p^a with a > 1, on canonical indices.
 
-    exp and log are the field's table of F_q^x (ffq._exp_log, log[0] the
-    sentinel 2n - 1, n = q - 1), and zech[k] = log(1 + w^k), w the
-    canonical generator; zech[k] is the sentinel where 1 + w^k = 0.
+    log is the field's table (ffq._log, log[0] the sentinel 2n - 1, n =
+    q - 1), exp[k] = w^k, w the canonical generator, reads 0 from 2n - 1 on
+    and zech[k] = log(1 + w^k) is the sentinel where 1 + w^k = 0.
     """
 
     def __init__(self, spec: FieldSpec):
         self.p, self.a, self.q = spec.p, spec.a, spec.q
         n = spec.q - 1
-        self.exp, self.log = exp, log = _exp_log(spec)
+        self.log = log = _log(spec)
+        powers = sorted(range(1, spec.q), key=log.__getitem__)  # w^0, w^1, ...
+        self.exp = exp = tuple(powers + powers[: n - 1] + [0] * (2 * n))
         self.zech = [log[(spec.one + spec.from_index(x)).index()] for x in exp[:n]]
         self.minus_one = exp[n // 2] if spec.p % 2 else 1
         # coordinates add without carry; in characteristic 2 that is xor
@@ -424,38 +424,29 @@ class _Modulus:
         """Yield (H_k, G_k) for b * G_{k-1} = H_k * m + G_k, G_0 = c, as
         index lists, without end.
 
-        Once deg G_{k-1} < deg m the step is F_p-linear in the coordinates
-        of G_{k-1}: row (i, j) packs the remainder and then the quotient of
-        b * x^j * T^i by m, one coordinate per slot, x the generator of F_q
-        over F_p.  Row (0, j) is one divmod, and row (i, j) is T times row
-        (i - 1, j), reduced by one axpy.  A step sums coordinate * row,
-        writes the int out once and takes each slot mod p.  No slot receives
-        more than deg m * a terms of at most (p - 1)^2, so the slot is the
-        narrowest array item that holds deg m * a * (p - 1)^2; without one,
-        and for a constant m, every step is a divmod, as is a first step
-        with deg c >= deg m.
+        Once deg G_{k-1} < deg m the step is F_q-linear in G_{k-1}, and
+        _linear_map runs it: row i holds the remainder and then the quotient
+        of b * T^i by m.  Row 0 is one divmod of b, and row i is T times row
+        i - 1, reduced by one axpy.  A first step with deg c >= deg m is a
+        divmod; after it a constant m leaves ([], []) at every step.
         """
         F, dg = self.F, self.dg
-        p, a, product = F.p, F.a, F.product
-        slot = _slot((dg * a * (p - 1) ** 2).bit_length())
-        if not dg or slot is None:
-            while True:
-                hk, c = self.divmod(product(b, c))
-                yield hk, c
+        p, a = F.p, F.a
         if len(c) > dg:
-            hk, c = self.divmod(product(b, c))
+            hk, c = self.divmod(F.product(b, c))
             yield hk, c
+        if not dg:
+            yield from itertools.repeat(([], []))
         e = max(len(b) - 1, 0)  # deg H_k < deg b once deg G_{k-1} < deg m
-        table = [[] for _ in range(dg)]  # table[i][j]: the row of x^j * T^i
-        for j in range(a):
-            quo, rem = self.divmod(F.scale(b, p**j))
-            rem += [0] * (dg - len(rem))
-            for i in range(dg):
-                if i:  # T * (quo * m + rem), where T * rem = t * m + (T * rem mod m)
-                    t = F.mul(rem[-1], self.inv)
-                    quo, rem = [t] + quo, F.axpy([0] + rem[:-1], t, self.minus_low)
-                table[i].append(rem + quo[:e] + [0] * (e - len(quo)))
-        apply = _packed([_coordinates(row, p, a) for per_i in table for row in per_i], p, slot[1])
+        quo, rem = self.divmod(b)
+        rem += [0] * (dg - len(rem))
+        rows = []
+        for i in range(dg):
+            if i:  # T * (quo * m + rem), where T * rem = t * m + (T * rem mod m)
+                t = F.mul(rem[-1], self.inv)
+                quo, rem = [t] + quo, F.axpy([0] + rem[:-1], t, self.minus_low)
+            rows.append(rem + quo[:e] + [0] * (e - len(quo)))
+        apply = _linear_map(F, rows)
         x, n = _coordinates(c, p, a), dg * a
         while True:
             out = apply(x)
@@ -505,39 +496,35 @@ class _Modulus:
         """x -> x^q mod m on index lists reduced mod m (Berlekamp's Q-matrix).
 
         c^q = c on F_q, so (sum_i c_i T^i)^q = sum_i c_i R_i with rows R_i =
-        T^(iq) mod m, R_i = R_(i-1) * T^q mod m.  Packed as steps packs its
-        rows, row (i, j) holds the F_p coordinates of x^j * R_i, and a map
-        is one sum of coordinate * row (_packed) in slots that hold deg m *
-        a * (p - 1)^2; without such a slot the sum runs on indices by axpy."""
+        T^(iq) mod m, R_i = R_(i-1) * T^q mod m, and _linear_map runs it."""
         F, dg, p, a, q = self.F, self.dg, self.F.p, self.F.a, self.F.q
         tq = self._power([0, 1], [q]) if 1 < dg <= q else None
         rows = [[1]]
         while len(rows) < dg:  # for q < deg m, T^q * R is a shift and q reduction steps
             rows.append(self.divmod([0] * q + rows[-1])[1] if tq is None else self.mul(rows[-1], tq))
-        rows = [row + [0] * (dg - len(row)) for row in rows]
-        slot = _slot((dg * a * (p - 1) ** 2).bit_length())
-        if slot is None:
-            def frobenius(x):
-                out = [0] * dg
-                for c, row in zip(x, rows):
-                    if c:
-                        out = F.axpy(out, c, row)
-                return _trimmed(out)
-            return frobenius
-        apply = _packed([_coordinates(F.scale(row, p**j) if j else row, p, a)
-                         for row in rows for j in range(a)], p, slot[1])
+        apply = _linear_map(F, [row + [0] * (dg - len(row)) for row in rows])
         return lambda x: _trimmed(_indices(apply(_coordinates(x, p, a)), p, a))
 
 
-def _packed(rows, p: int, tc: str):
-    """The F_p-linear map x -> sum_k x[k] * rows[k] mod p on coordinate
-    lists, its rows of equal length packed one coordinate per slot of array
-    type tc, each into one int: one sum of products of ints, one to_bytes
-    and one reduction mod p per slot (byte slots in one pass, through a
-    table of residues).  tc must hold every sum."""
-    order = sys.byteorder
-    ints = [int.from_bytes(array(tc, row), order) for row in rows]
-    size = len(rows[0]) * array(tc).itemsize
+def _linear_map(F, rows):
+    """The F_q-linear map sum_i c_i T^i -> sum_i c_i * rows[i], F_p-linear
+    on coordinate lists: coordinate row (i, j) holds the coordinates of
+    x^j * rows[i], x the generator of F_q over F_p, packed one coordinate
+    per slot into one int, and an application is one sum of products of
+    ints, one to_bytes and one reduction mod p per slot (byte slots in one
+    pass, through a table of residues).  The slot holds a sum of
+    len(rows) * a products of at most (p - 1)^2; where no slot is that
+    wide, each column is summed on ints."""
+    p, a, order = F.p, F.a, sys.byteorder
+    coords = [_coordinates(F.scale(row, p**j) if j else row, p, a)
+              for row in rows for j in range(a)]
+    slot = _slot((len(coords) * (p - 1) ** 2).bit_length())
+    if slot is None:
+        columns = list(zip(*coords))
+        return lambda x: [sum(map(operator.mul, x, col)) % p for col in columns]
+    tc = slot[1]
+    ints = [int.from_bytes(array(tc, row), order) for row in coords]
+    size = len(coords[0]) * array(tc).itemsize
     if tc == "B":
         residues = (bytes(range(p)) * (256 // p + 1))[:256]
         return lambda x: list(sum(map(operator.mul, x, ints)).to_bytes(size, order)

@@ -99,7 +99,7 @@ REFUSAL_FIELDS = ((2, 4), (3, 3), (4, 2), (4, 3), (5, 2), (7, 2), (9, 2))
 
 
 def _no_table(spec):
-    raise AssertionError("the exp/log table was read")
+    raise AssertionError("the log table was read")
 
 
 @pytest.mark.parametrize("q, d", REFUSAL_FIELDS)
@@ -107,10 +107,10 @@ def test_non_primitive_base_refused_with_least_witness(q, d, monkeypatch):
     """For every prime ell | N, G = g^ell (g primitive) has order N/ell, and
     products of two primes name the smaller one; the refusal names the least
     prime ell with ord(G) | N/ell, found here by stepping.  Over a prime field
-    the order check reads no exp/log table: the refusal comes without one."""
+    the order check reads no log table: the refusal comes without one."""
     spec = FieldSpec.from_order(q)
     if spec.a == 1:
-        monkeypatch.setattr(chars, "_exp_log", _no_table)
+        monkeypatch.setattr(chars, "_log", _no_table)
     P = all_irreducibles(spec, d)[-1]
     N = q**d - 1
     g = next(c for c in monic_polys(spec, d - 1) if _order(c, P) == N)

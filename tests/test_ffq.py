@@ -5,11 +5,14 @@ import re
 
 import pytest
 
+from carlitzdigits import cli, polyring
 from carlitzdigits.errors import HypothesisError, ParseError
 from carlitzdigits.ffq import (
+    BUILTIN_MODULI,
     FieldElement,
     FieldSpec,
     UnitCharacter,
+    _log,
     canonical_generator,
     dlog,
     quadratic_character,
@@ -285,3 +288,45 @@ def test_elements_cross_field_mix_rejected():
     b = FieldSpec.from_order(5).one
     with pytest.raises(ValueError):
         _ = a + b
+
+
+def reference_exp_log(spec):
+    """(exp, log) on indices as one table from the list of powers: exp[k] =
+    w^k, w the canonical generator, over 4(q - 1) - 1 entries reading 0
+    from 2(q - 1) - 1 on; log inverts it, log[0] the sentinel 2(q - 1) - 1."""
+    n = spec.q - 1
+    w = canonical_generator(spec)
+    powers, cur = [], spec.one
+    for _ in range(n):
+        powers.append(cur.index())
+        cur = cur * w
+    log = [2 * n - 1] * spec.q
+    for k, x in enumerate(powers):
+        log[x] = k
+    return tuple(powers + powers[: n - 1] + [0] * (2 * n)), tuple(log)
+
+
+EXTENSIONS = [FieldSpec(p, a) for p, a in BUILTIN_MODULI]
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(p) for p in (2, 3, 5, 7, 11, 101)] + EXTENSIONS,
+                         ids=lambda spec: f"q{spec.q}")
+def test_log_table_and_derived_exp_match_reference(spec):
+    exp, log = reference_exp_log(spec)
+    assert _log(spec) == log
+    if spec.a > 1:
+        assert polyring._field(spec).exp == exp
+
+
+def test_prime_field_table_builds_no_exp_table(monkeypatch, capsys):
+    """Every table of class numbers over F_7, d = 2, with both cross-checks,
+    answers without the extension-field arithmetic, the only reader of an
+    exp table."""
+    def refuse(spec):
+        raise AssertionError(f"extension-field arithmetic built for {spec}")
+
+    monkeypatch.setattr(polyring, "_ExtensionField", refuse)
+    argv = ["sweep", "--q", "7", "--d", "2", "--verify", "charsum", "--verify", "pointcount"]
+    assert cli.main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 210 and all(row.endswith(",true") for row in rows)

@@ -114,7 +114,7 @@ def test_frobenius_map_is_the_qth_power(spec):
     """The map against x^q by square-and-multiply on random x reduced mod
     m (zero and constants included), monic and non-monic m; over F_p, p =
     2^31 - 1, deg m >= 5 puts deg m * (p - 1)^2 past the widest slot, so
-    the map runs on indices."""
+    the map sums its columns on ints."""
     rng = random.Random(1100 + spec.p + spec.a)
     p, a = spec.p, spec.a
     for d in (1, 2, 3, 4, 7, 12):

@@ -6,6 +6,7 @@ from itertools import islice
 
 import pytest
 
+from carlitzdigits import polyring
 from carlitzdigits.carlitz import carlitz_poly
 from carlitzdigits.digits import long_division
 from carlitzdigits.ffq import FieldSpec
@@ -225,11 +226,10 @@ def assert_steps_match_divmod(base, m, cur, n):
     assert list(islice(long_division(base, m, cur), n)) == [h for h, _ in want]
 
 
-@pytest.mark.parametrize("spec", FIELDS, ids=FIELD_IDS)
-def test_packed_steps_match_divmod(spec):
-    """200 packed steps against the divmod loop for deg M = 1..20, monic or
-    not, deg G below and at least deg M, and G_0 zero, a constant, of
-    degree below deg M and of degree at least deg M (its step a divmod)."""
+def packed_steps_cases(spec):
+    """(G, M, G_0) for deg M = 1..20, monic or not, deg G below and at least
+    deg M, and G_0 zero, a constant, of degree below deg M and of degree at
+    least deg M (its step a divmod)."""
     rng = random.Random(800 + spec.q)
     for d in range(1, 21):
         m = Poly(spec, rand_elems(rng, spec, d + 1))
@@ -238,13 +238,37 @@ def test_packed_steps_match_divmod(spec):
         for deg_g in (rng.randrange(d), rng.randint(d, d + 3)):
             base = Poly(spec, rand_elems(rng, spec, deg_g + 1))
             for len_c in (0, 1, rng.randint(1, d), rng.randint(d + 1, d + 5)):
-                cur = Poly(spec, rand_elems(rng, spec, len_c))
-                assert_steps_match_divmod(base, m, cur, 200)
+                yield base, m, Poly(spec, rand_elems(rng, spec, len_c))
 
 
-def test_steps_without_a_slot_take_divmod():
+@pytest.mark.parametrize("spec", FIELDS, ids=FIELD_IDS)
+def test_packed_steps_match_divmod(spec):
+    """200 packed steps against the divmod loop on packed_steps_cases."""
+    for base, m, cur in packed_steps_cases(spec):
+        assert_steps_match_divmod(base, m, cur, 200)
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=FIELD_IDS)
+def test_maps_without_a_slot_sum_columns(spec, monkeypatch):
+    """With no slot wide enough for any map, the division steps and the
+    Frobenius map take _linear_map's column sums: 40 steps against the
+    divmod loop on packed_steps_cases, and the map against x^q mod M by the
+    oracle on random x of degree below deg M, zero and constants included."""
+    monkeypatch.setattr(polyring, "_slot", lambda bits: None)
+    for base, m, cur in packed_steps_cases(spec):
+        assert_steps_match_divmod(base, m, cur, 40)
+    rng = random.Random(850 + spec.q)
+    for d in (1, 2, 3, 4, 7, 12):
+        m = rand_elems(rng, spec, d + 1)
+        frobenius = _Modulus(Poly(spec, m))._frobenius_map()
+        for x in [[], rand_elems(rng, spec, 1)] + [rand_elems(rng, spec, d) for _ in range(8)]:
+            got = _make(spec, frobenius(list(Poly(spec, x).ints)))
+            assert list(got.coeffs) == ref_mod_pow(spec, x, spec.q, m)
+
+
+def test_steps_without_a_slot_sum_columns():
     """Over F_p, p = 2^31 - 1, deg M = 8 puts 8 * (p - 1)^2 past the widest
-    slot, so every step is a divmod."""
+    slot, so the steps sum the map's columns on ints."""
     spec = FieldSpec(2**31 - 1)
     rng = random.Random(900)
     m = Poly(spec, rand_elems(rng, spec, 9))
