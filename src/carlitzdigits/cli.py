@@ -16,7 +16,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
 
 from .carlitz import carlitz_poly
@@ -566,6 +565,7 @@ def cmd_sweep(args) -> int:
         jobs = [(P, args.l, args.verify) for P in monic_polys(spec, args.d) if is_irreducible(P)]
     workers = min(args.parallel, len(jobs), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # 15-22 ms to import, for this path only
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_p = list(pool.map(_sweep_job, jobs))
     else:

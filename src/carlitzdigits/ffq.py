@@ -13,12 +13,12 @@ polynomial enumeration, sweep order) refers to that order.
 Moduli for small extension fields (q <= 64) are built in; any other
 extension field needs an explicit monic irreducible modulus.
 
-Each field has one log table of F_q^x for its canonical generator, built
-on first use; every scalar discrete log reads it, and an extension field's
-arithmetic (polyring) derives its exp table from it.  Orders and the
-quadratic character are computed by powering; the canonical generator is
-the first unit, in the canonical order and past the prime field when a > 1,
-that numutil.least_witness finds primitive.
+FieldElement's operations run on indices, by polyring's arithmetic of the
+field.  Each field has one log table of F_q^x for its canonical generator,
+built on first use by F_p arithmetic alone; every scalar discrete log
+reads it, and that arithmetic derives its exp table from it.  The
+canonical generator is the first unit, in the canonical order and past the
+prime field when a > 1, that numutil.least_witness finds primitive.
 """
 
 from __future__ import annotations
@@ -152,59 +152,29 @@ class FieldElement:
         return not self.is_zero()
 
     def index(self) -> int:
-        i = 0
-        for c in reversed(self.coeffs):
-            i = i * self.spec.p + c
-        return i
+        return _index(self.coeffs, self.spec.p)
 
     def __add__(self, other):
         self._check(other)
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((x + y) % p for x, y in zip(self.coeffs, other.coeffs)))
+        return self.spec.from_index(_arithmetic(self.spec).add(self.index(), other.index()))
 
     def __neg__(self):
-        p = self.spec.p
-        return FieldElement(self.spec, tuple(-x % p for x in self.coeffs))
+        return self * self.spec.element(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        spec = self.spec
-        p = spec.p
-        if spec.a == 1:
-            return FieldElement(spec, (self.coeffs[0] * other.coeffs[0] % p,))
-        prod = [0] * (2 * spec.a - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        mod = spec.modulus
-        for k in range(len(prod) - 1, spec.a - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for i in range(spec.a):
-                    prod[k - spec.a + i] = (prod[k - spec.a + i] - c * mod[i]) % p
-        return FieldElement(spec, tuple(prod[: spec.a]))
+        return self.spec.from_index(_arithmetic(self.spec).mul(self.index(), other.index()))
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.spec.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if e < 0 and self.is_zero():
+            raise ZeroDivisionError("zero has no inverse")
+        return self.spec.from_index(_arithmetic(self.spec).pow(self.index(), e))
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero():
-            raise ZeroDivisionError("zero has no inverse")
-        return self ** (self.spec.q - 2)
+        return self**-1
 
     def __truediv__(self, other):
         self._check(other)
@@ -226,14 +196,35 @@ class FieldElement:
         return "+".join(terms) if terms else "0"
 
 
+def _index(coeffs, p: int) -> int:
+    """The canonical index of a list of coordinates, lowest first."""
+    i = 0
+    for c in reversed(coeffs):
+        i = i * p + c
+    return i
+
+
+def _arithmetic(spec: FieldSpec):
+    """polyring's arithmetic of spec on indices, the one FieldElement runs on."""
+    from .polyring import _field  # polyring imports this module
+
+    return _field(spec)
+
+
 @functools.lru_cache(maxsize=None)
 def canonical_generator(spec: FieldSpec) -> FieldElement:
     """The least generator of F_q^x in the canonical element order; zero is
-    skipped, and so is the prime field when a > 1 (orders dividing p - 1)."""
-    n, one = spec.q - 1, spec.one
+    skipped, and so is the prime field when a > 1 (orders dividing p - 1).
+    A candidate is powered in F_p, or in F_p[x]/(modulus) when a > 1."""
+    n, one, power = spec.q - 1, spec.one, pow
+    if spec.a > 1:
+        from .polyring import Poly, mod_pow  # polyring imports this module
+
+        m = Poly(FieldSpec(spec.p), spec.modulus)
+        one, power = Poly.one(m.spec), lambda x, e: mod_pow(Poly(m.spec, x.coeffs), e, m)
     for i in range(1 if spec.a == 1 else spec.p, spec.q):
         x = spec.from_index(i)
-        if least_witness(n, lambda e: x**e == one) is None:
+        if least_witness(n, lambda e: power(x, e) == one) is None:
             return x
     raise AssertionError("unit group of a finite field is cyclic")
 
@@ -251,13 +242,23 @@ def quadratic_character(x: FieldElement) -> int:
 @functools.lru_cache(maxsize=None)
 def _log(spec: FieldSpec) -> tuple[int, ...]:
     """log[x] = k with w^k = x on indices, 0 <= k < n = q - 1, w the
-    canonical generator; log[0] is the sentinel 2n - 1."""
-    n = spec.q - 1
-    w, cur = canonical_generator(spec), spec.one
+    canonical generator; log[0] is the sentinel 2n - 1.  The powers of w
+    are stepped in F_p, or in F_p[x]/(modulus) when a > 1."""
+    n, p = spec.q - 1, spec.p
+    w = canonical_generator(spec).coeffs
     log = [2 * n - 1] * spec.q
+    if spec.a == 1:
+        cur = 1
+        for k in range(n):
+            log[cur] = k
+            cur = cur * w[0] % p
+        return tuple(log)
+    from .polyring import Poly, _modulus  # polyring imports this module
+
+    mul, cur = _modulus(Poly(FieldSpec(p), spec.modulus)).mul, [1]
     for k in range(n):
-        log[cur.index()] = k
-        cur = cur * w
+        log[_index(cur, p)] = k
+        cur = mul(cur, w)
     return tuple(log)
 
 

@@ -4,8 +4,8 @@ A polynomial holds its field once and its coefficients as a tuple of ints,
 ascending by degree, with no trailing zeros; the zero polynomial is the
 empty tuple.  Each int is the canonical index of the coefficient
 (FieldSpec.from_index), which over a prime field is the residue mod p.
-FieldElement stays the definition of F_q and the type at the edges:
-Poly(spec, elements), Poly.coeffs (a read-only view), leading_coeff,
+FieldElement, whose operations run on _field below, is the type at the
+edges: Poly(spec, elements), Poly.coeffs (a read-only view), leading_coeff,
 constant_coeff, evaluate, scale, poly() and the parser.  deg 0 is the
 sentinel NEG_INF (so deg respects products only away from zero), and the
 leading coefficient of 0 is defined to be 0.
@@ -18,11 +18,11 @@ machine array item), the two ints are multiplied once (CPython switches to
 Karatsuba for large ones), and the slots are unpacked and reduced mod p.
 Every other product is a schoolbook, row by row over the nonzero
 coefficients of the sparser operand.  Over an extension field the
-coefficients go through the field's log table (ffq._log), its inverse exp
-and q - 1 Zech logarithms, built once per field.  Division by m is one
-loop on lists of ints (_Modulus.divmod), with the inverse of the leading
-coefficient and the negated low coefficients of m set up once: divmod and
-mod_pow run it, and wrap only their results in Poly.
+coefficients go through the field's log table (ffq._log, built by F_p
+arithmetic), its inverse exp and q - 1 Zech logarithms.  Division by m is
+one loop on lists of ints (_Modulus.divmod), with the inverse of the
+leading coefficient and the negated low coefficients of m set up once:
+divmod and mod_pow run it, and wrap only their results in Poly.
 
 Powers mod m go through the Frobenius map x -> x^q mod m, which is F_q-
 linear: c^q = c for c in F_q, so (sum_i c_i T^i)^q = sum_i c_i R_i with the
@@ -134,8 +134,8 @@ class _PrimeField:
     def mul(self, x: int, y: int) -> int:
         return x * y % self.p
 
-    def inv(self, x: int) -> int:
-        return pow(x, -1, self.p)
+    def pow(self, x: int, e: int) -> int:
+        return pow(x, e, self.p)
 
     def scale(self, v, c: int) -> list[int]:
         p = self.p
@@ -169,11 +169,11 @@ class _ExtensionField:
 
     def __init__(self, spec: FieldSpec):
         self.p, self.a, self.q = spec.p, spec.a, spec.q
-        n = spec.q - 1
+        n, p = spec.q - 1, spec.p
         self.log = log = _log(spec)
         powers = sorted(range(1, spec.q), key=log.__getitem__)  # w^0, w^1, ...
         self.exp = exp = tuple(powers + powers[: n - 1] + [0] * (2 * n))
-        self.zech = [log[(spec.one + spec.from_index(x)).index()] for x in exp[:n]]
+        self.zech = [log[x - x % p + (x + 1) % p] for x in exp[:n]]  # 1 + x on coordinate 0
         self.minus_one = exp[n // 2] if spec.p % 2 else 1
         # coordinates add without carry; in characteristic 2 that is xor
         self.add = operator.xor if spec.p == 2 else self._zech_add
@@ -187,8 +187,10 @@ class _ExtensionField:
     def mul(self, x: int, y: int) -> int:
         return self.exp[self.log[x] + self.log[y]]
 
-    def inv(self, x: int) -> int:
-        return self.exp[len(self.log) - 1 - self.log[x]]
+    def pow(self, x: int, e: int) -> int:
+        if not x:  # 0^0 = 1; 0^e for e < 0 is left to the caller
+            return 0 if e else 1
+        return self.exp[self.log[x] * e % (self.q - 1)]
 
     def scale(self, v, c: int) -> list[int]:
         exp, log, lc = self.exp, self.log, self.log[c]
@@ -350,7 +352,7 @@ class Poly:
         if self.is_zero():
             raise ZeroDivisionError("zero polynomial cannot be made monic")
         F = _field(self.spec)
-        return _make(self.spec, F.scale(self.ints, F.inv(self.ints[-1])))
+        return _make(self.spec, F.scale(self.ints, F.pow(self.ints[-1], -1)))
 
     def evaluate(self, x: FieldElement) -> FieldElement:
         F = _field(self.spec)
@@ -395,7 +397,7 @@ class _Modulus:
             raise ZeroDivisionError("polynomial division by zero")
         self.F = F = _field(m.spec)
         self.dg = len(m.ints) - 1
-        self.inv = F.inv(m.ints[-1])
+        self.inv = F.pow(m.ints[-1], -1)
         self.minus_low = F.scale(m.ints[:-1], F.minus_one)
         self.frobenius = None  # x -> x^q mod m, built by power once it pays
         self.asked = 0  # products the x^q asked of m so far take by square-and-multiply
@@ -578,7 +580,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     while b:
         a, b = b, _Modulus(_make(spec, b)).divmod(a)[1] if len(a) >= len(b) else a
     F = _field(spec)
-    return _make(spec, F.scale(a, F.inv(a[-1])) if a else a)
+    return _make(spec, F.scale(a, F.pow(a[-1], -1)) if a else a)
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -724,11 +726,7 @@ def parse_poly(spec: FieldSpec, text: str) -> Poly:
 def _format_coeff(spec: FieldSpec, i: int) -> str:
     if spec.a == 1:
         return str(i)
-    digits = []
-    for _ in range(spec.a):
-        i, c = divmod(i, spec.p)
-        digits.append(str(c))
-    return "(" + ",".join(digits) + ")"
+    return "(" + ",".join(map(str, spec.from_index(i).coeffs)) + ")"
 
 
 def format_poly(f: Poly, style: str = "human") -> str:

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import random
+import re
 import time
 from collections import Counter
 from itertools import islice
@@ -664,13 +665,18 @@ def test_orbit_guard_matches_complex_log_reference():
     """The guard against the complex-log product over all of (Z/t)^x, for
     every 2 <= t <= 130 (t = 1 is no character order), on six vectors each
     and seven candidate values per vector: the exact norm, off by a relative +-1e-5, its negative,
-    zero, its double and the norm + 1.  Same outcome, same message."""
+    zero, its double and the norm + 1.  Same outcome, same message up to the
+    printed relative error, and that error within one unit of its last
+    printed digit: summed in another order the floats may round a tie the
+    other way (one t = 14 case is off by exactly 1/128)."""
 
     def outcome(guard, *args):
+        """None when the guard passes, else its message split around the
+        printed error: [text, error, text], or [text] without one."""
         try:
             guard(*args)
         except ExactnessError as exc:
-            return str(exc)
+            return re.split(r"(\d\.\d{3}e[-+]\d+)", str(exc))
         return None
 
     rng = random.Random(22)
@@ -682,8 +688,13 @@ def test_orbit_guard_matches_complex_log_reference():
             for value in {exact, exact + exact // 10**5, exact - exact // 10**5, -exact, 0,
                           2 * exact, exact + 1}:
                 want = outcome(_reference_orbit_guard, t, vec, value, "control")
-                assert outcome(classnum._orbit_guard, t, vec, value, "control") == want, \
-                    (t, vec, value)
+                got = outcome(classnum._orbit_guard, t, vec, value, "control")
+                assert (got is None) == (want is None), (t, vec, value)
+                if want is not None:
+                    assert got[::2] == want[::2], (t, vec, value)
+                    for g, w in zip(got[1::2], want[1::2]):
+                        unit = 10.0 ** (int(w.split("e")[1]) - 3)  # of the last printed digit
+                        assert abs(float(g) - float(w)) <= unit * (1 + 1e-9), (t, vec, value)
                 cases += 1
                 rejected += want is not None
     assert cases > 4000 and cases - rejected > 700 and rejected > 3000

@@ -1,6 +1,9 @@
+import concurrent.futures
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import time
 
 import pytest
@@ -12,7 +15,7 @@ from carlitzdigits.errors import ExactnessError
 from carlitzdigits.ffq import FieldSpec
 from carlitzdigits.polyring import Poly, format_poly, mod_pow, parse_poly
 
-from conftest import all_irreducibles, run_cli, trial_factorize
+from conftest import all_irreducibles, run_cli, src_env, trial_factorize
 
 
 def test_expand_text_golden():
@@ -210,7 +213,7 @@ class _RecordingPool:
 def test_sweep_parallel_is_capped(monkeypatch):
     """--parallel N starts at most one worker per table and per CPU; the
     output is that of a serial sweep."""
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     argv = ["sweep", "--q", "3", "--d", "2", "--verify", "charsum"]
     serial = _main_in_process(argv)
     assert _RecordingPool.seen == []
@@ -220,6 +223,14 @@ def test_sweep_parallel_is_capped(monkeypatch):
         _RecordingPool.seen.clear()
         assert _main_in_process(argv + ["--parallel", parallel]) == serial
         assert _RecordingPool.seen == ([] if workers is None else [workers])
+
+
+def test_cli_import_leaves_out_process_pools():
+    """Only sweep with more than one worker imports concurrent.futures."""
+    code = "import sys, carlitzdigits.cli; print('concurrent.futures' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=src_env())
+    assert (res.returncode, res.stdout) == (0, "False\n")
 
 
 def test_sweep_json_and_text():

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 import re
@@ -307,15 +308,111 @@ def reference_exp_log(spec):
 
 
 EXTENSIONS = [FieldSpec(p, a) for p, a in BUILTIN_MODULI]
+# x^2+1 over F_3, x^4+x^3+x^2+x+1 over F_2, x^2+2 over F_5 and x^3+2 over F_7:
+# moduli whose class x is not a generator
+USER_MODULI = [pytest.param(spec, id=f"q{spec.q}-{spec.modulus}") for spec in (
+    FieldSpec(3, 2, (1, 0, 1)), FieldSpec(2, 4, (1, 1, 1, 1, 1)), FieldSpec(5, 2, (2, 0, 1)),
+    FieldSpec(7, 3, (2, 0, 0, 1)))]
 
 
-@pytest.mark.parametrize("spec", [FieldSpec(p) for p in (2, 3, 5, 7, 11, 101)] + EXTENSIONS,
-                         ids=lambda spec: f"q{spec.q}")
+@pytest.mark.parametrize("spec", [*(FieldSpec(p) for p in (2, 3, 5, 7, 11, 101)), *EXTENSIONS,
+                                  *USER_MODULI], ids=lambda spec: f"q{spec.q}")
 def test_log_table_and_derived_exp_match_reference(spec):
     exp, log = reference_exp_log(spec)
     assert _log(spec) == log
     if spec.a > 1:
         assert polyring._field(spec).exp == exp
+
+
+@pytest.mark.parametrize("spec", EXTENSIONS + USER_MODULI, ids=lambda spec: f"q{spec.q}")
+def test_tables_build_without_extension_field_arithmetic(spec, monkeypatch):
+    """The canonical generator and the log table of an extension field are
+    built by prime-field arithmetic alone: with no arithmetic of the field
+    to be had (a fresh _field cache, _ExtensionField refusing), both are
+    built again and equal the reference's."""
+    exp, log = reference_exp_log(spec)
+
+    def refuse(spec):
+        raise AssertionError(f"extension-field arithmetic built for {spec}")
+
+    monkeypatch.setattr(polyring, "_field", functools.cache(polyring._field.__wrapped__))
+    monkeypatch.setattr(polyring, "_ExtensionField", refuse)
+    assert canonical_generator.__wrapped__(spec).index() == exp[1]
+    assert _log.__wrapped__(spec) == log
+
+
+def reference_mul(x, y):
+    """FieldElement.__mul__ before it ran on polyring's arithmetic: a
+    schoolbook on coordinates, then a reduction by the modulus."""
+    spec = x.spec
+    p = spec.p
+    if spec.a == 1:
+        return FieldElement(spec, (x.coeffs[0] * y.coeffs[0] % p,))
+    prod = [0] * (2 * spec.a - 1)
+    for i, c in enumerate(x.coeffs):
+        if c:
+            for j, d in enumerate(y.coeffs):
+                prod[i + j] = (prod[i + j] + c * d) % p
+    mod = spec.modulus
+    for k in range(len(prod) - 1, spec.a - 1, -1):
+        c = prod[k]
+        if c:
+            prod[k] = 0
+            for i in range(spec.a):
+                prod[k - spec.a + i] = (prod[k - spec.a + i] - c * mod[i]) % p
+    return FieldElement(spec, tuple(prod[: spec.a]))
+
+
+def reference_pow(x, e):
+    """FieldElement.__pow__ before: square-and-multiply by reference_mul."""
+    if e < 0:
+        return reference_pow(reference_inverse(x), -e)
+    result, base = x.spec.one, x
+    while e:
+        if e & 1:
+            result = reference_mul(result, base)
+        base = reference_mul(base, base)
+        e >>= 1
+    return result
+
+
+def reference_inverse(x):
+    """FieldElement.inverse before: the power q - 2."""
+    if x.is_zero():
+        raise ZeroDivisionError("zero has no inverse")
+    return reference_pow(x, x.spec.q - 2)
+
+
+@pytest.mark.parametrize("spec", [*EXTENSIONS, FieldSpec(101), *USER_MODULI],
+                         ids=lambda spec: f"q{spec.q}")
+def test_operations_match_reference(spec):
+    """Products, quotients, sums and differences of every pair of elements
+    (of 3000 seeded pairs when q > 64), negatives, inverses and powers
+    (negative ones too) of every element, against the coordinate arithmetic
+    FieldElement had of its own."""
+    p, elements = spec.p, list(spec.elements())
+    rng = random.Random(spec.q)
+    pairs = (itertools.product(elements, repeat=2) if spec.q <= 64 else
+             ((rng.choice(elements), rng.choice(elements)) for _ in range(3000)))
+    for x, y in pairs:
+        assert x * y == reference_mul(x, y)
+        assert x + y == FieldElement(spec, tuple((c + d) % p for c, d in zip(x.coeffs, y.coeffs)))
+        assert x - y == FieldElement(spec, tuple((c - d) % p for c, d in zip(x.coeffs, y.coeffs)))
+        if y:
+            assert x / y == reference_mul(x, reference_inverse(y))
+    for x in elements:
+        assert -x == FieldElement(spec, tuple(-c % p for c in x.coeffs))
+        for e in (0, 1, 2, 3, spec.q - 2, spec.q - 1, spec.q, 5 * spec.q + 3, 10**12 + 39):
+            assert x**e == reference_pow(x, e)
+        if x:
+            assert x.inverse() == reference_inverse(x)
+            for e in (-1, -2, -spec.q, -(10**12 + 39)):
+                assert x**e == reference_pow(x, e)
+    zero = spec.zero
+    for refuse in (zero.inverse, lambda: zero**-1, lambda: spec.one / zero,
+                   lambda: reference_inverse(zero)):
+        with pytest.raises(ZeroDivisionError, match="^zero has no inverse$"):
+            refuse()
 
 
 def test_prime_field_table_builds_no_exp_table(monkeypatch, capsys):
