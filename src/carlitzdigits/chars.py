@@ -37,7 +37,8 @@ from .cycint import CycloInt, root_of_unity
 from .errors import ExactnessError, HypothesisError, PrimitivityError, ResourceLimitError
 from .ffq import FieldElement, UnitCharacter, _log, dlog
 from .numutil import least_witness
-from .polyring import Poly, _make, _Modulus, _trimmed, is_irreducible, mod_pow
+from .polyring import (Poly, _make, _Modulus, _trimmed, format_poly, is_irreducible,
+                       primitivity_witness)
 
 _N_BOUND = 2**63
 
@@ -62,6 +63,8 @@ class ResidueCtx:
     digit_leads: tuple[int, ...]
     unit_gen: FieldElement
     _subfield_memo: dict = field(default_factory=dict, init=False, repr=False)
+    _digit_memo: object = field(default=None, init=False, repr=False)  # classnum.DigitPolynomials
+    _orbit_memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def spec(self):
@@ -80,6 +83,10 @@ class ResidueCtx:
     def dlog(self) -> dict:
         return {g.monic(): k for g, k in zip(self.powers, self.logs)}
 
+    @functools.cached_property
+    def names(self) -> tuple[str, str]:
+        return format_poly(self.P), format_poly(self.G)
+
     def char(self, j: int) -> "DirichletChar":
         return DirichletChar(self, j % self.N)
 
@@ -97,14 +104,6 @@ def _division(P: Poly, G: Poly, steps: int):
     division G * G^(k-1) = H_k * P + G^k with G^0 = 1."""
     for h, g in islice(_Modulus(P).steps(G.ints, (1,)), steps):
         yield _trimmed(h), _trimmed(g)
-
-
-def primitivity_witness(G: Poly, P: Poly) -> int | None:
-    """The least prime ell | q^deg P - 1 = N with G^(N/ell) = 1 mod P; None
-    when G, a unit mod the irreducible P, is primitive."""
-    N = P.spec.q ** (len(P.ints) - 1) - 1
-    one = Poly.one(P.spec) % P
-    return least_witness(N, lambda e: mod_pow(G, e, P) == one)
 
 
 def _require_monic(P: Poly) -> None:

@@ -40,16 +40,14 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from itertools import islice
 from typing import NamedTuple
 
-from .chars import (DirichletChar, ResidueCtx, _require_subfield_degree, build_context,
-                    primitivity_witness, subfield)
+from .chars import DirichletChar, ResidueCtx, _require_subfield_degree, build_context, subfield
 from .cycint import CycloInt, _mul, exponent_sum, norm, root_of_unity
 from .errors import ExactnessError, HypothesisError, ResourceLimitError
 from .ffq import UnitCharacter, _inverse_log, _log, quadratic_character
 from .numutil import divisors
-from .polyring import Poly, all_polys_below, format_poly, is_irreducible, mod_pow, monic_polys
+from .polyring import Poly, is_irreducible, least_primitive_residue, mod_pow, monic_polys
 
 _ADVISORY_REL_TOL = 1e-6
 
@@ -102,10 +100,9 @@ class DigitPolynomials:
 
 def digit_polynomials(ctx: ResidueCtx) -> DigitPolynomials:
     """The ctx's digit records H_1..H_r with their degree polynomial, memoized."""
-    cached = getattr(ctx, "_digit_memo", None)
-    if cached is None:
-        cached = ctx._digit_memo = DigitPolynomials(ctx=ctx, degree_poly=ctx.digit_degrees)
-    return cached
+    if ctx._digit_memo is None:
+        ctx._digit_memo = DigitPolynomials(ctx=ctx, degree_poly=ctx.digit_degrees)
+    return ctx._digit_memo
 
 
 def _monic_window(ctx: ResidueCtx, lo: int):
@@ -369,10 +366,7 @@ def _orbit_value(ctx: ResidueCtx, t: int) -> int:
     elsewhere sum chi(I).  Guarded and then memoized on the ctx, whatever l
     asks for it.
     """
-    memo = getattr(ctx, "_orbit_memo", None)
-    if memo is None:
-        memo = ctx._orbit_memo = {}
-    if t not in memo:
+    if t not in ctx._orbit_memo:
         if ctx.r % t:
             pairs = [(k, 1) for k, _ in _monic_window(ctx, 0)]
         else:
@@ -381,8 +375,8 @@ def _orbit_value(ctx: ResidueCtx, t: int) -> int:
         what = f"character sum orbit of order {t}"
         value = _collapse(_orbit_product(exponent_sum(t, enumerate(vec))), what)
         _orbit_guard(t, vec, value, what)
-        memo[t] = value
-    return memo[t]
+        ctx._orbit_memo[t] = value
+    return ctx._orbit_memo[t]
 
 
 def h_from_char_sums(ctx: ResidueCtx, l: int) -> CharSumClassNumbers:
@@ -426,17 +420,13 @@ def quadratic_class_number(P: Poly, G: Poly) -> int:
 
 
 def canonical_primitive_lift(P: Poly) -> Poly:
-    """G = g0 + P for the least primitive residue g0 in enumeration order.
+    """G = g0 + P for the least primitive residue g0 mod P in enumeration
+    order, by the search that also finds F_q's canonical generator.
 
     The result is monic of degree d = deg P, so deg G >= deg P holds and
-    G is primitive mod P exactly because g0 is.  Zero is skipped, and when
-    d >= 2 so are the q constants, which come first (orders divide q - 1).
+    G is primitive mod P exactly because g0 is.
     """
-    d = len(P.ints) - 1
-    for cand in islice(all_polys_below(P.spec, d), P.spec.q if d >= 2 else 1, None):
-        if primitivity_witness(cand, P) is None:
-            return cand + P
-    raise ExactnessError("no primitive residue found; unit groups are cyclic")
+    return least_primitive_residue(P) + P
 
 
 # -- point counting oracle, for every subfield --
@@ -615,11 +605,8 @@ def compute_report(
     if verify_pointcount:
         methods.append("pointcount")
         agree = agree and _point_count(ctx.P, l) == h
-    names = getattr(ctx, "_name_memo", None)
-    if names is None:
-        names = ctx._name_memo = (format_poly(ctx.P), format_poly(ctx.G))
     return ClassNumberReport(
-        q=ctx.spec.q, d=ctx.d, P=names[0], G=names[1],
+        q=ctx.spec.q, d=ctx.d, P=ctx.names[0], G=ctx.names[1],
         e=ctx.e, r=ctx.r, l=l, m=desc.m, n=desc.n,
         h_plus=h_plus, h_minus=h_minus, h=h,
         methods=tuple(methods), agree=agree,

@@ -262,19 +262,13 @@ class CycloInt:
         if m % self.n:
             raise ValueError(f"{self.n} does not divide {m}")
         k = m // self.n
-        vec = [0] * ((len(self.coeffs) - 1) * k + 1 or 1)
-        for i, c in enumerate(self.coeffs):
-            vec[i * k] += c
-        return CycloInt(m, _reduce(m, vec))
+        return exponent_sum(m, ((i * k, c) for i, c in enumerate(self.coeffs)))
 
     def galois(self, u: int) -> "CycloInt":
         """Image under sigma_u: zeta_n -> zeta_n^u, for gcd(u, n) = 1."""
         if math.gcd(u, self.n) != 1:
             raise ValueError(f"{u} is not a unit mod {self.n}")
-        vec = [0] * self.n
-        for i, c in enumerate(self.coeffs):
-            vec[u * i % self.n] += c
-        return CycloInt(self.n, _reduce(self.n, vec))
+        return exponent_sum(self.n, ((u * i, c) for i, c in enumerate(self.coeffs)))
 
     def as_integer(self) -> int | None:
         """The rational integer this value equals, or None."""

@@ -16,9 +16,9 @@ extension field needs an explicit monic irreducible modulus.
 FieldElement's operations run on indices, by polyring's arithmetic of the
 field.  Each field has one log table of F_q^x for its canonical generator,
 built on first use by F_p arithmetic alone; every scalar discrete log
-reads it, and that arithmetic derives its exp table from it.  The
-canonical generator is the first unit, in the canonical order and past the
-prime field when a > 1, that numutil.least_witness finds primitive.
+reads it, and that arithmetic derives its exp table from it.  With F_q =
+F_p[x]/(m), m the modulus (x when a = 1), the generator is the least
+primitive residue mod m and the table walks its powers mod m, as (A/P)^x's.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import HypothesisError, ParseError
-from .numutil import factorize, is_prime, least_witness
+from .numutil import factorize, is_prime
 
 # Fixed moduli for the extension fields with q = p^a <= 64, coefficients
 # ascending.  These are the classical Conway polynomials, but nothing below
@@ -213,20 +213,13 @@ def _arithmetic(spec: FieldSpec):
 
 @functools.lru_cache(maxsize=None)
 def canonical_generator(spec: FieldSpec) -> FieldElement:
-    """The least generator of F_q^x in the canonical element order; zero is
-    skipped, and so is the prime field when a > 1 (orders dividing p - 1).
-    A candidate is powered in F_p, or in F_p[x]/(modulus) when a > 1."""
-    n, one, power = spec.q - 1, spec.one, pow
-    if spec.a > 1:
-        from .polyring import Poly, mod_pow  # polyring imports this module
+    """The least generator of F_q^x in the canonical element order: the least
+    primitive residue mod m in F_q = F_p[x]/(m), m the modulus or x when
+    a = 1, read as coordinates (so the prime field is skipped when a > 1)."""
+    from .polyring import Poly, least_primitive_residue  # polyring imports this module
 
-        m = Poly(FieldSpec(spec.p), spec.modulus)
-        one, power = Poly.one(m.spec), lambda x, e: mod_pow(Poly(m.spec, x.coeffs), e, m)
-    for i in range(1 if spec.a == 1 else spec.p, spec.q):
-        x = spec.from_index(i)
-        if least_witness(n, lambda e: power(x, e) == one) is None:
-            return x
-    raise AssertionError("unit group of a finite field is cyclic")
+    m = Poly(FieldSpec(spec.p), spec.modulus or (0, 1))
+    return spec.element(least_primitive_residue(m).ints)
 
 
 def quadratic_character(x: FieldElement) -> int:
@@ -243,7 +236,8 @@ def quadratic_character(x: FieldElement) -> int:
 def _log(spec: FieldSpec) -> tuple[int, ...]:
     """log[x] = k with w^k = x on indices, 0 <= k < n = q - 1, w the
     canonical generator; log[0] is the sentinel 2n - 1.  The powers of w
-    are stepped in F_p, or in F_p[x]/(modulus) when a > 1."""
+    are stepped on ints mod p, or when a > 1 mod the modulus by
+    polyring._Modulus.steps: w^k is the remainder of w * w^(k-1)."""
     n, p = spec.q - 1, spec.p
     w = canonical_generator(spec).coeffs
     log = [2 * n - 1] * spec.q
@@ -253,12 +247,12 @@ def _log(spec: FieldSpec) -> tuple[int, ...]:
             log[cur] = k
             cur = cur * w[0] % p
         return tuple(log)
-    from .polyring import Poly, _modulus  # polyring imports this module
+    from .polyring import Poly, _Modulus, _trimmed  # polyring imports this module
 
-    mul, cur = _modulus(Poly(FieldSpec(p), spec.modulus)).mul, [1]
-    for k in range(n):
-        log[_index(cur, p)] = k
-        cur = mul(cur, w)
+    log[1] = 0
+    powers = _Modulus(Poly(FieldSpec(p), spec.modulus)).steps(_trimmed(w), [1])
+    for k, (_, g) in zip(range(1, n), powers):
+        log[_index(g, p)] = k
     return tuple(log)
 
 
@@ -320,5 +314,5 @@ class UnitCharacter:
 
 def unit_character(spec: FieldSpec, s: int, generator: FieldElement | None = None) -> UnitCharacter:
     if generator is None:
-        generator = canonical_generator(spec) if spec.q > 2 else spec.one
+        generator = canonical_generator(spec)
     return UnitCharacter(spec, s, generator)

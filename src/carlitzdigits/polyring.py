@@ -37,10 +37,12 @@ would take FROBENIUS_MAP_MIN products by square-and-multiply; until then a
 power is square-and-multiply.
 
 The long division of digits, b * G_{k-1} = H_k * m + G_k for a fixed b and
-m, steps by such a map too (_Modulus.steps): with deg G_{k-1} < deg m = d
-the step is F_q-linear in G_{k-1}, its row for T^i the remainder and then
-the quotient of b * T^i by m (one divmod of b, then T times the row above).
-A first step with deg G_0 >= d is a divmod; a constant m leaves only zeros.
+m, steps by such a map too (_Modulus.steps), as do the powers G_k = b^k of
+F_q's generator b mod its modulus m over F_p (ffq._log, G_0 = 1): with
+deg G_{k-1} < deg m = d the step is F_q-linear in G_{k-1}, its row for T^i
+the remainder and then the quotient of b * T^i by m (one divmod of b, then
+T times the row above).  A first step with deg G_0 >= d is a divmod; a
+constant m leaves only zeros.
 _linear_map packs such a map from its rows for T^i, i < d: a canonical
 index is its string of base-p coordinates (q = p^a), so basis element
 x^j T^i, x the generator of F_q over F_p, gets the coordinates of x^j times
@@ -55,7 +57,9 @@ m, and it takes one gcd per block of FACTOR_BLOCK degrees.
 Enumeration of polynomials is lexicographic with the constant coefficient
 varying fastest, matching the element order of the coefficient field; there
 are exactly q^s monic polynomials of degree s and they are produced in that
-fixed order.
+fixed order, reading range(q) lazily: the search in that order for the
+least primitive residue mod m (classnum.canonical_primitive_lift, and F_q's
+canonical generator) pays only for the candidates it tests.
 
 Text forms: a human-readable sum of terms like "T^3+2*T+2" (parsing also
 accepts the implicit product "2T"), and a bare coefficient list "2,2,0,1"
@@ -72,8 +76,9 @@ import re
 import sys
 from array import array
 
-from .errors import ParseError
+from .errors import ExactnessError, ParseError
 from .ffq import FieldElement, FieldSpec, _log
+from .numutil import least_witness
 
 NEG_INF = float("-inf")
 
@@ -572,6 +577,25 @@ def mod_pow(base: Poly, e: int, m: Poly) -> Poly:
     return _make(m.spec, mod.power(x, e) if e and x else x)
 
 
+def primitivity_witness(G: Poly, P: Poly) -> int | None:
+    """The least prime ell | q^deg P - 1 = N with G^(N/ell) = 1 mod P; None
+    when G, a unit mod the irreducible P, is primitive."""
+    N = P.spec.q ** (len(P.ints) - 1) - 1
+    one = Poly.one(P.spec) % P
+    return least_witness(N, lambda e: mod_pow(G, e, P) == one)
+
+
+def least_primitive_residue(m: Poly) -> Poly:
+    """The first residue mod the irreducible m, in enumeration order, that
+    generates (A/m)^x: zero is skipped, and when deg m >= 2 so are the q
+    constants, which come first (their orders divide q - 1)."""
+    d = len(m.ints) - 1
+    for cand in itertools.islice(all_polys_below(m.spec, d), m.spec.q if d >= 2 else 1, None):
+        if primitivity_witness(cand, m) is None:
+            return cand
+    raise ExactnessError("no primitive residue found; unit groups are cyclic")
+
+
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd; gcd(0, 0) = 0.  Euclid on index lists, one _Modulus per
     division."""
@@ -631,9 +655,10 @@ def _factor_degrees(m: Poly):
 
 
 def _index_tuples(q: int, s: int):
-    """All s-tuples over range(q), the first entry varying fastest."""
-    for digits in itertools.product(range(q), repeat=s):
-        yield digits[::-1]
+    """All s-tuples over range(q), the first entry varying fastest, lazily."""
+    if not s:
+        return iter([()])
+    return ((c, *rest) for rest in _index_tuples(q, s - 1) for c in range(q))
 
 
 def monic_polys(spec: FieldSpec, s: int):

@@ -80,6 +80,7 @@ def test_primitivity_failure_names_witness():
     with pytest.raises(PrimitivityError) as info:
         build_context(P, parse_poly(spec, "T+3"))
     assert info.value.witness == 3
+    assert chars.primitivity_witness(parse_poly(spec, "T+3"), P) == 3  # polyring's, kept here
     with pytest.raises(PrimitivityError):
         build_context(P, Poly.one(spec))
 

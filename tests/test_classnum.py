@@ -4,6 +4,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 from collections import Counter
 from itertools import islice
 
@@ -32,7 +33,7 @@ from carlitzdigits.classnum import (
 )
 from carlitzdigits.cycint import CycloInt, cyclotomic_poly, exponent_sum, int_poly_resultant, norm
 from carlitzdigits.errors import ExactnessError, HypothesisError, ResourceLimitError
-from carlitzdigits.ffq import FieldElement, FieldSpec, unit_character
+from carlitzdigits.ffq import FieldElement, FieldSpec, canonical_generator, unit_character
 from carlitzdigits.numutil import divisors, element_order, prime_factors
 from carlitzdigits.polyring import (
     Poly,
@@ -406,6 +407,22 @@ def test_canonical_primitive_lift_is_first_of_full_search(q):
             g0 = next(c for c in all_polys_below(spec, d)
                       if c and brute_order(c, P) == N)
             assert canonical_primitive_lift(P) == g0 + P
+
+
+def test_primitive_search_reads_the_field_lazily():
+    """The lift mod T+1 over F_999983 and the generator of F_(2^61-1) test a
+    few candidates each, and enumeration reads range(q) lazily, so neither
+    makes a list of all q residues (about 38 MB for the first when it did)."""
+    spec = FieldSpec(999983)
+    tracemalloc.start()
+    try:
+        G = canonical_primitive_lift(parse_poly(spec, "T+1"))
+        g = canonical_generator.__wrapped__(FieldSpec(2**61 - 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert format_poly(G) == "T+6" and g.index() == 37  # 5 and 37 are the least primitive roots
+    assert peak < 4 * 2**20
 
 
 def test_report_refuses_point_count_before_any_norm(monkeypatch, ctx1, ctx3):

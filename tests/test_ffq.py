@@ -13,13 +13,15 @@ from carlitzdigits.ffq import (
     FieldElement,
     FieldSpec,
     UnitCharacter,
+    _index,
     _log,
     canonical_generator,
     dlog,
     quadratic_character,
     unit_character,
 )
-from carlitzdigits.numutil import element_order
+from carlitzdigits.numutil import element_order, least_witness
+from carlitzdigits.polyring import Poly, mod_pow
 
 FIELDS = (2, 3, 4, 5, 7, 8, 9, 25, 49)
 
@@ -339,6 +341,69 @@ def test_tables_build_without_extension_field_arithmetic(spec, monkeypatch):
     monkeypatch.setattr(polyring, "_ExtensionField", refuse)
     assert canonical_generator.__wrapped__(spec).index() == exp[1]
     assert _log.__wrapped__(spec) == log
+
+
+def reference_canonical_generator(spec):
+    """canonical_generator before it was polyring's search: a loop of its
+    own over the elements, each powered in F_p or in F_p[x]/(modulus)."""
+    n, one, power = spec.q - 1, spec.one, pow
+    if spec.a > 1:
+        m = Poly(FieldSpec(spec.p), spec.modulus)
+        one, power = Poly.one(m.spec), lambda x, e: mod_pow(Poly(m.spec, x.coeffs), e, m)
+    for i in range(1 if spec.a == 1 else spec.p, spec.q):
+        x = spec.from_index(i)
+        if least_witness(n, lambda e: power(x, e) == one) is None:
+            return x
+    raise AssertionError("unit group of a finite field is cyclic")
+
+
+def reference_log(spec):
+    """_log before it stepped by _Modulus.steps: ints mod p, or for a > 1
+    one product and one division by the modulus per power."""
+    n, p = spec.q - 1, spec.p
+    w = reference_canonical_generator(spec).coeffs
+    log = [2 * n - 1] * spec.q
+    if spec.a == 1:
+        cur = 1
+        for k in range(n):
+            log[cur] = k
+            cur = cur * w[0] % p
+        return tuple(log)
+    mul, cur = polyring._Modulus(Poly(FieldSpec(p), spec.modulus)).mul, [1]
+    for k in range(n):
+        log[_index(cur, p)] = k
+        cur = mul(cur, w)
+    return tuple(log)
+
+
+# F_1024 by x^10+x^3+x^2+x+1 and F_2187 by x^7+x^2+2: x generates neither
+LARGER_USER_MODULI = [pytest.param(spec, id=f"q{spec.q}-{spec.modulus}") for spec in (
+    FieldSpec(2, 10, (1, 1, 1, 1) + (0,) * 6 + (1,)), FieldSpec(3, 7, (2, 0, 1, 0, 0, 0, 0, 1)))]
+
+
+@pytest.mark.parametrize("spec", [*(FieldSpec(p) for p in (2, 3, 5, 7, 11, 101, 65537, 999983)),
+                                  *EXTENSIONS, *USER_MODULI, *LARGER_USER_MODULI],
+                         ids=lambda spec: f"q{spec.q}")
+def test_generator_and_log_match_their_own_loops(spec):
+    """The generator found by polyring's primitive-residue search and the
+    log table stepped by _Modulus.steps equal those of the loops ffq had."""
+    assert canonical_generator.__wrapped__(spec) == reference_canonical_generator(spec)
+    assert _log.__wrapped__(spec) == reference_log(spec)
+
+
+@pytest.mark.parametrize("spec", [*EXTENSIONS, *USER_MODULI, *LARGER_USER_MODULI],
+                         ids=lambda spec: f"q{spec.q}")
+def test_log_steps_without_products_mod_the_modulus(spec, monkeypatch):
+    """For a > 1 the powers of w are stepped by one packed map per step
+    (_Modulus.steps), never by a product and a division mod the modulus."""
+    want = reference_log(spec)
+    canonical_generator(spec)
+
+    def refuse(self, u, v):
+        raise AssertionError("a product mod the modulus")
+
+    monkeypatch.setattr(polyring._Modulus, "mul", refuse)
+    assert _log.__wrapped__(spec) == want
 
 
 def reference_mul(x, y):

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import random
 from pathlib import Path
 
@@ -185,6 +186,16 @@ def test_monic_enumeration():
             assert all(f.is_monic() and f.degree() == s for f in polys)
         below = list(monic_polys_below(spec, 3))
         assert len(below) == 1 + q + q * q
+
+
+@pytest.mark.parametrize("q, s", [(2, 0), (2, 5), (3, 1), (5, 3), (11, 2)])
+def test_enumeration_order_is_product_order(q, s):
+    """The lazy enumeration yields the tuples of itertools.product read
+    backwards: the constant coefficient varies fastest."""
+    spec = FieldSpec.from_order(q)
+    want = [digits[::-1] for digits in itertools.product(range(q), repeat=s)]
+    assert [f.ints[:-1] for f in monic_polys(spec, s)] == want
+    assert [f.ints + (0,) * (s - len(f.ints)) for f in polyring.all_polys_below(spec, s)] == want
 
 
 def test_mod_pow_matches_naive():
