@@ -35,7 +35,7 @@ from itertools import islice
 
 from .cycint import CycloInt, root_of_unity
 from .errors import ExactnessError, HypothesisError, PrimitivityError, ResourceLimitError
-from .ffq import FieldElement, UnitCharacter, _log, dlog
+from .ffq import FieldElement, UnitCharacter, _inverse_log, _log, dlog
 from .numutil import least_witness
 from .polyring import (Poly, _make, _Modulus, _trimmed, format_poly, is_irreducible,
                        primitivity_witness)
@@ -155,8 +155,7 @@ def build_context(P: Poly, G: Poly) -> ResidueCtx:
         raise PrimitivityError(
             f"G is not primitive mod P: its order divides N/{ell}", witness=ell
         )
-    log = _log(spec)
-    base = pow(log[w.index()], -1, n)  # monic part of G^k has log k - r * log_w(lc G^k)
+    log, base = _log(spec), _inverse_log(w)  # monic part of G^k has log k - r * log_w(lc G^k)
     return ResidueCtx(
         P=P, G=G, d=d, e=len(G.ints) - 1, N=N, r=r, power_degrees=tuple(power_degrees),
         logs=tuple((k - r * log[lc] * base) % N for k, lc in enumerate(leads)),

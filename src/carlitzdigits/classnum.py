@@ -43,11 +43,11 @@ from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 from .chars import DirichletChar, ResidueCtx, _require_subfield_degree, build_context, subfield
-from .cycint import CycloInt, _mul, exponent_sum, norm, root_of_unity
+from .cycint import CycloInt, _folded, _mul, _reduce, exponent_sum, norm, root_of_unity
 from .errors import ExactnessError, HypothesisError, ResourceLimitError
 from .ffq import UnitCharacter, _inverse_log, _log, quadratic_character
 from .numutil import divisors
-from .polyring import Poly, is_irreducible, least_primitive_residue, mod_pow, monic_polys
+from .polyring import Poly, _irreducibles, is_irreducible, least_primitive_residue, mod_pow
 
 _ADVISORY_REL_TOL = 1e-6
 
@@ -63,16 +63,16 @@ class DigitPolynomials:
 
     ctx: ResidueCtx
     degree_poly: tuple[int, ...]
-    twist: tuple[int, ...] = field(init=False, repr=False)
     # the digit route's memo, apart from the character-sum oracle's on ctx
     _norm_memo: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self):
+    @functools.cached_property
+    def twist(self) -> tuple[int, ...]:  # read only for orders t that do not divide r
         ctx = self.ctx
         log = _log(ctx.spec)
         n, base, lg = ctx.spec.q - 1, _inverse_log(ctx.unit_gen), log[ctx.G.ints[-1]]
-        self.twist = tuple(k + ctx.r * ((lg - log[c]) * base % n)
-                           for k, c in enumerate(ctx.digit_leads) if c)
+        return tuple(k + ctx.r * ((lg - log[c]) * base % n)
+                     for k, c in enumerate(ctx.digit_leads) if c)
 
     @property
     def digits(self) -> tuple[Poly, ...]:  # H_1..H_r, built on first read
@@ -211,14 +211,6 @@ def _roots(t: int) -> tuple[tuple[complex, ...], ...]:
     first = tuple(cmath.exp(2j * cmath.pi * k / t) for k in range(t))
     return (first, *(operator.itemgetter(*(u * e % t for e in range(t)))(first)
                      for u in range(2, t // 2 + 1) if math.gcd(u, t) == 1))
-
-
-def _folded(t: int, pairs) -> list[int]:
-    """The (e, w) pairs as a vector mod x^t - 1: entry k sums w over e = k mod t."""
-    vec = [0] * t
-    for e, w in pairs:
-        vec[e % t] += w
-    return vec
 
 
 def _orbit_guard(t: int, vec, exact: int, what: str) -> None:
@@ -373,7 +365,7 @@ def _orbit_value(ctx: ResidueCtx, t: int) -> int:
             pairs = [(k, -s) for k, s in _monic_window(ctx, 0) if s]
         vec = _folded(t, pairs)
         what = f"character sum orbit of order {t}"
-        value = _collapse(_orbit_product(exponent_sum(t, enumerate(vec))), what)
+        value = _collapse(_orbit_product(CycloInt(t, _reduce(t, vec))), what)
         _orbit_guard(t, vec, value, what)
         ctx._orbit_memo[t] = value
     return ctx._orbit_memo[t]
@@ -476,15 +468,6 @@ def point_count_class_number(P: Poly, l: int = 2) -> int:
     if why:
         raise ResourceLimitError(why)
     return _point_count(P, l)
-
-
-@functools.lru_cache(maxsize=64)
-def _irreducibles(spec, f: int) -> tuple[Poly, ...]:
-    """The monic irreducibles of degree f in enumeration order: the monic polynomials
-    that are no product A * B, A monic irreducible of degree <= f / 2, B monic."""
-    composite = {(A * B).ints for a in range(1, f // 2 + 1)
-                 for A in _irreducibles(spec, a) for B in monic_polys(spec, f - a)}
-    return tuple(Q for Q in monic_polys(spec, f) if Q.ints not in composite)
 
 
 def _point_count(P: Poly, l: int) -> int:

@@ -55,7 +55,7 @@ from .errors import (
 )
 from .ffq import FieldSpec, quadratic_character, unit_character
 from .numutil import RHO_BUDGET, divisors, mobius, totient
-from .polyring import Poly, format_poly, is_irreducible, monic_polys, parse_poly, poly_gcd
+from .polyring import Poly, _irreducibles, format_poly, monic_polys, parse_poly, poly_gcd
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -562,7 +562,7 @@ def cmd_sweep(args) -> int:
     # an l not dividing q^d - 1 is the degree of no subfield: no P gives a row
     if args.l is None or order % args.l == 0:
         _check_sweep_steps(spec.q, args.d)
-        jobs = [(P, args.l, args.verify) for P in monic_polys(spec, args.d) if is_irreducible(P)]
+        jobs = [(P, args.l, args.verify) for P in _irreducibles(spec, args.d)]
     workers = min(args.parallel, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # 15-22 ms to import, for this path only
@@ -595,13 +595,12 @@ def cmd_sweep(args) -> int:
 
 # -- parser ------------------------------------------------------------
 
-def _add_field_args(sub, need_modulus: bool = True) -> None:
+def _add_field_args(sub) -> None:
     sub.add_argument("--q", type=int, required=True,
                      help="field size, a prime power")
-    if need_modulus:
-        sub.add_argument("--modulus", default=None,
-                         help="comma list of F_p coefficients for the field modulus "
-                              "(extension fields without a built-in modulus)")
+    sub.add_argument("--modulus", default=None,
+                     help="comma list of F_p coefficients for the field modulus "
+                          "(extension fields without a built-in modulus)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,13 +11,13 @@ plain int lists, not CycloInt, and each joins residues mod primes just
 below 2^62 (``_prime``, certified by ``numutil.is_prime``) by one CRT loop
 (``_crt``) until the product of the primes exceeds twice a proven bound on
 the answer, then returns the symmetric residue.  ``norm`` folds its input
-mod x^t - 1 and evaluates it at the primitive t-th roots of unity mod
-primes p = 1 (mod 2t), by one cyclic Bluestein transform per prime
-(``_norm_mod``): a chirp, one unsigned Kronecker product by a filter
-packed once, and a fold mod x^t - 1.  Its primes, roots, chirps and
-filters are cached per order and prime (``_norm_plan``), and its bound is
-Parseval/AM-GM.  It calls none of ``_reduce``, ``_mul`` or the oracle's
-orbit products.
+mod x^t - 1 by ``_folded`` (the one fold of (e, w) pairs) and evaluates it
+at the primitive t-th roots of unity mod primes p = 1 (mod 2t), by one
+cyclic Bluestein transform per prime (``_norm_mod``): a chirp, one
+unsigned Kronecker product by a filter packed once, and a fold mod x^t - 1.
+Its primes, roots, chirps and filters are cached per order and prime
+(``_norm_plan``), and its bound is Parseval/AM-GM.  It calls none of
+``_reduce``, ``_mul`` or the oracle's orbit products.
 ``int_poly_resultant`` runs Euclid in F_p[x] under Hadamard's bound on
 the Sylvester determinant.
 
@@ -285,12 +285,17 @@ def root_of_unity(n: int, k: int = 1) -> CycloInt:
     return CycloInt(n, _reduce(n, vec))
 
 
+def _folded(t: int, pairs) -> list[int]:
+    """The (e, w) pairs as a vector mod x^t - 1: entry k sums w over e = k mod t."""
+    vec = [0] * t
+    for e, w in pairs:
+        vec[e % t] += w
+    return vec
+
+
 def exponent_sum(n: int, weighted_exponents) -> CycloInt:
     """Sum of w * zeta_n^e over (e, w) pairs, accumulated exactly."""
-    vec = [0] * n
-    for e, w in weighted_exponents:
-        vec[e % n] += w
-    return CycloInt(n, _reduce(n, vec))
+    return CycloInt(n, _reduce(n, _folded(n, weighted_exponents)))
 
 
 def norm(t: int, coeffs) -> int:
@@ -302,9 +307,7 @@ def norm(t: int, coeffs) -> int:
     phi(t))^phi(t).  The product is taken mod the primes of _norm_plan(t,
     k), k = 0, 1, ..., by _norm_mod, and the residues are joined by _crt.
     """
-    b = [0] * t
-    for k, c in enumerate(coeffs):
-        b[k % t] += c
+    b = _folded(t, enumerate(coeffs))
     units = _units(t)
     deg = len(units)
     bound_sq = -(-(t * sum(map(operator.mul, b, b))) ** deg // deg**deg)

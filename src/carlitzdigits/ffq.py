@@ -7,7 +7,8 @@ a = 1 the vector has a single entry and no modulus is involved.
 
 Elements are enumerated in a fixed order (index 0 .. q-1): coefficient
 vectors read as base-p digit strings with the constant coordinate varying
-fastest.  Every deterministic choice in this package (canonical generators,
+fastest (the codec: _index per element, _coordinates and _indices per list).
+Every deterministic choice in this package (canonical generators,
 polynomial enumeration, sweep order) refers to that order.
 
 Moduli for small extension fields (q <= 64) are built in; any other
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import HypothesisError, ParseError
@@ -117,11 +119,7 @@ class FieldSpec:
         """The i-th element in the canonical order, 0 <= i < q."""
         if not 0 <= i < self.q:
             raise ValueError("index out of range")
-        coeffs = []
-        for _ in range(self.a):
-            coeffs.append(i % self.p)
-            i //= self.p
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, tuple(_coordinates((i,), self.p, self.a)))
 
     def elements(self):
         for i in range(self.q):
@@ -202,6 +200,23 @@ def _index(coeffs, p: int) -> int:
     for c in reversed(coeffs):
         i = i * p + c
     return i
+
+
+def _coordinates(ints, p: int, a: int) -> list[int]:
+    """The base-p coordinates of the indices, a per index, lowest first."""
+    if a == 1:
+        return list(ints)
+    return [v // p**j % p for v in ints for j in range(a)]
+
+
+def _indices(coords: list[int], p: int, a: int) -> list[int]:
+    """The indices of a list of coordinates, a per index, lowest first."""
+    if a == 1:
+        return coords
+    out = coords[a - 1 :: a]
+    for j in range(a - 2, -1, -1):
+        out = list(map(operator.add, map(p.__mul__, out), coords[j::a]))
+    return out
 
 
 def _arithmetic(spec: FieldSpec):

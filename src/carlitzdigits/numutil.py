@@ -12,10 +12,11 @@ factor by trial division alone; the exponents p^s * lcm(q^i - 1) of
 Primality is deterministic Miller-Rabin, which also certifies the 62-bit
 primes of cycint's modular resultant.
 
-Every order and primitivity test in the package (F_q^x, (A/M)^x) is
-element_order or least_witness: both divide the primes of the group order n
-out one by one (Cohen, A Course in Computational Algebraic Number Theory,
-Alg. 1.4.3), given a power test is_one(e), that is x^e = 1.
+Order and primitivity tests (F_q^x, (A/M)^x) run element_order or
+least_witness, which divide the primes of the group order n out one by one
+(Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.4.3),
+given a power test is_one(e), that is x^e = 1, but for the point count's
+scan of the k | l with k * f <= g and build_context's proof by division.
 """
 
 from __future__ import annotations

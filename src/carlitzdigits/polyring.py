@@ -44,22 +44,22 @@ the remainder and then the quotient of b * T^i by m (one divmod of b, then
 T times the row above).  A first step with deg G_0 >= d is a divmod; a
 constant m leaves only zeros.
 _linear_map packs such a map from its rows for T^i, i < d: a canonical
-index is its string of base-p coordinates (q = p^a), so basis element
-x^j T^i, x the generator of F_q over F_p, gets the coordinates of x^j times
-row i, one per slot of one int.  An application sums coordinate * row,
-writes the int out once and reduces each slot mod p.  A slot receives d*a
-terms of at most (p - 1)^2: it is the narrowest item of _SLOTS that holds
-d*a*(p - 1)^2, and without one the map sums each column on ints mod p.
+index is its string of base-p coordinates (q = p^a; ffq holds the codec),
+so basis element x^j T^i, x the generator of F_q over F_p, gets the
+coordinates of x^j times row i, one per slot of one int.  An application
+sums coordinate * row, writes the int out once and reduces each slot mod
+p.  A slot receives d*a terms of at most (p - 1)^2: it is the narrowest
+item of _SLOTS that holds d*a*(p - 1)^2; without one, columns sum on ints.
 One distinct-degree split (_factor_degrees) answers is_irreducible and the
 unit-group exponent of A/(m) in digits; its h <- h^q steps are powers mod
 m, and it takes one gcd per block of FACTOR_BLOCK degrees.
 
 Enumeration of polynomials is lexicographic with the constant coefficient
-varying fastest, matching the element order of the coefficient field; there
-are exactly q^s monic polynomials of degree s and they are produced in that
-fixed order, reading range(q) lazily: the search in that order for the
-least primitive residue mod m (classnum.canonical_primitive_lift, and F_q's
-canonical generator) pays only for the candidates it tests.
+varying fastest, matching the element order of the coefficient field, and
+reads range(q) lazily: the search in that order for the least primitive
+residue mod m (classnum.canonical_primitive_lift, F_q's generator) pays
+only for the candidates it tests.  _irreducibles sieves the monic
+irreducibles of a degree in that order (the point count's Q, sweep's P).
 
 Text forms: a human-readable sum of terms like "T^3+2*T+2" (parsing also
 accepts the implicit product "2T"), and a bare coefficient list "2,2,0,1"
@@ -77,7 +77,7 @@ import sys
 from array import array
 
 from .errors import ExactnessError, ParseError
-from .ffq import FieldElement, FieldSpec, _log
+from .ffq import FieldElement, FieldSpec, _coordinates, _indices, _log
 from .numutil import least_witness
 
 NEG_INF = float("-inf")
@@ -540,23 +540,6 @@ def _linear_map(F, rows):
         sum(map(operator.mul, x, ints)).to_bytes(size, order)).cast(tc)))
 
 
-def _coordinates(ints, p: int, a: int) -> list[int]:
-    """The base-p coordinates of the indices, a per index, lowest first."""
-    if a == 1:
-        return list(ints)
-    return [v // p**j % p for v in ints for j in range(a)]
-
-
-def _indices(coords: list[int], p: int, a: int) -> list[int]:
-    """The indices of a list of coordinates, a per index, lowest first."""
-    if a == 1:
-        return coords
-    out = coords[a - 1 :: a]
-    for j in range(a - 2, -1, -1):
-        out = list(map(operator.add, map(p.__mul__, out), coords[j::a]))
-    return out
-
-
 @functools.lru_cache(maxsize=64)
 def _modulus(m: Poly) -> _Modulus:
     """The _Modulus of m, built once for each of the last 64 moduli that
@@ -603,8 +586,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     spec, a, b = f.spec, f.ints, g.ints
     while b:
         a, b = b, _Modulus(_make(spec, b)).divmod(a)[1] if len(a) >= len(b) else a
-    F = _field(spec)
-    return _make(spec, F.scale(a, F.pow(a[-1], -1)) if a else a)
+    return _make(spec, a).monic() if a else Poly.zero(spec)
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -667,6 +649,15 @@ def monic_polys(spec: FieldSpec, s: int):
         raise ValueError("degree must be >= 0")
     for ints in _index_tuples(spec.q, s):
         yield _make(spec, ints + (1,))
+
+
+@functools.lru_cache(maxsize=64)
+def _irreducibles(spec: FieldSpec, f: int) -> tuple[Poly, ...]:
+    """The monic irreducibles of degree f in enumeration order: the monic polynomials
+    that are no product A * B, A monic irreducible of degree <= f / 2, B monic."""
+    composite = {(A * B).ints for a in range(1, f // 2 + 1)
+                 for A in _irreducibles(spec, a) for B in monic_polys(spec, f - a)}
+    return tuple(Q for Q in monic_polys(spec, f) if Q.ints not in composite)
 
 
 def monic_polys_below(spec: FieldSpec, d: int):
@@ -751,7 +742,7 @@ def parse_poly(spec: FieldSpec, text: str) -> Poly:
 def _format_coeff(spec: FieldSpec, i: int) -> str:
     if spec.a == 1:
         return str(i)
-    return "(" + ",".join(map(str, spec.from_index(i).coeffs)) + ")"
+    return "(" + ",".join(map(str, _coordinates((i,), spec.p, spec.a))) + ")"
 
 
 def format_poly(f: Poly, style: str = "human") -> str:

@@ -885,6 +885,19 @@ def test_full_table_builds_few_field_elements(monkeypatch):
     assert held == [ctx.P, ctx.G]
 
 
+def test_twist_is_built_only_when_read():
+    """Over F_2 every order t divides r = N, so a full table with the
+    character-sum oracle never reads the twist exponents, and they are not
+    built."""
+    spec = FieldSpec.from_order(2)
+    P = parse_poly(spec, "T^7+T+1")
+    ctx = build_context(P, canonical_primitive_lift(P))
+    for l in divisors(ctx.N):
+        compute_report(ctx, l, verify_charsum=True)
+    assert "twist" not in vars(digit_polynomials(ctx))
+    assert digit_polynomials(ctx).twist and "twist" in vars(digit_polynomials(ctx))
+
+
 def test_report_builds_no_character_set():
     """Every row of a (q, d) = (3, 4) table, with the character-sum oracle,
     reads only l, m and n of its subfield: no memoized descriptor holds a

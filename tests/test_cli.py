@@ -511,7 +511,7 @@ def test_pointcount_request_tests_irreducibility_once(monkeypatch):
         seen.append(format_poly(f))
         return true_test(f)
 
-    for module in (polyring, chars, classnum, cli):
+    for module in (polyring, chars, classnum):
         monkeypatch.setattr(module, "is_irreducible", counting)
     code, out, err = _main_in_process(
         ["classnum", "--q", "3", "--P", "T^4+T+2", "--l", "2", "--verify", "pointcount"]
@@ -519,6 +519,22 @@ def test_pointcount_request_tests_irreducibility_once(monkeypatch):
     assert (code, err) == (0, "")
     assert "methods = digits+pointcount" in out
     assert seen.count("T^4+T+2") == 1
+
+
+def test_sweep_splits_each_modulus_once(monkeypatch):
+    """sweep lists its P by the irreducible sieve; the one distinct-degree
+    split per P is build_context's irreducibility check."""
+    true_split = polyring._factor_degrees
+    seen = []
+
+    def counting(m):
+        seen.append(format_poly(m))
+        return true_split(m)
+
+    monkeypatch.setattr(polyring, "_factor_degrees", counting)
+    code, out, err = _main_in_process(["sweep", "--q", "3", "--d", "4"])
+    assert (code, err) == (0, "")
+    assert len(seen) == len(set(seen)) == 18
 
 
 def _no_work(*args, **kwargs):

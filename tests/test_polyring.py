@@ -198,6 +198,18 @@ def test_enumeration_order_is_product_order(q, s):
     assert [f.ints + (0,) * (s - len(f.ints)) for f in polyring.all_polys_below(spec, s)] == want
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_irreducible_sieve_matches_the_split(q):
+    """The sieve that the point count and sweep read lists the monic
+    polynomials that is_irreducible accepts, in enumeration order."""
+    spec = FieldSpec.from_order(q)
+    d = 1
+    while q**d <= 5000:
+        want = [P for P in monic_polys(spec, d) if is_irreducible(P)]
+        assert polyring._irreducibles(spec, d) == tuple(want), (q, d)
+        d += 1
+
+
 def test_mod_pow_matches_naive():
     rng = random.Random(11)
     for _ in range(60):
