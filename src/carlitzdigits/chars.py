@@ -140,11 +140,16 @@ def build_context(P: Poly, G: Poly) -> ResidueCtx:
         raise HypothesisError("requires gcd(G, P) = 1")
     r, n = N // (spec.q - 1), spec.q - 1
     power_degrees, leads, digit_degrees, digit_leads = [0], [1], [], []
-    for h, g in _division(P, G, r):
-        digit_degrees.append(max(len(h) - 1, 0))
-        digit_leads.append(h[-1] if h else 0)
-        power_degrees.append(len(g) - 1)
-        leads.append(g[-1])
+    for h, g in islice(_Modulus(P).steps(G.ints, (1,)), r):
+        i, j = len(h), len(g)  # both may end in zeros
+        while i and not h[i - 1]:
+            i -= 1
+        while j and not g[j - 1]:
+            j -= 1
+        digit_degrees.append(i - 1 if i else 0)
+        digit_leads.append(h[i - 1] if i else 0)
+        power_degrees.append(j - 1)
+        leads.append(g[j - 1])
     w_degree, w = power_degrees.pop(), spec.from_index(leads.pop())  # G^r
     # order N: G^r is the first constant power of G, and it generates F_q^x
     first = not w_degree and all(power_degrees[1:])

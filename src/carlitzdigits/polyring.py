@@ -58,8 +58,13 @@ Enumeration of polynomials is lexicographic with the constant coefficient
 varying fastest, matching the element order of the coefficient field, and
 reads range(q) lazily: the search in that order for the least primitive
 residue mod m (classnum.canonical_primitive_lift, F_q's generator) pays
-only for the candidates it tests.  _irreducibles sieves the monic
-irreducibles of a degree in that order (the point count's Q, sweep's P).
+only for the candidates it tests.  Each candidate g is tested norm first
+(primitivity_witness): with r = (q^deg m - 1)/(q - 1) and m monic, g^r =
+Res(m, g) is a scalar that one Euclid computes, so the primes of q - 1 are
+tests in F_q and only the primes of r alone power g mod m; when deg m = 1
+(F_p's generator, m = T) r = 1 and the search runs on scalars.
+_irreducibles sieves the monic irreducibles of a degree in that order (the
+point count's Q, sweep's P).
 
 Text forms: a human-readable sum of terms like "T^3+2*T+2" (parsing also
 accepts the implicit product "2T"), and a bare coefficient list "2,2,0,1"
@@ -78,7 +83,7 @@ from array import array
 
 from .errors import ExactnessError, ParseError
 from .ffq import FieldElement, FieldSpec, _coordinates, _indices, _log
-from .numutil import least_witness
+from .numutil import least_witness, prime_factors
 
 NEG_INF = float("-inf")
 
@@ -562,10 +567,35 @@ def mod_pow(base: Poly, e: int, m: Poly) -> Poly:
 
 def primitivity_witness(G: Poly, P: Poly) -> int | None:
     """The least prime ell | q^deg P - 1 = N with G^(N/ell) = 1 mod P; None
-    when G, a unit mod the irreducible P, is primitive."""
-    N = P.spec.q ** (len(P.ints) - 1) - 1
-    one = Poly.one(P.spec) % P
-    return least_witness(N, lambda e: mod_pow(G, e, P) == one)
+    when G, a unit mod the irreducible P, is primitive.
+
+    With r = N/(q - 1), G^r is the norm of G from A/P = F_(q^deg P) to F_q,
+    the scalar nu = Res(P, g) / lc(P)^deg g, g = G mod P (Rosen, Number
+    Theory in Function Fields, ch. 1), that one Euclid computes.  So each
+    prime ell of q - 1 is one test nu^((q-1)/ell) = 1 in F_q, and only the
+    primes of r prime to q - 1, below the least such ell, power G mod P.
+    When deg P = 1, r = 1 and nu = g: no polynomial is powered."""
+    F, q, mod = _field(P.spec), P.spec.q, _modulus(P)
+    N, x = q**mod.dg - 1, mod.divmod(G.ints)[1]
+    nu = F.mul(_resultant(F, P, x), F.pow(P.ints[-1], 1 - len(x)))
+    scalar = least_witness(q - 1, lambda e: F.pow(nu, e) == 1)
+    below, one = scalar or N + 1, Poly.one(P.spec)
+    return next((ell for ell in itertools.takewhile(below.__gt__, prime_factors(N))
+                 if (q - 1) % ell and mod_pow(G, N // ell, P) == one), scalar)
+
+
+def _resultant(F, m: Poly, b) -> int:
+    """Res(m, b) for an index list b, as an index, by Euclid's
+    remainders: Res(a, b) = (-1)^(deg a * deg b) lc(b)^(deg a - deg c)
+    Res(b, c), c = a mod b, down to Res(a, c) = c^deg a for a constant c.
+    Each division is one _Modulus, as in poly_gcd; 0 when gcd(m, b) != 1."""
+    a, res = m.ints, 1
+    while len(b) > 1:
+        c = _Modulus(_make(m.spec, b)).divmod(a)[1]
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            res = F.mul(res, F.minus_one)
+        a, b, res = b, c, F.mul(res, F.pow(b[-1], len(a) - len(c)))
+    return F.mul(res, F.pow(b[0], len(a) - 1)) if b else 0
 
 
 def least_primitive_residue(m: Poly) -> Poly:

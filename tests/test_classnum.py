@@ -10,7 +10,7 @@ from itertools import islice
 
 import pytest
 
-from carlitzdigits import classnum
+from carlitzdigits import classnum, polyring
 from carlitzdigits.chars import build_context, restriction, subfield
 from carlitzdigits.classnum import (
     CSV_COLUMNS,
@@ -47,6 +47,7 @@ from carlitzdigits.polyring import (
 
 from conftest import EX1, EX2, EX3, all_irreducibles, random_context
 from test_digits import brute_order
+from test_polyring import reference_primitivity_witness
 
 # q = 2 context with deg G < deg P, so the digit stream has zero digits
 SMALL_BASE = ("T^3+T+1", "T")
@@ -423,6 +424,31 @@ def test_primitive_search_reads_the_field_lazily():
         tracemalloc.stop()
     assert format_poly(G) == "T+6" and g.index() == 37  # 5 and 37 are the least primitive roots
     assert peak < 4 * 2**20
+
+
+def test_prime_field_primitive_search_powers_no_polynomial(monkeypatch):
+    """Over F_p the norm of a residue mod T or T+1 is the residue itself,
+    so the generator of F_(2^61-1) and the lift mod T+1 over F_999983 test
+    every candidate on ints, without mod_pow."""
+
+    def no_mod_pow(*args):
+        raise AssertionError("a prime-field search powered a polynomial")
+
+    monkeypatch.setattr(polyring, "mod_pow", no_mod_pow)
+    G = canonical_primitive_lift(parse_poly(FieldSpec(999983), "T+1"))
+    assert format_poly(G) == "T+6"
+    assert canonical_generator.__wrapped__(FieldSpec(2**61 - 1)).index() == 37
+
+
+def test_canonical_primitive_lift_matches_the_powering_search(ctx_pool):
+    """Over every (q, deg P) that the random context pool draws, the lift of
+    each monic irreducible P is P plus the first residue, constants skipped
+    when deg P >= 2, that the powering reference finds primitive."""
+    for spec, d in sorted({(ctx.spec, ctx.d) for ctx in ctx_pool}, key=lambda k: (k[0].q, k[1])):
+        for P in polyring._irreducibles(spec, d):
+            g0 = next(g for g in islice(all_polys_below(spec, d), spec.q if d >= 2 else 1, None)
+                      if reference_primitivity_witness(g, P) is None)
+            assert canonical_primitive_lift(P) == g0 + P, str(P)
 
 
 def test_report_refuses_point_count_before_any_norm(monkeypatch, ctx1, ctx3):

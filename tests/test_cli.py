@@ -521,6 +521,20 @@ def test_pointcount_request_tests_irreducibility_once(monkeypatch):
     assert seen.count("T^4+T+2") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    # G = T+1 divides P = (T+1)(T^18+T^17+...+1) over F_2, and is nilpotent
+    # mod P = (T+1)^2 over F_3
+    ["--q", "2", "--P", "T^19+T^2+T+1", "--G", "T+1", "--l", "1"],
+    ["--q", "3", "--P", "T^2+2*T+1", "--G", "T+1", "--l", "2"],
+])
+def test_reducible_modulus_is_refused_before_the_division(monkeypatch, argv):
+    """build_context tests P for irreducibility before any division step: a
+    zero divisor G mod a reducible P would otherwise walk all r steps, and a
+    nilpotent G would reach a zero power."""
+    monkeypatch.setattr(polyring._Modulus, "steps", _no_work)
+    assert _main_in_process(["classnum", *argv]) == (3, "", "error: P must be irreducible\n")
+
+
 def test_sweep_splits_each_modulus_once(monkeypatch):
     """sweep lists its P by the irreducible sieve; the one distinct-degree
     split per P is build_context's irreducibility check."""

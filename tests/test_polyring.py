@@ -21,8 +21,10 @@ from carlitzdigits.polyring import (
     parse_poly,
     poly,
     poly_gcd,
+    primitivity_witness,
     valuation_inf,
 )
+from carlitzdigits.numutil import least_witness
 
 from conftest import random_poly
 
@@ -246,6 +248,46 @@ def test_mod_pow_sets_up_each_modulus_once(monkeypatch):
         assert built == [m, m2]
     finally:
         polyring._modulus.cache_clear()
+
+
+def reference_primitivity_witness(G, P):
+    """The least prime ell | N = q^deg P - 1 with G^(N/ell) = 1 mod P, one
+    mod_pow per prime of N, ascending; None when G is primitive."""
+    N = P.spec.q ** (len(P.ints) - 1) - 1
+    one = Poly.one(P.spec) % P
+    return least_witness(N, lambda e: mod_pow(G, e, P) == one)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27])
+def test_primitivity_witness_matches_the_powering_reference(q):
+    """The norm-first witness is the reference's least witness for every
+    nonzero residue mod every monic irreducible P with q^deg P <= 128 and
+    mod a few P of degree 3 that are not monic, and for seeded residues and
+    lifts (deg G >= deg P) mod seeded P at (3, 8), (7, 4) and (2, 12)."""
+    def check(g, P):
+        assert primitivity_witness(g, P) == reference_primitivity_witness(g, P), (str(P), str(g))
+
+    spec = FieldSpec.from_order(q)
+    d = 1
+    while q**d <= 128:
+        for P in polyring._irreducibles(spec, d):
+            for g in itertools.islice(polyring.all_polys_below(spec, d), 1, None):
+                check(g, P)
+        d += 1
+    if q in (5, 7):  # Res(P, g) carries lc(P)^deg g; the witnesses do not
+        for P in polyring._irreducibles(spec, 3)[:3]:
+            P = P.scale(spec.from_index(q - 2))
+            for g in itertools.islice(polyring.all_polys_below(spec, 3), 1, None):
+                check(g, P)
+    rng = random.Random(q)
+    for sq, sd in ((3, 8), (7, 4), (2, 12)):
+        if sq != q:
+            continue
+        for P in rng.sample(polyring._irreducibles(spec, sd), 4):
+            for _ in range(25):
+                g = random_poly(rng, spec, rng.randrange(2 * sd))
+                if not (g % P).is_zero():
+                    check(g, P)
 
 
 def test_poly_gcd_properties():
