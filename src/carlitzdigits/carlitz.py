@@ -4,9 +4,13 @@ T acts by x -> T*x + x^q and constants act by multiplication; extending
 multiplicatively gives, for each I in A, an F_q-linear (additive) polynomial
 rho_I(x) = sum_i c_i x^(q^i) with c_i in A, of degree q^deg(I) in x.  The
 coefficients are computed by a Horner recursion over the coefficients of I:
-rho_{a_0 + T*J} = a_0 * x + rho_T(rho_J(x)).  Everything runs on index
-lists with no polynomial product: as a^q = a on F_q, f^(q^i) spreads the
-coefficients of f to the exponents k*q^i (see _add_twisted).
+rho_{a_0 + T*J} = a_0 * x + rho_T(rho_J(x)).  Nothing takes a polynomial
+product: as a^q = a on F_q, f^(q^i) spreads the coefficients of f to the
+exponents k*q^i, so c_i * f^(q^i) is one shifted copy of c_i per nonzero
+coefficient of f.  Over F_p, when no sum can pass a byte, apply adds those
+copies as ints into one byte-slot buffer and reduces it once
+(_packed_apply); otherwise, and in compose, they are axpys on index lists
+(_add_twisted).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 
 from .ffq import FieldSpec
-from .polyring import Poly, _field, _make, format_poly
+from .polyring import Poly, _field, _make, _residues, format_poly
 
 
 @dataclass(frozen=True)
@@ -67,12 +71,32 @@ class AdditivePoly:
 
     def apply(self, x: Poly) -> Poly:
         """Evaluate at a polynomial argument: sum_i c_i x^(q^i), added into
-        one accumulator by deg x + 1 shifted copies of each c_i."""
+        one accumulator by one shifted copy of c_i per nonzero x_k.
+
+        A slot of the output receives at most one product c_ij * x_k of at
+        most (p - 1)^2 per (i, k), so over F_p with
+        terms * (p - 1)^2 < 256, terms = len(coeffs) * (nonzero x_k), every
+        sum fits in a byte and _packed_apply adds each copy as one int
+        segment of a bytearray.  Every other case (extension fields, F_5
+        with 16 or more terms, larger p with many terms) adds index lists
+        by _add_twisted.  Measured warm (best of seven, 2-core shared
+        host) on the (q, deg I, deg f) shapes of perfbench's carlitz_eval,
+        the packed path took 0.27-0.56 of the lists' time on the 12 larger
+        prime-field shapes and 0.60-0.83 on the 3 smallest, (2, 3, 2),
+        (3, 3, 3) and (5, 3, 1); (5, 3, 3) and every F_4 shape stay on the
+        lists.  Outputs of degree 12288 over F_2 and 13122 over F_3 took
+        0.26-0.28 and 0.18-0.19 ms against 2.0-2.1 and 0.97-1.04 ms."""
         if x.spec != self.spec:
             raise ValueError("operands live over different fields")
-        F, q, acc = _field(self.spec), self.spec.q, []
-        for i, c in enumerate(self.coeffs):
-            _add_twisted(F, acc, c.ints, x.ints, q**i)
+        F, q, d, coeffs = _field(self.spec), self.spec.q, x.ints, [c.ints for c in self.coeffs]
+        terms = len(coeffs) * (len(d) - d.count(0))
+        if not terms:
+            return Poly.zero(self.spec)
+        if F.a == 1 and terms * (F.p - 1) ** 2 < 256:
+            return _make(self.spec, _packed_apply(F.p, coeffs, d))
+        acc = []
+        for i, c in enumerate(coeffs):
+            _add_twisted(F, acc, c, d, q**i)
         return _make(self.spec, acc)
 
     def __str__(self) -> str:
@@ -103,6 +127,23 @@ def _add_twisted(F, acc: list[int], c, d, step: int) -> None:
         if dk:
             s = k * step
             acc[s : s + n] = F.axpy(acc[s : s + n], dk, c)
+
+
+def _packed_apply(p: int, coeffs, d) -> bytearray:
+    """sum_i c_i * d^(p^i) over F_p in byte slots, as residues: each c_i
+    packed once as an int, d_k * c_i added into its segment at k*p^i by one
+    int sum, and every slot reduced mod p by one translate.  The caller
+    ensures no slot passes 255, so segments add without carries."""
+    out = bytearray(max((len(d) - 1) * p**i + len(c) for i, c in enumerate(coeffs)))
+    view = memoryview(out)
+    for i, c in enumerate(coeffs):
+        n, step, packed = len(c), p**i, int.from_bytes(bytes(c), "little")
+        for k, dk in enumerate(d):
+            if dk:
+                s = k * step
+                total = int.from_bytes(view[s : s + n], "little") + dk * packed
+                view[s : s + n] = total.to_bytes(n, "little")
+    return out.translate(_residues(p))
 
 
 def carlitz_poly(operand: Poly) -> AdditivePoly:

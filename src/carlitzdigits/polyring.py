@@ -81,7 +81,7 @@ import re
 import sys
 from array import array
 
-from .errors import ExactnessError, ParseError
+from .errors import ExactnessError, HypothesisError, ParseError
 from .ffq import FieldElement, FieldSpec, _coordinates, _indices, _log
 from .numutil import least_witness, prime_factors
 
@@ -538,11 +538,18 @@ def _linear_map(F, rows):
     ints = [int.from_bytes(array(tc, row), order) for row in coords]
     size = len(coords[0]) * array(tc).itemsize
     if tc == "B":
-        residues = (bytes(range(p)) * (256 // p + 1))[:256]
+        residues = _residues(p)
         return lambda x: list(sum(map(operator.mul, x, ints)).to_bytes(size, order)
                               .translate(residues))
     return lambda x: list(map(p.__rmod__, memoryview(
         sum(map(operator.mul, x, ints)).to_bytes(size, order)).cast(tc)))
+
+
+@functools.lru_cache(maxsize=None)
+def _residues(p: int) -> bytes:
+    """The bytes.translate table that reduces every byte of a byte-slot
+    buffer mod p in one pass (_linear_map, carlitz's packed apply)."""
+    return (bytes(range(p)) * (256 // p + 1))[:256]
 
 
 @functools.lru_cache(maxsize=64)
@@ -567,7 +574,8 @@ def mod_pow(base: Poly, e: int, m: Poly) -> Poly:
 
 def primitivity_witness(G: Poly, P: Poly) -> int | None:
     """The least prime ell | q^deg P - 1 = N with G^(N/ell) = 1 mod P; None
-    when G, a unit mod the irreducible P, is primitive.
+    when G, a unit mod the irreducible P, is primitive.  A G with
+    gcd(G, P) != 1 is refused with HypothesisError, as build_context does.
 
     With r = N/(q - 1), G^r is the norm of G from A/P = F_(q^deg P) to F_q,
     the scalar nu = Res(P, g) / lc(P)^deg g, g = G mod P (Rosen, Number
@@ -578,6 +586,8 @@ def primitivity_witness(G: Poly, P: Poly) -> int | None:
     F, q, mod = _field(P.spec), P.spec.q, _modulus(P)
     N, x = q**mod.dg - 1, mod.divmod(G.ints)[1]
     nu = F.mul(_resultant(F, P, x), F.pow(P.ints[-1], 1 - len(x)))
+    if not nu:  # Res(P, g) = 0: G is no unit mod P
+        raise HypothesisError("requires gcd(G, P) = 1")
     scalar = least_witness(q - 1, lambda e: F.pow(nu, e) == 1)
     below, one = scalar or N + 1, Poly.one(P.spec)
     return next((ell for ell in itertools.takewhile(below.__gt__, prime_factors(N))

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from carlitzdigits.carlitz import AdditivePoly, carlitz_poly
+from carlitzdigits import carlitz
+from carlitzdigits.carlitz import AdditivePoly, _add_twisted, carlitz_poly
 from carlitzdigits.ffq import FieldSpec
-from carlitzdigits.polyring import Poly, format_poly, gen, parse_poly
+from carlitzdigits.polyring import Poly, _field, _make, format_poly, gen, parse_poly
 
 from conftest import all_irreducibles, random_poly
 
@@ -163,8 +164,64 @@ def test_apply_matches_reference_horner(refarith, q):
     ]
     cases += [(R.random_poly(F, rng, rng.randint(0, 4)), R.random_poly(F, rng, rng.randint(0, 3)))
               for _ in range(8)]
+    # (deg I, deg f) on both sides of apply's byte test, terms * (p - 1)^2 < 256
+    # with terms = (deg I + 1) * (deg f + 1) for a dense f
+    cases += [(R.random_poly(F, rng, dI), R.random_poly(F, rng, df, dense=True))
+              for dI, df in _BYTE_TEST_SHAPES.get(q, ())]
     for I, f in cases:
         _against_horner(R, q, I, f)
+
+
+_BYTE_TEST_SHAPES = {
+    2: ((12, 3), (7, 30)),  # output degree 12288; 8 * 31 = 248 terms
+    3: ((8, 2), (8, 6)),  # 27 terms; 63 terms, 252 per slot
+    4: ((3, 2),),  # an extension field: lists
+    5: ((2, 4), (3, 3)),  # 15 terms, 240 per slot; 16 terms, 256: lists
+    7: ((1, 2), (2, 2)),  # 6 terms, 216 per slot; 9 terms: lists
+}
+
+
+@pytest.mark.parametrize("q, dI, df, packed", [
+    (2, 5, 3, True), (3, 4, 2, True), (5, 2, 4, True), (7, 1, 2, True),
+    (4, 4, 2, False), (5, 3, 3, False), (7, 2, 2, False), (9, 2, 1, False),
+])
+def test_apply_takes_the_byte_slots_exactly_below_the_byte_bound(monkeypatch, q, dI, df, packed):
+    """With the index-list loop patched to raise, an apply over F_p whose
+    terms * (p - 1)^2 is below 256 still answers, and every other one
+    reaches the loop."""
+    rng, spec = random.Random(68), FieldSpec.from_order(q)
+    rho = carlitz_poly(random_poly(rng, spec, dI))
+    f = Poly(spec, [spec.from_index(rng.randrange(1, q)) for _ in range(df + 1)])
+    want = rho.apply(f)
+
+    def loop(*args):
+        raise AssertionError("reached _add_twisted")
+
+    monkeypatch.setattr(carlitz, "_add_twisted", loop)
+    if packed:
+        assert rho.apply(f) == want
+    else:
+        with pytest.raises(AssertionError, match="_add_twisted"):
+            rho.apply(f)
+
+
+@pytest.mark.parametrize("p, n_coeffs, n_terms", [(2, 5, 51), (3, 9, 7), (5, 3, 5), (7, 1, 7)])
+def test_packed_apply_at_the_byte_bound(p, n_coeffs, n_terms):
+    """Every coefficient p - 1 and coefficients long enough that the middle
+    slots receive every term: sums of 240-255 before the reduction.  Zero
+    coefficients in the map and in the argument shift nothing."""
+    spec, F = FieldSpec.from_order(p), _field(FieldSpec.from_order(p))
+    top = Poly(spec, [spec.from_index(p - 1)] * (n_terms * p ** (n_coeffs - 1) + 7))
+    for coeffs, d in (
+        ((top,) * n_coeffs, [p - 1] * n_terms),
+        (tuple((top, Poly.zero(spec))[i % 2] for i in range(n_coeffs)), [0, p - 1, 0] * n_terms),
+    ):
+        rho, x = AdditivePoly(spec, coeffs), Poly(spec, [spec.from_index(c) for c in d])
+        assert len(rho.coeffs) * n_terms * (p - 1) ** 2 < 256
+        acc = []
+        for i, c in enumerate(rho.coeffs):
+            _add_twisted(F, acc, c.ints, x.ints, p**i)
+        assert rho.apply(x) == _make(spec, acc)
 
 
 def test_apply_matches_reference_horner_at_degree_13122(refarith):

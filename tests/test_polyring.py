@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from carlitzdigits import polyring
-from carlitzdigits.errors import ParseError
+from carlitzdigits.errors import HypothesisError, ParseError
 from carlitzdigits.ffq import FieldSpec
 from carlitzdigits.polyring import (
     NEG_INF,
@@ -288,6 +288,19 @@ def test_primitivity_witness_matches_the_powering_reference(q):
                 g = random_poly(rng, spec, rng.randrange(2 * sd))
                 if not (g % P).is_zero():
                     check(g, P)
+
+
+def test_primitivity_witness_refuses_a_non_unit():
+    """A G that P divides is no unit mod P: refused, not read as primitive."""
+    spec = FieldSpec.from_order(5)
+    P = parse_poly(spec, "T^2+T+1")
+    for G in (Poly.zero(spec), P, P * parse_poly(spec, "T+3"), P.scale(spec.element(2))):
+        with pytest.raises(HypothesisError, match=r"requires gcd\(G, P\) = 1"):
+            primitivity_witness(G, P)
+    spec4 = FieldSpec.from_order(4)
+    P4 = polyring._irreducibles(spec4, 2)[0]
+    with pytest.raises(HypothesisError):
+        primitivity_witness(P4 * gen(spec4), P4)
 
 
 def test_poly_gcd_properties():
