@@ -8,11 +8,14 @@ every character is chi_j: G^k -> zeta_N^(j*k).
 Scalars sit inside the unit group as the subgroup of order q - 1 generated
 by w = G^r, r = N/(q-1); restriction to scalars therefore lands on unit
 characters indexed against w, not against the canonical generator of F_q^x.
-The context is the r-step long division G * G^(k-1) = H_k * P + G^k of 1/P
-in base G (polyring._Modulus.steps, as in digits.long_division, reading G^k
-too), each step one packed F_p-linear map of the coordinates of G^(k-1),
-with rows (the remainders and quotients of G * x^j * T^i by P) built once
-per context, and keeps a few ints per step.  A residue's discrete log is
+The context is the r-step walk G^k = G * G^(k-1) mod P (polyring._Modulus.
+walk), each step one packed F_p-linear map of the coordinates of G^(k-1),
+with rows (the remainders of G * x^j * T^i by P, deg P columns) built once
+per context, and keeps three array records per step, read off each output
+by its trailing zero bytes.  The digits H_k of 1/P in base G, the long
+division G * G^(k-1) = H_k * P + G^k, need no quotient columns: P is monic,
+so deg H_k and lc H_k follow from deg G^(k-1) and lc G^(k-1), and their
+records are read off the power records.  A residue's discrete log is
 that of its monic part plus r times that of its leading coefficient against
 w.  G has order N when w generates F_q^x and no G^k, 0 < k < r, is a
 constant: two powers share a monic part exactly when their quotient is a
@@ -30,26 +33,36 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass, field
 from itertools import islice
 
 from .cycint import CycloInt, root_of_unity
 from .errors import ExactnessError, HypothesisError, PrimitivityError, ResourceLimitError
-from .ffq import FieldElement, UnitCharacter, _inverse_log, _log, dlog
+from .ffq import FieldElement, UnitCharacter, _indices, _inverse_log, _log, dlog
 from .numutil import least_witness
-from .polyring import (Poly, _make, _Modulus, _trimmed, format_poly, is_irreducible,
-                       primitivity_witness)
+from .polyring import (Poly, _field, _make, _Modulus, _packing, _slot, format_poly,
+                       is_irreducible, primitivity_witness)
 
 _N_BOUND = 2**63
+
+# build_context reads the walk's outputs in blocks of this many steps: one
+# comprehension per record and block, and at most a block of them held.
+_WALK_BLOCK = 4096
 
 
 @dataclass(eq=False)
 class ResidueCtx:
-    """The r-step division of 1/P in base G as ints per step k < r: deg G^k,
-    the log of its monic part, and the degree and leading index of H_(k+1)
-    (both 0 for H_(k+1) = 0); w = G^r (unit_gen).  powers (G^0..G^(r-1) mod
-    P), digits (H_1..H_r) and dlog (monic part of G^k -> logs[k], in order of
-    k) are Polys built on first read, by a second run of the division."""
+    """The r-step walk G^k = G * G^(k-1) mod P as array records per step
+    k < r: deg G^k, the log of its monic part and the index of lc G^k;
+    w = G^r (unit_gen).  The digit records, deg H_(k+1) and the index of
+    lc H_(k+1) (both 0 for H_(k+1) = 0), are read off them: P is monic, so
+    G * G^k = H_(k+1) * P + G^(k+1) makes H_(k+1) = 0 when e + deg G^k < d
+    and else gives it degree e + deg G^k - d and leading coefficient
+    lc G * lc G^k.  powers (G^0..G^(r-1) mod P) and dlog (monic part of
+    G^k -> logs[k], in order of k) are Polys built on first read, by a
+    second walk; digits (H_1..H_r) by the full division, quotients and all,
+    which the digit records are tested against."""
 
     P: Poly
     G: Poly
@@ -57,10 +70,9 @@ class ResidueCtx:
     e: int
     N: int
     r: int
-    power_degrees: tuple[int, ...]
-    logs: tuple[int, ...]
-    digit_degrees: tuple[int, ...]
-    digit_leads: tuple[int, ...]
+    power_degrees: array
+    logs: array
+    power_leads: array
     unit_gen: FieldElement
     _subfield_memo: dict = field(default_factory=dict, init=False, repr=False)
     _digit_memo: object = field(default=None, init=False, repr=False)  # classnum.DigitPolynomials
@@ -72,12 +84,26 @@ class ResidueCtx:
 
     @functools.cached_property
     def powers(self) -> tuple[Poly, ...]:
-        steps = _division(self.P, self.G, self.r - 1)
-        return (Poly.one(self.spec), *(_make(self.spec, g) for _, g in steps))
+        spec = self.spec
+        walk = islice(_Modulus(self.P).walk(self.G.ints), self.r - 1)
+        return (Poly.one(spec), *(_make(spec, _indices(g, spec.p, spec.a)) for g in walk))
 
     @functools.cached_property
     def digits(self) -> tuple[Poly, ...]:
-        return tuple(_make(self.spec, h) for h, _ in _division(self.P, self.G, self.r))
+        steps = islice(_Modulus(self.P).steps(self.G.ints, (1,)), self.r)
+        return tuple(_make(self.spec, h) for h, _ in steps)
+
+    @functools.cached_property
+    def digit_degrees(self) -> tuple[int, ...]:
+        shift = self.e - self.d
+        return tuple(s + shift if s + shift > 0 else 0 for s in self.power_degrees)
+
+    @functools.cached_property
+    def digit_leads(self) -> tuple[int, ...]:
+        mul, lo, lead = _field(self.spec).mul, self.d - self.e, self.G.ints[-1]
+        times = {c: mul(lead, c) for c in set(self.power_leads)}
+        return tuple(times[c] if s >= lo else 0
+                     for s, c in zip(self.power_degrees, self.power_leads))
 
     @functools.cached_property
     def dlog(self) -> dict:
@@ -99,13 +125,6 @@ class ResidueCtx:
         return (self.dlog[rem.monic()] + self.r * t) % self.N
 
 
-def _division(P: Poly, G: Poly, steps: int):
-    """(H_k, G^k) mod P as trimmed index tuples, k = 1..steps, from the
-    division G * G^(k-1) = H_k * P + G^k with G^0 = 1."""
-    for h, g in islice(_Modulus(P).steps(G.ints, (1,)), steps):
-        yield _trimmed(h), _trimmed(g)
-
-
 def _require_monic(P: Poly) -> None:
     if len(P.ints) < 2 or not P.is_monic():
         raise HypothesisError("P must be monic of positive degree")
@@ -118,10 +137,10 @@ def _require_subfield_degree(l: int, N: int) -> None:
 
 
 def build_context(P: Poly, G: Poly) -> ResidueCtx:
-    """Validate (P, G) and run the r-step long division of 1/P in base G.
+    """Validate (P, G) and walk G^k = G * G^(k-1) mod P for k = 1..r.
 
     P must be monic irreducible; G must be a unit mod P of full order N.
-    The division proves that order: when w = G^r generates F_q^x and no G^k
+    The walk proves that order: when w = G^r generates F_q^x and no G^k
     with 0 < k < r is a constant, G has order r(q-1) = N.  Only when it does
     not is the least witness ell with G^(N/ell) = 1 computed, and named by
     the PrimitivityError.
@@ -138,21 +157,26 @@ def build_context(P: Poly, G: Poly) -> ResidueCtx:
         raise ResourceLimitError(f"unit group order {N} exceeds the 64-bit bound")
     if (G % P).is_zero():
         raise HypothesisError("requires gcd(G, P) = 1")
-    r, n = N // (spec.q - 1), spec.q - 1
-    power_degrees, leads, digit_degrees, digit_leads = [0], [1], [], []
-    for h, g in islice(_Modulus(P).steps(G.ints, (1,)), r):
-        i, j = len(h), len(g)  # both may end in zeros
-        while i and not h[i - 1]:
-            i -= 1
-        while j and not g[j - 1]:
-            j -= 1
-        digit_degrees.append(i - 1 if i else 0)
-        digit_leads.append(h[i - 1] if i else 0)
-        power_degrees.append(j - 1)
-        leads.append(g[j - 1])
-    w_degree, w = power_degrees.pop(), spec.from_index(leads.pop())  # G^r
+    r, n, p, a = N // (spec.q - 1), spec.q - 1, spec.p, spec.a
+    degrees, leads = array("B", [0]), array(_slot(n.bit_length())[1], [1])  # G^0 = 1
+    size, walk = _packing(p)[1], islice(_Modulus(P).walk(G.ints), r)  # p < 2^63: size is set
+    for gs in iter(lambda: list(islice(walk, _WALK_BLOCK)), []):
+        # the position of each G^k's last nonzero coordinate, which lies in lc G^k
+        if size == 1:
+            tops = [len(g.rstrip(b"\0")) - 1 for g in gs]
+        else:
+            tops = [(len(bytes(g).rstrip(b"\0")) - 1) // size for g in gs]
+        if a == 1:
+            degrees.extend(tops)
+            leads.extend([g[t] for g, t in zip(gs, tops)])
+        else:
+            tops = [t // a for t in tops]
+            degrees.extend(tops)
+            coords = [c for g, t in zip(gs, tops) for c in g[t * a : t * a + a]]
+            leads.extend(_indices(coords, p, a))
+    w_degree, w = degrees.pop(), spec.from_index(leads.pop())  # G^r
     # order N: G^r is the first constant power of G, and it generates F_q^x
-    first = not w_degree and all(power_degrees[1:])
+    first = not w_degree and all(degrees[1:])
     if not (first and least_witness(n, lambda e: w**e == spec.one) is None):
         ell = primitivity_witness(G, P)
         if ell is None:
@@ -160,11 +184,13 @@ def build_context(P: Poly, G: Poly) -> ResidueCtx:
         raise PrimitivityError(
             f"G is not primitive mod P: its order divides N/{ell}", witness=ell
         )
-    log, base = _log(spec), _inverse_log(w)  # monic part of G^k has log k - r * log_w(lc G^k)
+    # the monic part of G^k has log k - r * log_w(lc G^k), and r * x mod N = r * (x mod n)
+    log, base = _log(spec), _inverse_log(w)
+    shift = {c: r * (log[c] * base % n) for c in set(leads)}
     return ResidueCtx(
-        P=P, G=G, d=d, e=len(G.ints) - 1, N=N, r=r, power_degrees=tuple(power_degrees),
-        logs=tuple((k - r * log[lc] * base) % N for k, lc in enumerate(leads)),
-        digit_degrees=tuple(digit_degrees), digit_leads=tuple(digit_leads), unit_gen=w,
+        P=P, G=G, d=d, e=len(G.ints) - 1, N=N, r=r, power_degrees=degrees,
+        logs=array("q", [(k - shift[c]) % N for k, c in enumerate(leads)]),
+        power_leads=leads, unit_gen=w,
     )
 
 

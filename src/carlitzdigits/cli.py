@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import io
 import json
 import os
-import random
 import sys
 from itertools import islice
 
@@ -63,13 +61,19 @@ EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_RESOURCE = 4
 
+# classnum and sweep refuse a unit group order q^d - 1 above this.  The
+# longest residue contexts it admits are (2, 19), r = 524287 walk steps, and
+# (3, 12), r = 265720.  In a fresh process on a 2-core shared host, with the
+# canonical lift of T^19+T^5+T^2+T+1 and of T^12+T^2+2, build_context took
+# 0.96-1.24 s and 0.42-0.43 s of CPU, and the process peaked at 43 and 30 MB
+# RSS (package imports included).
 SWEEP_ORDER_BOUND = 10**6
 
-# A sweep builds one residue context of r = (q^d - 1)/(q - 1) division steps
+# A sweep builds one residue context of r = (q^d - 1)/(q - 1) walk steps
 # for each monic irreducible P of degree d; sweeps of more steps in all are
-# refused (_check_sweep_steps).  A step takes 3-5 us on a 2-core shared host
-# (a (3, 12) context of 265720 steps 1.1-1.4 s, a (2, 19) one of 524287 steps
-# 2.1 s), so the divisions of a sweep take at most about 5 s.
+# refused (_check_sweep_steps).  A step takes 1.6-2.4 us on a 2-core shared
+# host (the two contexts above), so the walks of a sweep take at most about
+# 2.5 s.
 SWEEP_STEP_BOUND = 10**6
 
 # A class number request for the degree-l subfield takes one norm from
@@ -175,7 +179,7 @@ def _irreducible_count(q: int, d: int) -> int:
 
 
 def _check_sweep_steps(q: int, d: int) -> None:
-    """Refuse a sweep whose contexts take more than SWEEP_STEP_BOUND division
+    """Refuse a sweep whose contexts take more than SWEEP_STEP_BOUND walk
     steps, r each for every monic irreducible P of degree d."""
     count = _irreducible_count(q, d)
     steps = count * ((q**d - 1) // (q - 1))
@@ -447,6 +451,8 @@ def run_verification(seed: int) -> _Checks:
     tiny = twisted_digit_sum(parse_poly(spec2, "T"), parse_poly(spec2, "T+1"), spec2.one)
     ck.expect("F_2 counterexample outside the gcd hypothesis: raw sum",
               format_poly(tiny), "1")
+    import random  # read only here and by the two helpers below
+
     rng = random.Random(seed)
     agree = 0
     cases = 25
@@ -481,7 +487,7 @@ def run_verification(seed: int) -> _Checks:
     return ck
 
 
-def _random_poly(rng: random.Random, spec: FieldSpec, degree: int, monic: bool = False) -> Poly:
+def _random_poly(rng, spec: FieldSpec, degree: int, monic: bool = False) -> Poly:
     coeffs = [spec.from_index(rng.randrange(spec.q)) for _ in range(degree)]
     if monic:
         coeffs.append(spec.one)
@@ -490,7 +496,7 @@ def _random_poly(rng: random.Random, spec: FieldSpec, degree: int, monic: bool =
     return Poly(spec, tuple(coeffs))
 
 
-def _random_coprime(rng: random.Random, spec: FieldSpec, M: Poly) -> Poly:
+def _random_coprime(rng, spec: FieldSpec, M: Poly) -> Poly:
     while True:
         G = _random_poly(rng, spec, rng.randint(1, 3), monic=not rng.randrange(2))
         if poly_gcd(G, M).degree() == 0:
@@ -575,6 +581,8 @@ def cmd_sweep(args) -> int:
     if args.format == "json":
         _emit(args, _json_text([report.to_json_dict() for report in reports]))
     elif args.format == "csv":
+        import csv  # read only by this writer
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)

@@ -82,7 +82,7 @@ def long_division(base: Poly, m: Poly, cur: Poly) -> Iterator[Poly]:
     and a step sums coordinate * row and reduces each slot mod p.  A first
     step with deg G_0 >= deg m takes _Modulus.divmod, after which a
     constant m leaves every digit zero.  Only the digits are made Polys
-    (chars.build_context runs the steps itself, keeping a few ints per step)."""
+    (chars.build_context walks the remainders alone, _Modulus.walk)."""
     base._check(m)
     cur._check(m)
     spec = m.spec

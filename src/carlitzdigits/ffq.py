@@ -252,7 +252,8 @@ def _log(spec: FieldSpec) -> tuple[int, ...]:
     """log[x] = k with w^k = x on indices, 0 <= k < n = q - 1, w the
     canonical generator; log[0] is the sentinel 2n - 1.  The powers of w
     are stepped on ints mod p, or when a > 1 mod the modulus by
-    polyring._Modulus.steps: w^k is the remainder of w * w^(k-1)."""
+    polyring._Modulus.walk, whose outputs are w^k's coordinates: its index
+    is their dot product with the powers of p."""
     n, p = spec.q - 1, spec.p
     w = canonical_generator(spec).coeffs
     log = [2 * n - 1] * spec.q
@@ -262,12 +263,11 @@ def _log(spec: FieldSpec) -> tuple[int, ...]:
             log[cur] = k
             cur = cur * w[0] % p
         return tuple(log)
-    from .polyring import Poly, _Modulus, _trimmed  # polyring imports this module
+    from .polyring import Poly, _Modulus  # polyring imports this module
 
-    log[1] = 0
-    powers = _Modulus(Poly(FieldSpec(p), spec.modulus)).steps(_trimmed(w), [1])
-    for k, (_, g) in zip(range(1, n), powers):
-        log[_index(g, p)] = k
+    log[1], weights = 0, [p**j for j in range(spec.a)]
+    for k, g in zip(range(1, n), _Modulus(Poly(FieldSpec(p), spec.modulus)).walk(w)):
+        log[sum(map(operator.mul, g, weights))] = k
     return tuple(log)
 
 

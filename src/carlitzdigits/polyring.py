@@ -37,12 +37,14 @@ would take FROBENIUS_MAP_MIN products by square-and-multiply; until then a
 power is square-and-multiply.
 
 The long division of digits, b * G_{k-1} = H_k * m + G_k for a fixed b and
-m, steps by such a map too (_Modulus.steps), as do the powers G_k = b^k of
-F_q's generator b mod its modulus m over F_p (ffq._log, G_0 = 1): with
-deg G_{k-1} < deg m = d the step is F_q-linear in G_{k-1}, its row for T^i
-the remainder and then the quotient of b * T^i by m (one divmod of b, then
-T times the row above).  A first step with deg G_0 >= d is a divmod; a
-constant m leaves only zeros.
+m, steps by such a map too (_Modulus.steps): with deg G_{k-1} < deg m = d
+the step is F_q-linear in G_{k-1}, its row for T^i the remainder and then
+the quotient of b * T^i by m (_Modulus._rows: one divmod of b, then T
+times the row above).  A first step with deg G_0 >= d is a divmod; a
+constant m leaves only zeros.  The walk G_k = b * G_{k-1} mod m, G_0 = 1
+(_Modulus.walk: the residue context of chars, and the powers of F_q's
+generator b mod its modulus m over F_p in ffq._log) needs no quotient: its
+map takes the same rows with no quotient column, d columns for any deg b.
 _linear_map packs such a map from its rows for T^i, i < d: a canonical
 index is its string of base-p coordinates (q = p^a; ffq holds the codec),
 so basis element x^j T^i, x the generator of F_q over F_p, gets the
@@ -50,6 +52,10 @@ coordinates of x^j times row i, one per slot of one int.  An application
 sums coordinate * row, writes the int out once and reduces each slot mod
 p.  A slot receives d*a terms of at most (p - 1)^2: it is the narrowest
 item of _SLOTS that holds d*a*(p - 1)^2; without one, columns sum on ints.
+On byte slots the sum is one product of the packed coordinates by all the
+rows packed as one int, whose columns are read with one stride.
+The reduced coordinates come out as bytes when p <= 256 (_packing), so a
+reader finds an output's leading coefficient by its trailing zero bytes.
 One distinct-degree split (_factor_degrees) answers is_irreducible and the
 unit-group exponent of A/(m) in digits; its h <- h^q steps are powers mod
 m, and it takes one gcd per block of FACTOR_BLOCK degrees.
@@ -434,13 +440,12 @@ class _Modulus:
 
     def steps(self, b, c):
         """Yield (H_k, G_k) for b * G_{k-1} = H_k * m + G_k, G_0 = c, as
-        index lists, without end.
+        index sequences, without end.
 
         Once deg G_{k-1} < deg m the step is F_q-linear in G_{k-1}, and
-        _linear_map runs it: row i holds the remainder and then the quotient
-        of b * T^i by m.  Row 0 is one divmod of b, and row i is T times row
-        i - 1, reduced by one axpy.  A first step with deg c >= deg m is a
-        divmod; after it a constant m leaves ([], []) at every step.
+        _linear_map runs it on _rows with the quotient's e = deg b columns.
+        A first step with deg c >= deg m is a divmod; after it a constant m
+        leaves ([], []) at every step.
         """
         F, dg = self.F, self.dg
         p, a = F.p, F.a
@@ -449,7 +454,32 @@ class _Modulus:
             yield hk, c
         if not dg:
             yield from itertools.repeat(([], []))
-        e = max(len(b) - 1, 0)  # deg H_k < deg b once deg G_{k-1} < deg m
+        apply = _linear_map(F, self._rows(b, max(len(b) - 1, 0)))  # deg H_k <= deg b
+        x, n = _coordinates(c, p, a), dg * a
+        while True:
+            out = apply(x)
+            x, ints = out[:n], _indices(out, p, a)
+            yield ints[dg:], ints[:dg]
+
+    def walk(self, b):
+        """Yield G_k = b * G_{k-1} mod m, G_0 = 1, k = 1, 2, ..., without
+        end, as _linear_map's outputs: the coordinates of G_k, a per
+        coefficient (bytes for p <= 256, see _packing).  deg m >= 1.
+
+        The step is _linear_map on _rows with no quotient column: deg m
+        columns, however large deg b is."""
+        F = self.F
+        apply, x = _linear_map(F, self._rows(b, 0)), _coordinates((1,), F.p, F.a)
+        while True:
+            x = apply(x)
+            yield x
+
+    def _rows(self, b, e) -> list[list[int]]:
+        """Row i < deg m of the step b * G_{k-1} = H_k * m + G_k: the
+        remainder of b * T^i by m and then the first e coefficients of its
+        quotient.  Row 0 is one divmod of b, and row i is T times row i - 1,
+        reduced by one axpy."""
+        F, dg = self.F, self.dg
         quo, rem = self.divmod(b)
         rem += [0] * (dg - len(rem))
         rows = []
@@ -458,12 +488,7 @@ class _Modulus:
                 t = F.mul(rem[-1], self.inv)
                 quo, rem = [t] + quo, F.axpy([0] + rem[:-1], t, self.minus_low)
             rows.append(rem + quo[:e] + [0] * (e - len(quo)))
-        apply = _linear_map(F, rows)
-        x, n = _coordinates(c, p, a), dg * a
-        while True:
-            out = apply(x)
-            x, ints = out[:n], _indices(out, p, a)
-            yield ints[dg:], ints[:dg]
+        return rows
 
     def power(self, x, e: int) -> list[int]:
         """x^e mod m for x nonzero and reduced mod m, e >= 1.
@@ -523,26 +548,48 @@ def _linear_map(F, rows):
     on coordinate lists: coordinate row (i, j) holds the coordinates of
     x^j * rows[i], x the generator of F_q over F_p, packed one coordinate
     per slot into one int, and an application is one sum of products of
-    ints, one to_bytes and one reduction mod p per slot (byte slots in one
-    pass, through a table of residues).  The slot holds a sum of
-    len(rows) * a products of at most (p - 1)^2; where no slot is that
-    wide, each column is summed on ints."""
+    ints, one to_bytes and one reduction mod p per slot.  The slot holds a
+    sum of n = len(rows) * a products of at most (p - 1)^2; where no slot
+    is that wide, each column is summed on ints.  On byte slots the sum is
+    one product: x packed a byte per coordinate times the int whose byte
+    c*n + n-1-s is coordinate c of row s, so column c's sum lands in byte
+    c*n + n-1, and every byte of the product sums at most n products; the
+    bytes are read with one stride and reduced through a table of
+    residues.  The output coordinates come as _packing(p) holds them."""
     p, a, order = F.p, F.a, sys.byteorder
     coords = [_coordinates(F.scale(row, p**j) if j else row, p, a)
               for row in rows for j in range(a)]
+    pack = _packing(p)[0]
     slot = _slot((len(coords) * (p - 1) ** 2).bit_length())
     if slot is None:
         columns = list(zip(*coords))
-        return lambda x: [sum(map(operator.mul, x, col)) % p for col in columns]
+        return lambda x: pack([sum(map(operator.mul, x, col)) % p for col in columns])
     tc = slot[1]
+    if tc == "B":
+        n, width, residues = len(coords), len(coords[0]), _residues(p)
+        spread = int.from_bytes(bytes(row[c] for c in range(width) for row in reversed(coords)),
+                                "little")
+        size = n * width + n
+        return lambda x: ((int.from_bytes(x, "little") * spread).to_bytes(size, "little")
+                          [n - 1 : n * width : n].translate(residues))
     ints = [int.from_bytes(array(tc, row), order) for row in coords]
     size = len(coords[0]) * array(tc).itemsize
-    if tc == "B":
-        residues = _residues(p)
-        return lambda x: list(sum(map(operator.mul, x, ints)).to_bytes(size, order)
-                              .translate(residues))
-    return lambda x: list(map(p.__rmod__, memoryview(
+    return lambda x: pack(map(p.__rmod__, memoryview(
         sum(map(operator.mul, x, ints)).to_bytes(size, order)).cast(tc)))
+
+
+def _packing(p: int):
+    """(pack, size): _linear_map hands out coordinates mod p as bytes when
+    p <= 256, else as an array of the narrowest item that holds p - 1, of
+    size bytes (a list, size None, past 64 bits).  So the last nonzero
+    coordinate of an output g sits at (len(bytes(g).rstrip(b"\\0")) - 1) // size
+    whenever size is not None."""
+    if p <= 256:
+        return bytes, 1
+    slot = _slot((p - 1).bit_length())
+    if slot is None:
+        return list, None
+    return functools.partial(array, slot[1]), array(slot[1]).itemsize
 
 
 @functools.lru_cache(maxsize=None)

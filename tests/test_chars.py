@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import islice
 
 import pytest
 
@@ -11,6 +12,7 @@ from carlitzdigits.chars import (
     restriction,
     subfield,
 )
+from carlitzdigits.classnum import canonical_primitive_lift
 from carlitzdigits.cycint import CycloInt, root_of_unity
 from carlitzdigits.errors import (
     HypothesisError,
@@ -22,6 +24,8 @@ from carlitzdigits.ffq import FieldSpec, UnitCharacter
 from carlitzdigits.numutil import prime_factors
 from carlitzdigits.polyring import (
     Poly,
+    _Modulus,
+    _trimmed,
     gen,
     is_irreducible,
     mod_pow,
@@ -30,7 +34,8 @@ from carlitzdigits.polyring import (
     poly,
 )
 
-from conftest import EX1, EX3, all_irreducibles, random_context, random_poly
+from conftest import (EX1, EX3, all_irreducibles, random_context, random_irreducible,
+                      random_poly)
 
 
 def _power(ctx, k):
@@ -169,7 +174,7 @@ def test_resource_bound_refused():
 def test_deg_map(ctx1):
     """G^k = w^(k // r) G^(k % r), w a scalar, so the degree of G^k mod P
     is power_degrees[k % r] for every k < N."""
-    assert ctx1.power_degrees[:2] == (0, 1)
+    assert tuple(ctx1.power_degrees[:2]) == (0, 1)
     for k in range(ctx1.N):
         assert ctx1.power_degrees[k % ctx1.r] == _power(ctx1, k).degree()
 
@@ -321,33 +326,87 @@ def _e_below_d_context():
     raise AssertionError("some monic quadratic is primitive mod P")
 
 
+def _lead_contexts():
+    """Contexts whose G has lc != 1 (over F_2 lc is 1) and deg G below, equal
+    to and above deg P = 3, over q in {2, 3, 4, 5, 7, 9}, and one whose map
+    has slots wider than a byte and coordinates past a byte (p = 257, d = 2)."""
+    rng, out = random.Random(31), []
+    cases = [(FieldSpec.from_order(q), 3, (2, 3, 4)) for q in (2, 3, 4, 5, 7, 9)]
+    for spec, d, degrees in cases + [(FieldSpec(257), 2, (3,))]:
+        P = random_irreducible(rng, spec, d)
+        for e in degrees:
+            while True:
+                G = random_poly(rng, spec, e)
+                if spec.q > 2 and G.ints[-1] == 1:
+                    continue
+                try:
+                    out.append(build_context(P, G))
+                    break
+                except (PrimitivityError, HypothesisError):  # G a multiple of P
+                    continue
+    return out
+
+
 def test_division_matches_digits_module(ctx_pool, ctx2):
-    """The context's one long division against digit_closed_form,
+    """The context's walk and the digit records read off it against the
+    long division with quotients (ctx.digits), digit_closed_form,
     digit_expand and repeated squaring, its per-step ints against the Poly
     views they stand for, G^logs[k] against the monic part of G^k, and
-    dlog_of at every k < N; over q in {2, 3, 4, 5, 7, 9}, d = 1 (r = 1)
-    included."""
+    dlog_of at every k < N (every (1 + N // 4096)-th k when N > 4095, here
+    only p = 257); over q in {2, 3, 4, 5, 7, 9}, d = 1 (r = 1) included,
+    lc G != 1 with deg G on either side of deg P, and p = 257."""
     small = _e_below_d_context()
     assert small.e < small.d and ctx2.spec.q == 2 and ctx2.r == ctx2.N
     rng = random.Random(16)
     extra = [random_context(rng, qs=(q,), d_range=(1, 3))
              for q in (2, 3, 4, 5, 7, 9) for _ in range(4)]
     assert min(c.d for c in extra) == 1
-    for ctx in ctx_pool + extra + [ctx2, small]:
+    leads = _lead_contexts()
+    assert {(c.spec.q, (c.e > c.d) - (c.e < c.d)) for c in leads} >= {
+        (q, s) for q in (2, 3, 4, 5, 7, 9) for s in (-1, 0, 1)}
+    assert all(c.G.ints[-1] != 1 for c in leads if c.spec.q > 2)
+    for ctx in ctx_pool + extra + leads + [ctx2, small]:
         one = Poly.one(ctx.spec)
         assert len(ctx.digits) == ctx.r
         assert digit_expand(one, ctx.P, ctx.G, ctx.r).digits == ctx.digits
         for k in range(1, ctx.r + 1):
             assert digit_closed_form(ctx.P, ctx.G, k) == ctx.digits[k - 1]
-        assert ctx.digit_degrees == tuple(max(h.degree(), 0) for h in ctx.digits)
-        assert ctx.digit_leads == tuple(h.ints[-1] if h.ints else 0 for h in ctx.digits)
+        assert tuple(ctx.digit_degrees) == tuple(max(h.degree(), 0) for h in ctx.digits)
+        assert tuple(ctx.digit_leads) == tuple(h.ints[-1] if h.ints else 0 for h in ctx.digits)
         assert ctx.powers == tuple(_power(ctx, k) for k in range(ctx.r))
-        assert ctx.power_degrees == tuple(g.degree() for g in ctx.powers)
+        assert tuple(ctx.power_degrees) == tuple(g.degree() for g in ctx.powers)
         assert list(ctx.dlog.items()) == [(g.monic(), k) for g, k in zip(ctx.powers, ctx.logs)]
         for g, k in zip(ctx.powers, ctx.logs):
             assert _power(ctx, k) == g.monic()
-        for k in range(ctx.N):
+        for k in range(0, ctx.N, 1 + ctx.N // 4096):
             assert ctx.dlog_of(_power(ctx, k)) == k
+
+
+def test_long_walk_matches_the_division_with_quotients():
+    """r = 265720 (T^12+T^2+2 over F_3, G its canonical lift): the power and
+    digit records against the ints of _Modulus.steps, the division with
+    quotients, w = G^r against its last remainder, and G^logs[k] against
+    the monic part of G^k at sampled k."""
+    spec = FieldSpec.from_order(3)
+    P = parse_poly(spec, "T^12+T^2+2")
+    ctx = build_context(P, canonical_primitive_lift(P))
+    assert ctx.r == 265720
+    degrees, leads, digit_degrees, digit_leads = [0], [1], [], []
+    for h, g in islice(_Modulus(P).steps(ctx.G.ints, (1,)), ctx.r):
+        h, g = _trimmed(h), _trimmed(g)
+        digit_degrees.append(max(len(h) - 1, 0))
+        digit_leads.append(h[-1] if h else 0)
+        degrees.append(len(g) - 1)
+        leads.append(g[-1])
+    assert (degrees.pop(), leads.pop()) == (0, ctx.unit_gen.index())
+    assert tuple(ctx.power_degrees) == tuple(degrees)
+    assert tuple(ctx.power_leads) == tuple(leads)
+    assert tuple(ctx.digit_degrees) == tuple(digit_degrees)
+    assert tuple(ctx.digit_leads) == tuple(digit_leads)
+    for k in random.Random(17).sample(range(ctx.r), 40):
+        g = _power(ctx, k)
+        assert (g.degree(), g.ints[-1]) == (degrees[k], leads[k])
+        assert _power(ctx, ctx.logs[k]) == g.monic()
 
 
 def _eager_subfield(ctx, l):
