@@ -47,7 +47,10 @@ from .polyring import (Poly, _field, _make, _Modulus, _packing, _slot, format_po
 _N_BOUND = 2**63
 
 # build_context reads the walk's outputs in blocks of this many steps: one
-# comprehension per record and block, and at most a block of them held.
+# comprehension per record and block, and at most a block of them held.  In
+# CPU time on a 2-core host, a per-step loop takes 4-8% longer at r = 1023
+# and 3280; at r = 265720 blocks of 256 to 16384 take the same 0.40-0.51 s,
+# and one list of all r outputs holds 15 MB more.
 _WALK_BLOCK = 4096
 
 
@@ -162,10 +165,7 @@ def build_context(P: Poly, G: Poly) -> ResidueCtx:
     size, walk = _packing(p)[1], islice(_Modulus(P).walk(G.ints), r)  # p < 2^63: size is set
     for gs in iter(lambda: list(islice(walk, _WALK_BLOCK)), []):
         # the position of each G^k's last nonzero coordinate, which lies in lc G^k
-        if size == 1:
-            tops = [len(g.rstrip(b"\0")) - 1 for g in gs]
-        else:
-            tops = [(len(bytes(g).rstrip(b"\0")) - 1) // size for g in gs]
+        tops = [(len(bytes(g).rstrip(b"\0")) - 1) // size for g in gs]
         if a == 1:
             degrees.extend(tops)
             leads.extend([g[t] for g, t in zip(gs, tops)])

@@ -65,15 +65,15 @@ EXIT_RESOURCE = 4
 # longest residue contexts it admits are (2, 19), r = 524287 walk steps, and
 # (3, 12), r = 265720.  In a fresh process on a 2-core shared host, with the
 # canonical lift of T^19+T^5+T^2+T+1 and of T^12+T^2+2, build_context took
-# 0.96-1.24 s and 0.42-0.43 s of CPU, and the process peaked at 43 and 30 MB
+# 1.03-1.09 s and 0.40-0.43 s of CPU, and the process peaked at 43 and 30 MB
 # RSS (package imports included).
 SWEEP_ORDER_BOUND = 10**6
 
 # A sweep builds one residue context of r = (q^d - 1)/(q - 1) walk steps
 # for each monic irreducible P of degree d; sweeps of more steps in all are
-# refused (_check_sweep_steps).  A step takes 1.6-2.4 us on a 2-core shared
+# refused (_check_sweep_steps).  A step takes 1.5-2.1 us on a 2-core shared
 # host (the two contexts above), so the walks of a sweep take at most about
-# 2.5 s.
+# 2.1 s.
 SWEEP_STEP_BOUND = 10**6
 
 # A class number request for the degree-l subfield takes one norm from

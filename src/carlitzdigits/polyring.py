@@ -52,8 +52,6 @@ coordinates of x^j times row i, one per slot of one int.  An application
 sums coordinate * row, writes the int out once and reduces each slot mod
 p.  A slot receives d*a terms of at most (p - 1)^2: it is the narrowest
 item of _SLOTS that holds d*a*(p - 1)^2; without one, columns sum on ints.
-On byte slots the sum is one product of the packed coordinates by all the
-rows packed as one int, whose columns are read with one stride.
 The reduced coordinates come out as bytes when p <= 256 (_packing), so a
 reader finds an output's leading coefficient by its trailing zero bytes.
 One distinct-degree split (_factor_degrees) answers is_irreducible and the
@@ -548,14 +546,11 @@ def _linear_map(F, rows):
     on coordinate lists: coordinate row (i, j) holds the coordinates of
     x^j * rows[i], x the generator of F_q over F_p, packed one coordinate
     per slot into one int, and an application is one sum of products of
-    ints, one to_bytes and one reduction mod p per slot.  The slot holds a
-    sum of n = len(rows) * a products of at most (p - 1)^2; where no slot
-    is that wide, each column is summed on ints.  On byte slots the sum is
-    one product: x packed a byte per coordinate times the int whose byte
-    c*n + n-1-s is coordinate c of row s, so column c's sum lands in byte
-    c*n + n-1, and every byte of the product sums at most n products; the
-    bytes are read with one stride and reduced through a table of
-    residues.  The output coordinates come as _packing(p) holds them."""
+    ints, one to_bytes and one reduction mod p per slot (byte slots in one
+    pass, through a table of residues).  The slot holds a sum of
+    len(rows) * a products of at most (p - 1)^2; where no slot is that
+    wide, each column is summed on ints.  The output coordinates come as
+    _packing(p) holds them."""
     p, a, order = F.p, F.a, sys.byteorder
     coords = [_coordinates(F.scale(row, p**j) if j else row, p, a)
               for row in rows for j in range(a)]
@@ -565,15 +560,11 @@ def _linear_map(F, rows):
         columns = list(zip(*coords))
         return lambda x: pack([sum(map(operator.mul, x, col)) % p for col in columns])
     tc = slot[1]
-    if tc == "B":
-        n, width, residues = len(coords), len(coords[0]), _residues(p)
-        spread = int.from_bytes(bytes(row[c] for c in range(width) for row in reversed(coords)),
-                                "little")
-        size = n * width + n
-        return lambda x: ((int.from_bytes(x, "little") * spread).to_bytes(size, "little")
-                          [n - 1 : n * width : n].translate(residues))
     ints = [int.from_bytes(array(tc, row), order) for row in coords]
     size = len(coords[0]) * array(tc).itemsize
+    if tc == "B":
+        residues = _residues(p)
+        return lambda x: sum(map(operator.mul, x, ints)).to_bytes(size, order).translate(residues)
     return lambda x: pack(map(p.__rmod__, memoryview(
         sum(map(operator.mul, x, ints)).to_bytes(size, order)).cast(tc)))
 
