@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .cycint import CycloInt, root_of_unity
+from .digits import long_division
 from .errors import ExactnessError, HypothesisError, PrimitivityError, ResourceLimitError
 from .ffq import FieldElement, UnitCharacter, _indices, _inverse_log, _log, dlog
 from .numutil import least_witness
@@ -64,8 +65,8 @@ class ResidueCtx:
     and else gives it degree e + deg G^k - d and leading coefficient
     lc G * lc G^k.  powers (G^0..G^(r-1) mod P) and dlog (monic part of
     G^k -> logs[k], in order of k) are Polys built on first read, by a
-    second walk; digits (H_1..H_r) by the full division, quotients and all,
-    which the digit records are tested against."""
+    second walk; digits (H_1..H_r) by digits.long_division, the same walk
+    with quotient columns, which the digit records are tested against."""
 
     P: Poly
     G: Poly
@@ -88,13 +89,12 @@ class ResidueCtx:
     @functools.cached_property
     def powers(self) -> tuple[Poly, ...]:
         spec = self.spec
-        walk = islice(_Modulus(self.P).walk(self.G.ints), self.r - 1)
+        walk = islice(_Modulus(self.P).walk(self.G.ints, (1,), 0), self.r - 1)
         return (Poly.one(spec), *(_make(spec, _indices(g, spec.p, spec.a)) for g in walk))
 
     @functools.cached_property
     def digits(self) -> tuple[Poly, ...]:
-        steps = islice(_Modulus(self.P).steps(self.G.ints, (1,)), self.r)
-        return tuple(_make(self.spec, h) for h, _ in steps)
+        return tuple(islice(long_division(self.G, self.P, Poly.one(self.spec)), self.r))
 
     @functools.cached_property
     def digit_degrees(self) -> tuple[int, ...]:
@@ -162,7 +162,7 @@ def build_context(P: Poly, G: Poly) -> ResidueCtx:
         raise HypothesisError("requires gcd(G, P) = 1")
     r, n, p, a = N // (spec.q - 1), spec.q - 1, spec.p, spec.a
     degrees, leads = array("B", [0]), array(_slot(n.bit_length())[1], [1])  # G^0 = 1
-    size, walk = _packing(p)[1], islice(_Modulus(P).walk(G.ints), r)  # p < 2^63: size is set
+    size, walk = _packing(p)[1], islice(_Modulus(P).walk(G.ints, (1,), 0), r)  # p < 2^63: size is set
     for gs in iter(lambda: list(islice(walk, _WALK_BLOCK)), []):
         # the position of each G^k's last nonzero coordinate, which lies in lc G^k
         tops = [(len(bytes(g).rstrip(b"\0")) - 1) // size for g in gs]

@@ -9,12 +9,12 @@ denominator pairs; nothing here is floating point.
 
 For f = 1/M with gcd(G, M) = 1 each step G * G_{k-1} = H_k * M + G_k, G_k
 the canonical representative of G^k mod M, is one division (long_division).
-Once deg G_{k-1} < deg M that division is F_p-linear in the coordinates of
+With deg G_{k-1} < deg M that division is F_p-linear in the coordinates of
 G_{k-1}: the step is one sum of packed rows, each row the remainder and
 quotient of G * x^j * T^i by M, in slots proven wide enough for
-deg M * a * (p - 1)^2, q = p^a (polyring._Modulus.steps).  Only a first
-step with deg G_0 >= deg M, a constant M, or a p too large for any slot
-divides term by term.
+deg M * a * (p - 1)^2, q = p^a, or summed column by column on ints when p
+is too large for any slot (polyring._Modulus.walk).  A constant reduced
+denominator leaves every digit zero.
 The closed form H_k = (G * G_{k-1} - G_k) / M, G_{k-1} by modular powering,
 is the independent path; the digit stream is purely periodic with period
 equal to the multiplicative order of G modulo M.  That order divides the
@@ -30,10 +30,10 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 
 from .errors import ExactnessError, HypothesisError
-from .ffq import FieldElement, FieldSpec
+from .ffq import FieldElement, FieldSpec, _indices
 from .numutil import element_order
 from .polyring import (Poly, _factor_degrees, _make, _Modulus, format_poly, mod_pow,
                        parse_poly, poly_gcd)
@@ -74,19 +74,20 @@ class DigitExpansion:
 
 def long_division(base: Poly, m: Poly, cur: Poly) -> Iterator[Poly]:
     """The digits H_k, k = 1, 2, ..., of the division base * G_{k-1} =
-    H_k * m + G_k from G_0 = cur, one step each, without end.
+    H_k * m + G_k from G_0 = cur, one step each, without end; deg cur <
+    deg m and deg m >= 1.
 
-    The steps run on index lists through the modulus set up once
-    (polyring._Modulus.steps): one row per coordinate of G_{k-1}, packing
-    the remainder and quotient of base * x^j * T^i by m, is built per call,
-    and a step sums coordinate * row and reduces each slot mod p.  A first
-    step with deg G_0 >= deg m takes _Modulus.divmod, after which a
-    constant m leaves every digit zero.  Only the digits are made Polys
-    (chars.build_context walks the remainders alone, _Modulus.walk)."""
+    The steps are polyring._Modulus.walk with deg base quotient columns:
+    one row per coordinate of G_{k-1}, packing the remainder and quotient
+    of base * x^j * T^i by m, is built per call, and a step sums
+    coordinate * row and reduces each slot mod p.  Only each output's
+    quotient half is decoded and made a Poly."""
     base._check(m)
     cur._check(m)
     spec = m.spec
-    return (_make(spec, hk) for hk, _ in _Modulus(m).steps(base.ints, cur.ints))
+    p, a, n = spec.p, spec.a, (len(m.ints) - 1) * spec.a
+    walk = _Modulus(m).walk(base.ints, cur.ints, len(base.ints) - 1)
+    return (_make(spec, _indices(out[n:], p, a)) for out in walk)
 
 
 def digit_expand(f1: Poly, f2: Poly, base: Poly, n: int) -> DigitExpansion:
@@ -115,10 +116,9 @@ def digit_stream(f1: Poly, f2: Poly, base: Poly) -> tuple[Poly, int | None, Iter
     if not g0.is_zero() and g0.degree() != 0:
         num, den = f1 // g0, f2 // g0
     h0, rem = divmod(num, den)
-    period = None
-    if len(den.ints) - 1 >= 1 and not rem.is_zero():
-        if poly_gcd(base, den).degree() == 0:
-            period = _order_mod(base, den)
+    if rem.is_zero():  # F1/F2 is a polynomial, as for every constant den
+        return h0, None, repeat(Poly.zero(f1.spec))
+    period = _order_mod(base, den) if poly_gcd(base, den).degree() == 0 else None
     return h0, period, long_division(base, den, rem)
 
 

@@ -266,7 +266,7 @@ def _log(spec: FieldSpec) -> tuple[int, ...]:
     from .polyring import Poly, _Modulus  # polyring imports this module
 
     log[1], weights = 0, [p**j for j in range(spec.a)]
-    for k, g in zip(range(1, n), _Modulus(Poly(FieldSpec(p), spec.modulus)).walk(w)):
+    for k, g in zip(range(1, n), _Modulus(Poly(FieldSpec(p), spec.modulus)).walk(w, (1,), 0)):
         log[sum(map(operator.mul, g, weights))] = k
     return tuple(log)
 

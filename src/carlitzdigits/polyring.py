@@ -37,14 +37,13 @@ would take FROBENIUS_MAP_MIN products by square-and-multiply; until then a
 power is square-and-multiply.
 
 The long division of digits, b * G_{k-1} = H_k * m + G_k for a fixed b and
-m, steps by such a map too (_Modulus.steps): with deg G_{k-1} < deg m = d
+m, steps by such a map too (_Modulus.walk): with deg G_{k-1} < deg m = d
 the step is F_q-linear in G_{k-1}, its row for T^i the remainder and then
-the quotient of b * T^i by m (_Modulus._rows: one divmod of b, then T
-times the row above).  A first step with deg G_0 >= d is a divmod; a
-constant m leaves only zeros.  The walk G_k = b * G_{k-1} mod m, G_0 = 1
-(_Modulus.walk: the residue context of chars, and the powers of F_q's
-generator b mod its modulus m over F_p in ffq._log) needs no quotient: its
-map takes the same rows with no quotient column, d columns for any deg b.
+the first e coefficients of the quotient of b * T^i by m (_Modulus._rows:
+one divmod of b, then T times the row above).  e = deg b keeps every digit
+H_k (digits.long_division); e = 0 keeps the remainders alone, d columns
+for any deg b (the residue context of chars, and the powers of F_q's
+generator b mod its modulus m over F_p in ffq._log).
 _linear_map packs such a map from its rows for T^i, i < d: a canonical
 index is its string of base-p coordinates (q = p^a; ffq holds the codec),
 so basis element x^j T^i, x the generator of F_q over F_p, gets the
@@ -400,7 +399,7 @@ def valuation_inf(f1: Poly, f2: Poly) -> int:
 class _Modulus:
     """Division by a fixed nonzero m on index lists: the field, the inverse
     of the leading coefficient and the negated low coefficients are set up
-    once.  divmod is the one long-division loop of the package; steps
+    once.  divmod is the one long-division loop of the package; walk
     repeats the division of b * G_{k-1} by m as one packed F_p-linear map,
     and power reads its exponent in base q through another, x -> x^q."""
 
@@ -436,41 +435,19 @@ class _Modulus:
             rem.pop()
         return quo, rem
 
-    def steps(self, b, c):
-        """Yield (H_k, G_k) for b * G_{k-1} = H_k * m + G_k, G_0 = c, as
-        index sequences, without end.
-
-        Once deg G_{k-1} < deg m the step is F_q-linear in G_{k-1}, and
-        _linear_map runs it on _rows with the quotient's e = deg b columns.
-        A first step with deg c >= deg m is a divmod; after it a constant m
-        leaves ([], []) at every step.
-        """
-        F, dg = self.F, self.dg
-        p, a = F.p, F.a
-        if len(c) > dg:
-            hk, c = self.divmod(F.product(b, c))
-            yield hk, c
-        if not dg:
-            yield from itertools.repeat(([], []))
-        apply = _linear_map(F, self._rows(b, max(len(b) - 1, 0)))  # deg H_k <= deg b
-        x, n = _coordinates(c, p, a), dg * a
+    def walk(self, b, c, e):
+        """Yield _linear_map's outputs for b * G_{k-1} = H_k * m + G_k from
+        G_0 = c, deg c < deg m, without end: the coordinates of G_k, a per
+        coefficient, then those of H_k's first e coefficients (bytes for
+        p <= 256, see _packing).  The map runs on _rows(b, e), and each
+        output's first deg m * a coordinates are fed back; deg m >= 1."""
+        F = self.F
+        apply, n = _linear_map(F, self._rows(b, e)), self.dg * F.a
+        x = _coordinates(c, F.p, F.a)
         while True:
             out = apply(x)
-            x, ints = out[:n], _indices(out, p, a)
-            yield ints[dg:], ints[:dg]
-
-    def walk(self, b):
-        """Yield G_k = b * G_{k-1} mod m, G_0 = 1, k = 1, 2, ..., without
-        end, as _linear_map's outputs: the coordinates of G_k, a per
-        coefficient (bytes for p <= 256, see _packing).  deg m >= 1.
-
-        The step is _linear_map on _rows with no quotient column: deg m
-        columns, however large deg b is."""
-        F = self.F
-        apply, x = _linear_map(F, self._rows(b, 0)), _coordinates((1,), F.p, F.a)
-        while True:
-            x = apply(x)
-            yield x
+            x = out[:n]
+            yield out
 
     def _rows(self, b, e) -> list[list[int]]:
         """Row i < deg m of the step b * G_{k-1} = H_k * m + G_k: the

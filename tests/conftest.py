@@ -1,6 +1,7 @@
 """Shared fixtures: the three pinned reference datasets, a seeded pool of
-random residue contexts used by the property suites, and run_cli, the
-command line in a subprocess."""
+random residue contexts used by the property suites, run_cli, the
+command line in a subprocess, and walk_steps, the division steps decoded
+from polyring's walk."""
 
 import os
 import random
@@ -20,6 +21,8 @@ from carlitzdigits import (
     poly_gcd,
 )
 from carlitzdigits.errors import HypothesisError, PrimitivityError
+from carlitzdigits.ffq import _indices
+from carlitzdigits.polyring import _trimmed
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -173,3 +176,14 @@ def trial_factorize(n):
     if n > 1:
         out.append((n, 1))
     return tuple(out)
+
+
+def walk_steps(mod, b, c):
+    """(H_k, G_k), k = 1, 2, ..., of b * G_{k-1} = H_k * m + G_k from G_0 =
+    c as index tuples without trailing zeros, decoded from the outputs of
+    mod.walk(b, c, deg b), the walk with every quotient column (mod the
+    _Modulus of m)."""
+    p, a, dg = mod.F.p, mod.F.a, mod.dg
+    for out in mod.walk(b, c, len(b) - 1):
+        ints = _indices(out, p, a)
+        yield _trimmed(ints[dg:]), _trimmed(ints[:dg])

@@ -25,7 +25,6 @@ from carlitzdigits.numutil import prime_factors
 from carlitzdigits.polyring import (
     Poly,
     _Modulus,
-    _trimmed,
     gen,
     is_irreducible,
     mod_pow,
@@ -35,7 +34,7 @@ from carlitzdigits.polyring import (
 )
 
 from conftest import (EX1, EX3, all_irreducibles, random_context, random_irreducible,
-                      random_poly)
+                      random_poly, walk_steps)
 
 
 def _power(ctx, k):
@@ -384,7 +383,7 @@ def test_division_matches_digits_module(ctx_pool, ctx2):
 
 def test_long_walk_matches_the_division_with_quotients():
     """r = 265720 (T^12+T^2+2 over F_3, G its canonical lift): the power and
-    digit records against the ints of _Modulus.steps, the division with
+    digit records against the ints of _Modulus.walk, the division with
     quotients, w = G^r against its last remainder, and G^logs[k] against
     the monic part of G^k at sampled k."""
     spec = FieldSpec.from_order(3)
@@ -392,8 +391,7 @@ def test_long_walk_matches_the_division_with_quotients():
     ctx = build_context(P, canonical_primitive_lift(P))
     assert ctx.r == 265720
     degrees, leads, digit_degrees, digit_leads = [0], [1], [], []
-    for h, g in islice(_Modulus(P).steps(ctx.G.ints, (1,)), ctx.r):
-        h, g = _trimmed(h), _trimmed(g)
+    for h, g in islice(walk_steps(_Modulus(P), ctx.G.ints, (1,)), ctx.r):
         digit_degrees.append(max(len(h) - 1, 0))
         digit_leads.append(h[-1] if h else 0)
         degrees.append(len(g) - 1)

@@ -531,7 +531,7 @@ def test_reducible_modulus_is_refused_before_the_division(monkeypatch, argv):
     """build_context tests P for irreducibility before any division step: a
     zero divisor G mod a reducible P would otherwise walk all r steps, and a
     nilpotent G would reach a zero power."""
-    monkeypatch.setattr(polyring._Modulus, "steps", _no_work)
+    monkeypatch.setattr(polyring._Modulus, "walk", _no_work)
     assert _main_in_process(["classnum", *argv]) == (3, "", "error: P must be irreducible\n")
 
 

@@ -358,7 +358,7 @@ def reference_canonical_generator(spec):
 
 
 def reference_log(spec):
-    """_log before it stepped by _Modulus.steps: ints mod p, or for a > 1
+    """_log before it walked by _Modulus.walk: ints mod p, or for a > 1
     one product and one division by the modulus per power."""
     n, p = spec.q - 1, spec.p
     w = reference_canonical_generator(spec).coeffs
@@ -386,7 +386,7 @@ LARGER_USER_MODULI = [pytest.param(spec, id=f"q{spec.q}-{spec.modulus}") for spe
                          ids=lambda spec: f"q{spec.q}")
 def test_generator_and_log_match_their_own_loops(spec):
     """The generator found by polyring's primitive-residue search and the
-    log table stepped by _Modulus.steps equal those of the loops ffq had."""
+    log table walked by _Modulus.walk equal those of the loops ffq had."""
     assert canonical_generator.__wrapped__(spec) == reference_canonical_generator(spec)
     assert _log.__wrapped__(spec) == reference_log(spec)
 
@@ -395,7 +395,7 @@ def test_generator_and_log_match_their_own_loops(spec):
                          ids=lambda spec: f"q{spec.q}")
 def test_log_steps_without_products_mod_the_modulus(spec, monkeypatch):
     """For a > 1 the powers of w are stepped by one packed map per step
-    (_Modulus.steps), never by a product and a division mod the modulus."""
+    (_Modulus.walk), never by a product and a division mod the modulus."""
     want = reference_log(spec)
     canonical_generator(spec)
 

@@ -24,6 +24,8 @@ from carlitzdigits.polyring import (
     poly_gcd,
 )
 
+from conftest import walk_steps
+
 QS = (2, 3, 4, 5, 7, 8, 9)
 FIELDS = [FieldSpec.from_order(q) for q in QS] + [FieldSpec(5, 2, (2, 1, 1))]
 FIELD_IDS = [f"q{q}" for q in QS] + ["q25-explicit-modulus"]
@@ -198,11 +200,15 @@ def test_mod_pow_kernel_matches_oracle(spec):
 def test_long_division_kernel_matches_oracle(spec):
     rng = random.Random(700 + spec.q)
     for m, base in kernel_cases(rng, spec):
-        starts = ([], [spec.one], rand_elems(rng, spec, len(m) + 2))
+        # G_0 zero, one and a residue of degree up to deg m - 1; a constant
+        # m has no walk
+        starts = ([], [spec.one], ref_divmod(spec, rand_elems(rng, spec, len(m) + 2), m)[1])
+        if len(m) < 2:
+            continue
         for cur in starts:
             pb, pm, pc = Poly(spec, base), Poly(spec, m), Poly(spec, cur)
             want = ref_long_division(spec, base, m, cur, 9)
-            steps = islice(_Modulus(pm).steps(pb.ints, pc.ints), 9)
+            steps = islice(walk_steps(_Modulus(pm), pb.ints, pc.ints), 9)
             got = [(list(_make(spec, h).coeffs), list(_make(spec, g).coeffs)) for h, g in steps]
             assert got == want
             digits = islice(long_division(pb, pm, pc), 9)
@@ -219,17 +225,17 @@ def divmod_steps(base, m, cur, n):
     return out
 
 
-def assert_steps_match_divmod(base, m, cur, n):
+def assert_walk_matches_divmod(base, m, cur, n):
     want = divmod_steps(base, m, cur, n)
-    steps = islice(_Modulus(m).steps(base.ints, cur.ints), n)
+    steps = islice(walk_steps(_Modulus(m), base.ints, cur.ints), n)
     assert [(_make(m.spec, h), _make(m.spec, g)) for h, g in steps] == want
     assert list(islice(long_division(base, m, cur), n)) == [h for h, _ in want]
 
 
 def packed_steps_cases(spec):
     """(G, M, G_0) for deg M = 1..20, monic or not, deg G below and at least
-    deg M, and G_0 zero, a constant, of degree below deg M and of degree at
-    least deg M (its step a divmod)."""
+    deg M, and G_0 zero, a constant, of degree below deg M and the remainder
+    mod M of one of degree at least deg M."""
     rng = random.Random(800 + spec.q)
     for d in range(1, 21):
         m = Poly(spec, rand_elems(rng, spec, d + 1))
@@ -238,25 +244,26 @@ def packed_steps_cases(spec):
         for deg_g in (rng.randrange(d), rng.randint(d, d + 3)):
             base = Poly(spec, rand_elems(rng, spec, deg_g + 1))
             for len_c in (0, 1, rng.randint(1, d), rng.randint(d + 1, d + 5)):
-                yield base, m, Poly(spec, rand_elems(rng, spec, len_c))
+                yield base, m, Poly(spec, rand_elems(rng, spec, len_c)) % m
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=FIELD_IDS)
 def test_packed_steps_match_divmod(spec):
-    """200 packed steps against the divmod loop on packed_steps_cases."""
+    """200 steps of the walk with quotients against the divmod loop on
+    packed_steps_cases."""
     for base, m, cur in packed_steps_cases(spec):
-        assert_steps_match_divmod(base, m, cur, 200)
+        assert_walk_matches_divmod(base, m, cur, 200)
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=FIELD_IDS)
 def test_maps_without_a_slot_sum_columns(spec, monkeypatch):
-    """With no slot wide enough for any map, the division steps and the
+    """With no slot wide enough for any map, the walk with quotients and the
     Frobenius map take _linear_map's column sums: 40 steps against the
     divmod loop on packed_steps_cases, and the map against x^q mod M by the
     oracle on random x of degree below deg M, zero and constants included."""
     monkeypatch.setattr(polyring, "_slot", lambda bits: None)
     for base, m, cur in packed_steps_cases(spec):
-        assert_steps_match_divmod(base, m, cur, 40)
+        assert_walk_matches_divmod(base, m, cur, 40)
     rng = random.Random(850 + spec.q)
     for d in (1, 2, 3, 4, 7, 12):
         m = rand_elems(rng, spec, d + 1)
@@ -268,14 +275,15 @@ def test_maps_without_a_slot_sum_columns(spec, monkeypatch):
 
 def test_steps_without_a_slot_sum_columns():
     """Over F_p, p = 2^31 - 1, deg M = 8 puts 8 * (p - 1)^2 past the widest
-    slot, so the steps sum the map's columns on ints."""
+    slot, so the walk sums the map's columns on ints.  G_0 is zero, a
+    constant, of degree 4 and the remainder mod M of one of degree 11."""
     spec = FieldSpec(2**31 - 1)
     rng = random.Random(900)
     m = Poly(spec, rand_elems(rng, spec, 9))
     assert _slot((8 * (spec.p - 1) ** 2).bit_length()) is None
     for len_c in (0, 1, 5, 12):
-        cur = Poly(spec, rand_elems(rng, spec, len_c))
-        assert_steps_match_divmod(Poly(spec, rand_elems(rng, spec, 4)), m, cur, 50)
+        cur = Poly(spec, rand_elems(rng, spec, len_c)) % m
+        assert_walk_matches_divmod(Poly(spec, rand_elems(rng, spec, 4)), m, cur, 50)
 
 
 def largest_coordinate_sum(spec):
@@ -307,7 +315,7 @@ def test_packed_steps_fill_the_slot(spec, width):
     m = Poly(spec, [spec.zero] * d + [spec.one])
     base = _make(spec, [c] * d)
     cur = _make(spec, [spec.q - 1] * d)
-    assert_steps_match_divmod(base, m, cur, 3)
+    assert_walk_matches_divmod(base, m, cur, 3)
 
 
 @pytest.mark.parametrize("spec", FIELDS, ids=FIELD_IDS)
