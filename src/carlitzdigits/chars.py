@@ -11,15 +11,15 @@ characters indexed against w, not against the canonical generator of F_q^x.
 The context is the r-step walk G^k = G * G^(k-1) mod P (polyring._Modulus.
 walk), each step one packed F_p-linear map of the coordinates of G^(k-1),
 with rows (the remainders of G * x^j * T^i by P, deg P columns) built once
-per context, and keeps three array records per step, read off each output
-by its trailing zero bytes.  The digits H_k of 1/P in base G, the long
-division G * G^(k-1) = H_k * P + G^k, need no quotient columns: P is monic,
-so deg H_k and lc H_k follow from deg G^(k-1) and lc G^(k-1), and their
-records are read off the power records.  A residue's discrete log is
-that of its monic part plus r times that of its leading coefficient against
-w.  G has order N when w generates F_q^x and no G^k, 0 < k < r, is a
-constant: two powers share a monic part exactly when their quotient is a
-scalar.
+per context, and keeps two array records per step, deg G^k and the log of
+its monic part, read off each output by its trailing zero bytes and its
+leading coefficient.  The digits H_k of 1/P in base G are the long division
+G * G^(k-1) = H_k * P + G^k; of them the context keeps only the reference
+digits, the division with quotients (classnum reads the digit records off
+the two power records).  A residue's discrete log is that of its monic
+part plus r times that of its leading coefficient against w.  G has order
+N when w generates F_q^x and no G^k, 0 < k < r, is a constant: two powers
+share a monic part exactly when their quotient is a scalar.
 
 Subgroups of the character group come from subfields: for l | N the field
 fixed by the index-l subgroup H_L has character group X_L = {chi : chi^l = 1}.
@@ -42,8 +42,8 @@ from .digits import long_division
 from .errors import ExactnessError, HypothesisError, PrimitivityError, ResourceLimitError
 from .ffq import FieldElement, UnitCharacter, _indices, _inverse_log, _log, dlog
 from .numutil import least_witness
-from .polyring import (Poly, _field, _make, _Modulus, _packing, _slot, format_poly,
-                       is_irreducible, primitivity_witness)
+from .polyring import (Poly, _make, _Modulus, _packing, _slot, format_poly, is_irreducible,
+                       primitivity_witness)
 
 _N_BOUND = 2**63
 
@@ -57,16 +57,13 @@ _WALK_BLOCK = 4096
 
 @dataclass(eq=False)
 class ResidueCtx:
-    """The r-step walk G^k = G * G^(k-1) mod P as array records per step
-    k < r: deg G^k, the log of its monic part and the index of lc G^k;
-    w = G^r (unit_gen).  The digit records, deg H_(k+1) and the index of
-    lc H_(k+1) (both 0 for H_(k+1) = 0), are read off them: P is monic, so
-    G * G^k = H_(k+1) * P + G^(k+1) makes H_(k+1) = 0 when e + deg G^k < d
-    and else gives it degree e + deg G^k - d and leading coefficient
-    lc G * lc G^k.  powers (G^0..G^(r-1) mod P) and dlog (monic part of
-    G^k -> logs[k], in order of k) are Polys built on first read, by a
-    second walk; digits (H_1..H_r) by digits.long_division, the same walk
-    with quotient columns, which the digit records are tested against."""
+    """The r-step walk G^k = G * G^(k-1) mod P as two array records per
+    step k < r: deg G^k and the log of its monic part; w = G^r (unit_gen).
+    powers (G^0..G^(r-1) mod P) and dlog (monic part of G^k -> logs[k], in
+    order of k) are Polys built on first read, by a second walk; digits
+    (H_1..H_r) by digits.long_division, the same walk with quotient
+    columns, which the digit records that classnum reads off the power
+    records are tested against."""
 
     P: Poly
     G: Poly
@@ -76,7 +73,6 @@ class ResidueCtx:
     r: int
     power_degrees: array
     logs: array
-    power_leads: array
     unit_gen: FieldElement
     _subfield_memo: dict = field(default_factory=dict, init=False, repr=False)
     _digit_memo: object = field(default=None, init=False, repr=False)  # classnum.DigitPolynomials
@@ -95,18 +91,6 @@ class ResidueCtx:
     @functools.cached_property
     def digits(self) -> tuple[Poly, ...]:
         return tuple(islice(long_division(self.G, self.P, Poly.one(self.spec)), self.r))
-
-    @functools.cached_property
-    def digit_degrees(self) -> tuple[int, ...]:
-        shift = self.e - self.d
-        return tuple(s + shift if s + shift > 0 else 0 for s in self.power_degrees)
-
-    @functools.cached_property
-    def digit_leads(self) -> tuple[int, ...]:
-        mul, lo, lead = _field(self.spec).mul, self.d - self.e, self.G.ints[-1]
-        times = {c: mul(lead, c) for c in set(self.power_leads)}
-        return tuple(times[c] if s >= lo else 0
-                     for s, c in zip(self.power_degrees, self.power_leads))
 
     @functools.cached_property
     def dlog(self) -> dict:
@@ -189,8 +173,7 @@ def build_context(P: Poly, G: Poly) -> ResidueCtx:
     shift = {c: r * (log[c] * base % n) for c in set(leads)}
     return ResidueCtx(
         P=P, G=G, d=d, e=len(G.ints) - 1, N=N, r=r, power_degrees=degrees,
-        logs=array("q", [(k - shift[c]) % N for k, c in enumerate(leads)]),
-        power_leads=leads, unit_gen=w,
+        logs=array("q", [(k - shift[c]) % N for k, c in enumerate(leads)]), unit_gen=w,
     )
 
 

@@ -9,18 +9,22 @@ generating polynomials built from the first r = N/(q-1) digits H_1..H_r of
   twisted polynomial     lam(lc(G)) sum_k lam~(lc(H_k)) u^(k-1)
 
 for unit characters lam of F_q^x (lam~ the conjugate, lam~(0) = 0, lc the
-leading coefficient; the digit route reads each lc(H_k) once, as E_k in
-DigitPolynomials.twist).  When deg G >= deg P, products of their values at
-roots of unity give the plus part and the relative part of the class number
-of any subfield of the P-th cyclotomic function field.  Each product runs
-over Galois orbits of characters, one per order t, so it is a product of
-exact norms N_{Q(zeta_t)/Q} (cycint.norm); floats only guard.  Each route
-checks each orbit where it makes its exact value, against the floating
-values at the orbit's characters, one per pair of complex conjugates
-(_orbit_guard), and only then memoizes that value per order t, the digit
-route on its DigitPolynomials and the character sums on the ResidueCtx.
-So a table over every l | N takes and checks each orbit once, and a row's
-product is that of checked factors.
+leading coefficient).  The digit route reads both off the context's power
+records, with no division: P is monic, so G * G^k = H_(k+1) * P + G^(k+1)
+makes H_(k+1) = 0 exactly when e + deg G^k < d (e = deg G), and otherwise
+gives it degree e + deg G^k - d and leading coefficient lc G * lc G^k, so
+that its twist exponent E_(k+1) (DigitPolynomials) is logs[k].  The identity
+checks read the digits off the long division instead.  When deg G >= deg P,
+products of their values at roots of unity give the plus part and the
+relative part of the class number of any subfield of the P-th cyclotomic
+function field.  Each product runs over Galois orbits of characters, one per
+order t, so it is a product of exact norms N_{Q(zeta_t)/Q} (cycint.norm);
+floats only guard.  Each route checks each orbit where it makes its exact
+value, against the floating values at the orbit's characters, one per pair
+of complex conjugates (_orbit_guard), and only then memoizes that value per
+order t, the digit route on its DigitPolynomials and the character sums on
+the ResidueCtx.  So a table over every l | N takes and checks each orbit
+once, and a row's product is that of checked factors.
 
 Independent routes kept alongside the digit route, sharing no product code
 with it: the classical character sum formulas over monic polynomials of
@@ -45,7 +49,7 @@ from typing import NamedTuple
 from .chars import DirichletChar, ResidueCtx, _require_subfield_degree, build_context, subfield
 from .cycint import CycloInt, _folded, _mul, _reduce, exponent_sum, norm, root_of_unity
 from .errors import ExactnessError, HypothesisError, ResourceLimitError
-from .ffq import UnitCharacter, _inverse_log, _log, quadratic_character
+from .ffq import UnitCharacter, _inverse_log, _log
 from .numutil import divisors
 from .polyring import Poly, _irreducibles, is_irreducible, least_primitive_residue, mod_pow
 
@@ -58,7 +62,10 @@ class DigitPolynomials:
 
     twist holds E_k = (k - 1) + r * log_w(lc(G) / lc(H_k)) < N, w = G^r, for
     each H_k != 0: the twisted polynomial of chi_j's restriction to scalars,
-    at chi_j(G), is sum_k zeta_N^(j * E_k).
+    at chi_j(G), is sum_k zeta_N^(j * E_k).  Both records are read off the
+    power records: H_(k+1) != 0 exactly when deg G^k >= d - e, and then
+    lc H_(k+1) = lc G * lc G^k makes E_(k+1) = k - r * log_w(lc G^k) mod N,
+    which is logs[k]; so twist is the window of _monic_window(ctx, d - e).
     """
 
     ctx: ResidueCtx
@@ -68,11 +75,7 @@ class DigitPolynomials:
 
     @functools.cached_property
     def twist(self) -> tuple[int, ...]:  # read only for orders t that do not divide r
-        ctx = self.ctx
-        log = _log(ctx.spec)
-        n, base, lg = ctx.spec.q - 1, _inverse_log(ctx.unit_gen), log[ctx.G.ints[-1]]
-        return tuple(k + ctx.r * ((lg - log[c]) * base % n)
-                     for k, c in enumerate(ctx.digit_leads) if c)
+        return tuple(k for k, _ in _monic_window(self.ctx, self.ctx.d - self.ctx.e))
 
     @property
     def digits(self) -> tuple[Poly, ...]:  # H_1..H_r, built on first read
@@ -99,9 +102,12 @@ class DigitPolynomials:
 
 
 def digit_polynomials(ctx: ResidueCtx) -> DigitPolynomials:
-    """The ctx's digit records H_1..H_r with their degree polynomial, memoized."""
+    """The ctx's digit records H_1..H_r with their degree polynomial, memoized:
+    deg' H_(k+1) = max(deg G^k + e - d, 0)."""
     if ctx._digit_memo is None:
-        ctx._digit_memo = DigitPolynomials(ctx=ctx, degree_poly=ctx.digit_degrees)
+        shift = ctx.e - ctx.d
+        degrees = tuple(s + shift if s + shift > 0 else 0 for s in ctx.power_degrees)
+        ctx._digit_memo = DigitPolynomials(ctx=ctx, degree_poly=degrees)
     return ctx._digit_memo
 
 
@@ -115,11 +121,12 @@ def _monic_window(ctx: ResidueCtx, lo: int):
 
 def _degree_identity(ctx: ResidueCtx, chi: DirichletChar, lo: int):
     """(degree polynomial at chi(G), sum over monic I, max(lo, 0) <= deg I
-    < d, of (deg I - lo) chi(I)), for chi trivial on scalars."""
+    < d, of (deg I - lo) chi(I)), for chi trivial on scalars.  The degree
+    polynomial is read off the long division (ctx.digits), not the walk."""
     if not chi.restricts_to_scalars_trivially():
         raise HypothesisError("chi must be trivial on scalars")
-    dp = digit_polynomials(ctx)
-    lhs = exponent_sum(ctx.N, ((chi.j * k, c) for k, c in enumerate(dp.degree_poly) if c))
+    degrees = (h.degree() for h in ctx.digits)
+    lhs = exponent_sum(ctx.N, ((chi.j * k, c) for k, c in enumerate(degrees) if c > 0))
     rhs = exponent_sum(ctx.N, ((chi.j * k, s - lo) for k, s in _monic_window(ctx, lo) if s - lo))
     return lhs, rhs
 
@@ -146,14 +153,16 @@ def full_degree_identity(ctx: ResidueCtx, chi: DirichletChar):
     return _degree_identity(ctx, chi, 0)
 
 
-def _twisted_factor(ctx: ResidueCtx, dp: DigitPolynomials, chi: DirichletChar) -> CycloInt:
-    """Twisted polynomial of lam = chi restricted to scalars, at chi(G)."""
-    return exponent_sum(ctx.N, ((chi.j * x, 1) for x in dp.twist))
-
-
 def _twist_identity(ctx: ResidueCtx, chi: DirichletChar, lo: int):
-    """(twisted polynomial at chi(G), sum of chi(I), monic I, max(lo, 0) <= deg I < d)."""
-    lhs = _twisted_factor(ctx, digit_polynomials(ctx), chi)
+    """(twisted polynomial at chi(G), sum of chi(I), monic I, max(lo, 0) <= deg I < d).
+
+    The twisted polynomial is read off the long division (ctx.digits): the
+    term of H_k != 0 is zeta_N^(j * E_k), E_k = (k - 1) + r * log_w(lc G /
+    lc H_k), each lc H_k's log taken in F_q's log table."""
+    log, n, r = _log(ctx.spec), ctx.spec.q - 1, ctx.r
+    base, lg = _inverse_log(ctx.unit_gen), log[ctx.G.ints[-1]]
+    twist = (k + r * ((lg - log[h.ints[-1]]) * base % n) for k, h in enumerate(ctx.digits) if h)
+    lhs = exponent_sum(ctx.N, ((chi.j * x, 1) for x in twist))
     rhs = exponent_sum(ctx.N, ((chi.j * k, 1) for k, _ in _monic_window(ctx, lo)))
     return lhs, rhs
 
@@ -403,11 +412,16 @@ def quadratic_class_number(P: Poly, G: Poly) -> int:
         raise HypothesisError("q must be odd for the quadratic subfield")
     ctx = build_context(P, G)
     _require_big_base(ctx)
+    dp = digit_polynomials(ctx)
     if ctx.d % 2 == 0:
-        sign, terms = 1, ctx.digit_degrees
+        sign, terms = 1, dp.degree_poly
     else:
-        eps = {c: quadratic_character(P.spec.from_index(c)) for c in set(ctx.digit_leads)}
-        sign, terms = -quadratic_character(G.leading_coeff()), [eps[c] for c in ctx.digit_leads]
+        # lam = lam~ is the quadratic character: entry k - 1 is the exponent
+        # of eta_G * eps(lc H_k), 0 for +1 and (q - 1)/2 for -1
+        half = (P.spec.q - 1) // 2
+        signs = {None: 0, 0: 1, half: -1}
+        lam = UnitCharacter(P.spec, half, ctx.unit_gen)
+        sign, terms = -1, [signs[x] for x in dp.twisted_exponents(lam)]
     return sign * sum(-x if k % 2 else x for k, x in enumerate(terms, start=1))
 
 

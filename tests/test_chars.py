@@ -12,7 +12,7 @@ from carlitzdigits.chars import (
     restriction,
     subfield,
 )
-from carlitzdigits.classnum import canonical_primitive_lift
+from carlitzdigits.classnum import canonical_primitive_lift, digit_polynomials
 from carlitzdigits.cycint import CycloInt, root_of_unity
 from carlitzdigits.errors import (
     HypothesisError,
@@ -20,7 +20,7 @@ from carlitzdigits.errors import (
     ResourceLimitError,
 )
 from carlitzdigits.digits import digit_closed_form, digit_expand
-from carlitzdigits.ffq import FieldSpec, UnitCharacter
+from carlitzdigits.ffq import FieldSpec, UnitCharacter, dlog
 from carlitzdigits.numutil import prime_factors
 from carlitzdigits.polyring import (
     Poly,
@@ -346,9 +346,19 @@ def _lead_contexts():
     return out
 
 
+def _twist_reference(ctx, leads):
+    """E_k = (k - 1) + r * log_w(lc G / lc H_k) for each H_k != 0, from the
+    indices of lc H_1..lc H_r (0 for H_k = 0) by dlog against w = G^r."""
+    spec, w, n = ctx.spec, ctx.unit_gen, ctx.spec.q - 1
+    logs = {c: dlog(spec.from_index(c), w) for c in set(leads) if c}
+    lg = dlog(ctx.G.leading_coeff(), w)
+    return tuple(k + ctx.r * ((lg - logs[c]) % n) for k, c in enumerate(leads) if c)
+
+
 def test_division_matches_digits_module(ctx_pool, ctx2):
-    """The context's walk and the digit records read off it against the
-    long division with quotients (ctx.digits), digit_closed_form,
+    """The context's walk and the digit records read off it (the degree
+    polynomial and twist of digit_polynomials) against the long division
+    with quotients (ctx.digits), digit_closed_form,
     digit_expand and repeated squaring, its per-step ints against the Poly
     views they stand for, G^logs[k] against the monic part of G^k, and
     dlog_of at every k < N (every (1 + N // 4096)-th k when N > 4095, here
@@ -370,8 +380,9 @@ def test_division_matches_digits_module(ctx_pool, ctx2):
         assert digit_expand(one, ctx.P, ctx.G, ctx.r).digits == ctx.digits
         for k in range(1, ctx.r + 1):
             assert digit_closed_form(ctx.P, ctx.G, k) == ctx.digits[k - 1]
-        assert tuple(ctx.digit_degrees) == tuple(max(h.degree(), 0) for h in ctx.digits)
-        assert tuple(ctx.digit_leads) == tuple(h.ints[-1] if h.ints else 0 for h in ctx.digits)
+        dp = digit_polynomials(ctx)
+        assert dp.degree_poly == tuple(max(h.degree(), 0) for h in ctx.digits)
+        assert dp.twist == _twist_reference(ctx, [h.ints[-1] if h else 0 for h in ctx.digits])
         assert ctx.powers == tuple(_power(ctx, k) for k in range(ctx.r))
         assert tuple(ctx.power_degrees) == tuple(g.degree() for g in ctx.powers)
         assert list(ctx.dlog.items()) == [(g.monic(), k) for g, k in zip(ctx.powers, ctx.logs)]
@@ -382,10 +393,11 @@ def test_division_matches_digits_module(ctx_pool, ctx2):
 
 
 def test_long_walk_matches_the_division_with_quotients():
-    """r = 265720 (T^12+T^2+2 over F_3, G its canonical lift): the power and
-    digit records against the ints of _Modulus.walk, the division with
-    quotients, w = G^r against its last remainder, and G^logs[k] against
-    the monic part of G^k at sampled k."""
+    """r = 265720 (T^12+T^2+2 over F_3, G its canonical lift): the power
+    degrees and the digit records read off them (degree polynomial and
+    twist) against the ints of _Modulus.walk, the division with quotients,
+    w = G^r against its last remainder, and the degree, leading coefficient
+    and G^logs[k] of G^k at sampled k against its Poly."""
     spec = FieldSpec.from_order(3)
     P = parse_poly(spec, "T^12+T^2+2")
     ctx = build_context(P, canonical_primitive_lift(P))
@@ -398,9 +410,9 @@ def test_long_walk_matches_the_division_with_quotients():
         leads.append(g[-1])
     assert (degrees.pop(), leads.pop()) == (0, ctx.unit_gen.index())
     assert tuple(ctx.power_degrees) == tuple(degrees)
-    assert tuple(ctx.power_leads) == tuple(leads)
-    assert tuple(ctx.digit_degrees) == tuple(digit_degrees)
-    assert tuple(ctx.digit_leads) == tuple(digit_leads)
+    dp = digit_polynomials(ctx)
+    assert dp.degree_poly == tuple(digit_degrees)
+    assert dp.twist == _twist_reference(ctx, digit_leads)
     for k in random.Random(17).sample(range(ctx.r), 40):
         g = _power(ctx, k)
         assert (g.degree(), g.ints[-1]) == (degrees[k], leads[k])

@@ -16,7 +16,6 @@ from carlitzdigits.classnum import (
     CSV_COLUMNS,
     ClassNumberReport,
     _orbit_product,
-    _twisted_factor,
     canonical_primitive_lift,
     compute_report,
     digit_degree_sum,
@@ -32,8 +31,10 @@ from carlitzdigits.classnum import (
     window_twist_identity,
 )
 from carlitzdigits.cycint import CycloInt, cyclotomic_poly, exponent_sum, int_poly_resultant, norm
-from carlitzdigits.errors import ExactnessError, HypothesisError, ResourceLimitError
-from carlitzdigits.ffq import FieldElement, FieldSpec, canonical_generator, unit_character
+from carlitzdigits.errors import (ExactnessError, HypothesisError, PrimitivityError,
+                                  ResourceLimitError)
+from carlitzdigits.ffq import (FieldElement, FieldSpec, canonical_generator, quadratic_character,
+                              unit_character)
 from carlitzdigits.numutil import divisors, element_order, prime_factors
 from carlitzdigits.polyring import (
     Poly,
@@ -217,7 +218,30 @@ def test_quadratic_class_number_pinned(ctx1, ctx3):
         quadratic_class_number(parse_poly(spec2, "T^3+T+1"), parse_poly(spec2, "T^3"))
 
 
+def _nonsquare_lead_cubics():
+    """For q in {3, 5, 7, 9}: the first irreducible cubic P, whose quadratic
+    subfield has genus 1, with the first primitive G of degree 4 whose
+    leading coefficient is the canonical generator of F_q^x, a nonsquare
+    (eta_G = -1)."""
+    out = []
+    for q in (3, 5, 7, 9):
+        spec = FieldSpec.from_order(q)
+        P = next(f for f in monic_polys(spec, 3) if is_irreducible(f))
+        top = Poly(spec, [spec.zero] * 4 + [canonical_generator(spec)])
+        for low in all_polys_below(spec, 4):
+            try:
+                out.append(build_context(P, top + low))
+                break
+            except (PrimitivityError, HypothesisError):
+                continue
+    return out
+
+
 def test_quadratic_matches_report(ctx_pool):
+    """The signed digit sum against the report's h, whose odd-d half reads
+    the same twist, and against the point count, which reads nothing of the
+    walk: ctx_pool and random contexts, and for odd d a non-monic G of
+    degree e > d with eta_G = -1 over each odd q <= 9."""
     rng = random.Random(52)
     checked = 0
     pool = list(ctx_pool)
@@ -228,6 +252,12 @@ def test_quadratic_matches_report(ctx_pool):
         rep = compute_report(ctx, 2)
         assert quadratic_class_number(ctx.P, ctx.G) == rep.h
         checked += 1
+    cubics = _nonsquare_lead_cubics()
+    assert [(c.spec.q, c.d, c.e) for c in cubics] == [(q, 3, 4) for q in (3, 5, 7, 9)]
+    for ctx in cubics:
+        assert quadratic_character(ctx.G.leading_coeff()) == -1
+        h = quadratic_class_number(ctx.P, ctx.G)
+        assert h == compute_report(ctx, 2).h == point_count_class_number(ctx.P)
 
 
 def test_point_count_quadratic_and_quintic():
@@ -549,7 +579,7 @@ def test_h_minus_equals_product_route(ctx_pool):
                 continue
             prod = CycloInt.one(ctx.N)
             for j in desc.chis_minus:
-                prod = prod * _twisted_factor(ctx, dp, ctx.char(j))
+                prod = prod * exponent_sum(ctx.N, ((j * x, 1) for x in dp.twist))
             assert prod.as_integer() == h_minus_from_digits(ctx, l)
             cases += 1
     assert cases >= 100
@@ -881,7 +911,7 @@ def test_twisted_exponents_match_per_digit_formula(ctx_pool):
         for j in (1, ctx.N - 1):
             want = _twisted_terms_reference(ctx, j)
             assert [j * x % ctx.N for x in dp.twist] == want
-            assert _twisted_factor(ctx, dp, ctx.char(j)) == exponent_sum(
+            assert exponent_sum(ctx.N, ((j * x, 1) for x in dp.twist)) == exponent_sum(
                 ctx.N, ((x, 1) for x in want)
             )
     assert cases > 200
