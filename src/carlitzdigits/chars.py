@@ -173,7 +173,7 @@ def build_context(P: Poly, G: Poly) -> ResidueCtx:
     shift = {c: r * (log[c] * base % n) for c in set(leads)}
     return ResidueCtx(
         P=P, G=G, d=d, e=len(G.ints) - 1, N=N, r=r, power_degrees=degrees,
-        logs=array("q", [(k - shift[c]) % N for k, c in enumerate(leads)]), unit_gen=w,
+        logs=array("q", ((k - shift[c]) % N for k, c in enumerate(leads))), unit_gen=w,
     )
 
 

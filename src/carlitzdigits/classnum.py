@@ -60,22 +60,29 @@ _ADVISORY_REL_TOL = 1e-6
 class DigitPolynomials:
     """First r digits of 1/P in base G and their generating polynomials.
 
-    twist holds E_k = (k - 1) + r * log_w(lc(G) / lc(H_k)) < N, w = G^r, for
-    each H_k != 0: the twisted polynomial of chi_j's restriction to scalars,
-    at chi_j(G), is sum_k zeta_N^(j * E_k).  Both records are read off the
-    power records: H_(k+1) != 0 exactly when deg G^k >= d - e, and then
-    lc H_(k+1) = lc G * lc G^k makes E_(k+1) = k - r * log_w(lc G^k) mod N,
-    which is logs[k]; so twist is the window of _monic_window(ctx, d - e).
+    degree_poly holds deg' H_k and twist E_k = (k - 1) + r * log_w(lc(G) /
+    lc(H_k)) < N, w = G^r, for each H_k != 0: E_k = logs[k - 1] (module
+    docstring), and the twisted polynomial of chi_j's restriction to scalars
+    at chi_j(G) is sum_k zeta_N^(j * E_k).  Both are built on first read.
     """
 
     ctx: ResidueCtx
-    degree_poly: tuple[int, ...]
     # the digit route's memo, apart from the character-sum oracle's on ctx
     _norm_memo: dict = field(default_factory=dict, init=False, repr=False)
 
     @functools.cached_property
-    def twist(self) -> tuple[int, ...]:  # read only for orders t that do not divide r
+    def degree_poly(self) -> tuple[int, ...]:
+        return tuple(self._degrees())
+
+    @functools.cached_property
+    def twist(self) -> tuple[int, ...]:
         return tuple(k for k, _ in _monic_window(self.ctx, self.ctx.d - self.ctx.e))
+
+    def _degrees(self):
+        """deg' H_(k+1) = max(deg G^k + e - d, 0) for k = 0..r-1, read in
+        place: _digit_norm and quadratic_class_number fold it unbuilt."""
+        shift = self.ctx.e - self.ctx.d
+        return (s + shift if s + shift > 0 else 0 for s in self.ctx.power_degrees)
 
     @property
     def digits(self) -> tuple[Poly, ...]:  # H_1..H_r, built on first read
@@ -102,12 +109,9 @@ class DigitPolynomials:
 
 
 def digit_polynomials(ctx: ResidueCtx) -> DigitPolynomials:
-    """The ctx's digit records H_1..H_r with their degree polynomial, memoized:
-    deg' H_(k+1) = max(deg G^k + e - d, 0)."""
+    """The ctx's DigitPolynomials, memoized on it."""
     if ctx._digit_memo is None:
-        shift = ctx.e - ctx.d
-        degrees = tuple(s + shift if s + shift > 0 else 0 for s in ctx.power_degrees)
-        ctx._digit_memo = DigitPolynomials(ctx=ctx, degree_poly=degrees)
+        ctx._digit_memo = DigitPolynomials(ctx=ctx)
     return ctx._digit_memo
 
 
@@ -264,9 +268,9 @@ def _digit_norm(dp: DigitPolynomials, t: int) -> int:
     """
     if t not in dp._norm_memo:
         if dp.ctx.r % t == 0:
-            pairs = [(k, c) for k, c in enumerate(dp.degree_poly) if c]
+            pairs = ((k, c) for k, c in enumerate(dp._degrees()) if c)
         else:
-            pairs = [(x, 1) for x in dp.twist]
+            pairs = ((x, 1) for x, _ in _monic_window(dp.ctx, dp.ctx.d - dp.ctx.e))
         vec = _folded(t, pairs)
         value = norm(t, vec)
         _orbit_guard(t, vec, value, f"digit route orbit of order {t}")
@@ -369,9 +373,9 @@ def _orbit_value(ctx: ResidueCtx, t: int) -> int:
     """
     if t not in ctx._orbit_memo:
         if ctx.r % t:
-            pairs = [(k, 1) for k, _ in _monic_window(ctx, 0)]
+            pairs = ((k, 1) for k, _ in _monic_window(ctx, 0))
         else:
-            pairs = [(k, -s) for k, s in _monic_window(ctx, 0) if s]
+            pairs = ((k, -s) for k, s in _monic_window(ctx, 0) if s)
         vec = _folded(t, pairs)
         what = f"character sum orbit of order {t}"
         value = _collapse(_orbit_product(CycloInt(t, _reduce(t, vec))), what)
@@ -412,16 +416,10 @@ def quadratic_class_number(P: Poly, G: Poly) -> int:
         raise HypothesisError("q must be odd for the quadratic subfield")
     ctx = build_context(P, G)
     _require_big_base(ctx)
-    dp = digit_polynomials(ctx)
     if ctx.d % 2 == 0:
-        sign, terms = 1, dp.degree_poly
-    else:
-        # lam = lam~ is the quadratic character: entry k - 1 is the exponent
-        # of eta_G * eps(lc H_k), 0 for +1 and (q - 1)/2 for -1
-        half = (P.spec.q - 1) // 2
-        signs = {None: 0, 0: 1, half: -1}
-        lam = UnitCharacter(P.spec, half, ctx.unit_gen)
-        sign, terms = -1, [signs[x] for x in dp.twisted_exponents(lam)]
+        sign, terms = 1, digit_polynomials(ctx)._degrees()
+    else:  # every H_k != 0 as e >= d, and eta(lc G / lc H_(k+1)) = (-1)^(logs[k] // r)
+        sign, terms = -1, (-1 if x // ctx.r % 2 else 1 for x in ctx.logs)
     return sign * sum(-x if k % 2 else x for k, x in enumerate(terms, start=1))
 
 

@@ -65,8 +65,7 @@ EXIT_RESOURCE = 4
 # longest residue contexts it admits are (2, 19), r = 524287 walk steps, and
 # (3, 12), r = 265720.  In a fresh process on a 2-core shared host, with the
 # canonical lift of T^19+T^5+T^2+T+1 and of T^12+T^2+2, build_context took
-# 1.03-1.09 s and 0.40-0.43 s of CPU, and the process peaked at 43 and 30 MB
-# RSS (package imports included).
+# 1.09-1.58 and 0.43-0.64 s of CPU, the whole process 23 and 20 MB peak RSS.
 SWEEP_ORDER_BOUND = 10**6
 
 # A sweep builds one residue context of r = (q^d - 1)/(q - 1) walk steps

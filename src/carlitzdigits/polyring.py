@@ -625,12 +625,15 @@ def _resultant(F, m: Poly, b) -> int:
 
 def least_primitive_residue(m: Poly) -> Poly:
     """The first residue mod the irreducible m, in enumeration order, that
-    generates (A/m)^x: zero is skipped, and when deg m >= 2 so are the q
-    constants, which come first (their orders divide q - 1)."""
+    generates (A/m)^x, skipping zero and, when deg m >= 2, the q constants
+    (their orders divide q - 1).  A candidate that is no unit refuses m."""
     d = len(m.ints) - 1
     for cand in itertools.islice(all_polys_below(m.spec, d), m.spec.q if d >= 2 else 1, None):
-        if primitivity_witness(cand, m) is None:
-            return cand
+        try:
+            if primitivity_witness(cand, m) is None:
+                return cand
+        except HypothesisError:  # a nonzero residue of degree < deg m shares a factor with m
+            raise HypothesisError("P must be irreducible") from None
     raise ExactnessError("no primitive residue found; unit groups are cyclic")
 
 

@@ -954,6 +954,49 @@ def test_twist_is_built_only_when_read():
     assert digit_polynomials(ctx).twist and "twist" in vars(digit_polynomials(ctx))
 
 
+# q = 3, d = 10: r = 29524 steps; l = 8 reads the orders 2 and 4, which
+# divide r, and 8, which does not
+LONG_CONTEXT = "T^10+2*T^2+1"
+
+
+def _traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        value = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return value, peak
+
+
+def _record_bytes(ctx) -> int:
+    return sum(a.itemsize * len(a) for a in (ctx.power_degrees, ctx.logs))
+
+
+def test_context_walk_holds_no_more_than_its_records():
+    """build_context writes each step's records into its two arrays as it
+    reads the walk: its traced peak stays below three times their size,
+    which a list or tuple of one entry per step would exceed."""
+    P = parse_poly(FieldSpec.from_order(3), LONG_CONTEXT)
+    G = canonical_primitive_lift(P)
+    ctx, peak = _traced_peak(build_context, P, G)
+    assert ctx.r == 29524
+    assert peak < 3 * _record_bytes(ctx)
+
+
+def test_report_folds_the_records_in_place():
+    """Both routes fold ctx.power_degrees and ctx.logs mod x^t - 1 as they
+    read them, so a report with the character-sum oracle allocates less than
+    twice the two arrays, and neither the degree polynomial nor the twist is
+    built."""
+    P = parse_poly(FieldSpec.from_order(3), LONG_CONTEXT)
+    ctx = build_context(P, canonical_primitive_lift(P))
+    report, peak = _traced_peak(compute_report, ctx, 8, verify_charsum=True)
+    assert (report.m, report.h, report.agree) == (4, 8251823266108200, True)
+    assert peak < 2 * _record_bytes(ctx)
+    assert not {"degree_poly", "twist"} & set(vars(digit_polynomials(ctx)))
+
+
 def test_report_builds_no_character_set():
     """Every row of a (q, d) = (3, 4) table, with the character-sum oracle,
     reads only l, m and n of its subfield: no memoized descriptor holds a

@@ -526,11 +526,16 @@ def test_pointcount_request_tests_irreducibility_once(monkeypatch):
     # mod P = (T+1)^2 over F_3
     ["--q", "2", "--P", "T^19+T^2+T+1", "--G", "T+1", "--l", "1"],
     ["--q", "3", "--P", "T^2+2*T+1", "--G", "T+1", "--l", "2"],
+    # with no --G, the lift meets a zero divisor: T, T^2+T+1 and a sextic factor
+    ["--q", "3", "--P", "T^2+T", "--l", "2"],
+    ["--q", "5", "--P", "T^4+T^2+1", "--l", "2"],
+    ["--q", "3", "--P", "T^12+T^11+2*T^10+T^8+T^7+2*T^5+T^4+2*T^2+T+2", "--l", "2"],
 ])
 def test_reducible_modulus_is_refused_before_the_division(monkeypatch, argv):
     """build_context tests P for irreducibility before any division step: a
     zero divisor G mod a reducible P would otherwise walk all r steps, and a
-    nilpotent G would reach a zero power."""
+    nilpotent G would reach a zero power.  Without --G, the lift refuses P
+    when a candidate is no unit mod P, which names no G."""
     monkeypatch.setattr(polyring._Modulus, "walk", _no_work)
     assert _main_in_process(["classnum", *argv]) == (3, "", "error: P must be irreducible\n")
 
