@@ -18,8 +18,9 @@ unsigned Kronecker product by a filter packed once, and a fold mod x^t - 1.
 Its primes, roots, chirps and filters are cached per order and prime
 (``_norm_plan``), and its bound is Parseval/AM-GM.  It calls none of
 ``_reduce``, ``_mul`` or the oracle's orbit products.
-``int_poly_resultant`` runs Euclid in F_p[x] under Hadamard's bound on
-the Sylvester determinant.
+``int_poly_resultant`` reads each residue mod p off polyring's Euclid
+(``_resultant`` over F_p, the one Euclid resultant of the package) under
+Hadamard's bound on the Sylvester determinant.
 
 CycloInt serves the character-sum route's Galois-orbit products.  Every
 product, a * b and the orbit product's a * sigma_u(b) alike, is one call
@@ -41,7 +42,9 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .numutil import divisors, is_prime, mobius, prime_factors
+from .ffq import FieldSpec
+from .numutil import divisors, is_prime, least_witness, mobius, prime_factors
+from .polyring import _resultant, _trimmed
 
 
 @functools.lru_cache(maxsize=None)
@@ -396,18 +399,16 @@ def _norm_plan(t: int, k: int) -> _NormPlan:
     """norm's k-th prime p = _prime(2t, k) and what the transform reads mod p.
 
     x = g^((p-1)/(2t)) for the least g >= 2 whose x has exact order 2t
-    (x^(2t/r) != 1 for each prime r | 2t).  psi = x for even t, where
-    psi^(-m^2) has period t because t^2 = 0 (mod 2t); psi = -x = x^(t+1)
-    for odd t, of order t, so that psi^(m^2) has period t; psi^2 = x^2 has
-    order t either way.
+    (numutil.least_witness finds no prime r | 2t with x^(2t/r) = 1).
+    psi = x for even t, where psi^(-m^2) has period t because t^2 = 0
+    (mod 2t); psi = -x = x^(t+1) for odd t, of order t, so that psi^(m^2)
+    has period t; psi^2 = x^2 has order t either way.
     """
     step = 2 * t
     n = _prime(step, k)
     e = (n - 1) // step
-    for g in itertools.count(2):
-        x = pow(g, e, n)
-        if all(pow(x, step // r, n) != 1 for r in prime_factors(step)):
-            break
+    x = next(x for x in (pow(g, e, n) for g in itertools.count(2))
+             if least_witness(step, lambda s: pow(x, s, n) == 1) is None)
     psi = x if t % 2 == 0 else n - x
     chirp = _square_powers(psi, t, n)
     size = -(-(t * (n - 1) ** 2).bit_length() // 8)
@@ -429,8 +430,7 @@ def int_poly_resultant(f, g) -> int:
     Sylvester determinant, |res| <= ||f||_2^deg(g) * ||g||_2^deg(f), so
     the value is exact.
     """
-    f = _trim_int(f)
-    g = _trim_int(g)
+    f, g = _trimmed(tuple(f)), _trimmed(tuple(g))
     if not f or not g:
         return 0
     df, dg = len(f) - 1, len(g) - 1
@@ -444,54 +444,14 @@ def int_poly_resultant(f, g) -> int:
     return _modular_resultant(f, g, bound_sq)
 
 
-def _trim_int(f) -> list[int]:
-    f = list(f)
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _modular_resultant(f: list[int], g: list[int], bound_sq: int) -> int:
+def _modular_resultant(f, g, bound_sq: int) -> int:
     """res(f, g) for deg f, deg g >= 0, given |res(f, g)|^2 <= bound_sq.
 
     Residues mod the primes _prime(2, k) that do not divide lc(f) * lc(g)
-    (so the degrees survive reduction) are joined by _crt.
+    (so the degrees survive reduction), each by polyring's Euclid
+    (_resultant) over F_p, are joined by _crt.
     """
     lead = f[-1] * g[-1]
-    primes = map(functools.partial(_prime, 2), itertools.count())
-    return _crt(((_resultant_mod(f, g, p), p) for p in primes if lead % p), bound_sq)
-
-
-def _resultant_mod(f: list[int], g: list[int], p: int) -> int:
-    """res(f, g) mod p by Euclid in F_p[x]; p must not divide lc(f) * lc(g).
-
-    Uses res(a, b) = (-1)^(deg a * deg b) res(b, a) and, for deg a <= deg b,
-    res(a, b) = lc(a)^(deg b - deg r) res(a, r) with r = b mod a.
-    Coefficients are kept highest first; inside one division they are
-    left unreduced (each step adds less than p^2) until its last step.
-    """
-    a = [c % p for c in reversed(f)]
-    b = [c % p for c in reversed(g)]
-    acc = 1
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        if da > db:
-            if da & db & 1:
-                acc = -acc
-            a, b, da, db = b, a, db, da
-        if da == 0:
-            return acc * pow(a[0], db, p) % p
-        inv = pow(a[0], -1, p)
-        tail = a[1:]
-        while len(b) > da + 1:
-            c = b[0] * inv % p
-            b = [x - c * y for x, y in zip(b[1:], tail)] + b[da + 1:]
-        c = b[0] * inv % p
-        b = [(x - c * y) % p for x, y in zip(b[1:], tail)]
-        k = 0
-        while k < da and not b[k]:
-            k += 1
-        if k == da:
-            return 0
-        b = b[k:]
-        acc = acc * pow(a[0], db - (len(b) - 1), p) % p
+    primes = (p for p in map(functools.partial(_prime, 2), itertools.count()) if lead % p)
+    return _crt(((_resultant(FieldSpec(p), [c % p for c in f], [c % p for c in g]), p)
+                 for p in primes), bound_sq)

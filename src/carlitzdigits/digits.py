@@ -92,10 +92,10 @@ def long_division(base: Poly, m: Poly, cur: Poly) -> Iterator[Poly]:
 
 def digit_expand(f1: Poly, f2: Poly, base: Poly, n: int) -> DigitExpansion:
     """First n digits (plus H_0) of F1/F2 in base G, by exact division
-    (digit_stream)."""
-    h0, period, digits = digit_stream(f1, f2, base)
+    (digit_stream); n is checked before the period is computed."""
     if n < 1:
         raise ValueError("need at least one digit")
+    h0, period, digits = digit_stream(f1, f2, base)
     return DigitExpansion(base, f1, f2, h0, tuple(islice(digits, n)), period)
 
 

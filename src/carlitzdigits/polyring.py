@@ -65,7 +65,9 @@ only for the candidates it tests.  Each candidate g is tested norm first
 (primitivity_witness): with r = (q^deg m - 1)/(q - 1) and m monic, g^r =
 Res(m, g) is a scalar that one Euclid computes, so the primes of q - 1 are
 tests in F_q and only the primes of r alone power g mod m; when deg m = 1
-(F_p's generator, m = T) r = 1 and the search runs on scalars.
+(F_p's generator, m = T) r = 1 and the search runs on scalars.  That Euclid
+(_resultant) is the package's only one: cycint's integer resultant reads
+its residue mod each CRT prime p off it over F_p.
 _irreducibles sieves the monic irreducibles of a degree in that order (the
 point count's Q, sweep's P).
 
@@ -600,7 +602,7 @@ def primitivity_witness(G: Poly, P: Poly) -> int | None:
     When deg P = 1, r = 1 and nu = g: no polynomial is powered."""
     F, q, mod = _field(P.spec), P.spec.q, _modulus(P)
     N, x = q**mod.dg - 1, mod.divmod(G.ints)[1]
-    nu = F.mul(_resultant(F, P, x), F.pow(P.ints[-1], 1 - len(x)))
+    nu = F.mul(_resultant(P.spec, P.ints, x), F.pow(P.ints[-1], 1 - len(x)))
     if not nu:  # Res(P, g) = 0: G is no unit mod P
         raise HypothesisError("requires gcd(G, P) = 1")
     scalar = least_witness(q - 1, lambda e: F.pow(nu, e) == 1)
@@ -609,14 +611,18 @@ def primitivity_witness(G: Poly, P: Poly) -> int | None:
                  if (q - 1) % ell and mod_pow(G, N // ell, P) == one), scalar)
 
 
-def _resultant(F, m: Poly, b) -> int:
-    """Res(m, b) for an index list b, as an index, by Euclid's
-    remainders: Res(a, b) = (-1)^(deg a * deg b) lc(b)^(deg a - deg c)
-    Res(b, c), c = a mod b, down to Res(a, c) = c^deg a for a constant c.
-    Each division is one _Modulus, as in poly_gcd; 0 when gcd(m, b) != 1."""
-    a, res = m.ints, 1
+def _resultant(spec: FieldSpec, a, b) -> int:
+    """Res(a, b) = lc(a)^deg b * prod b(alpha) over the roots alpha of a,
+    for index lists a and b without trailing zeros, a nonzero, as an index,
+    by Euclid's remainders: Res(a, b) = (-1)^(deg a * deg b)
+    lc(b)^(deg a - deg c) Res(b, c), c = a mod b, down to Res(a, c) =
+    c^deg a for a constant c.  Each division is one _Modulus, as in
+    poly_gcd; 0 when gcd(a, b) != 1.  It is the package's one Euclid
+    resultant: primitivity_witness reads norms from F_q^deg P to F_q off it,
+    and cycint.int_poly_resultant its residues mod each CRT prime p."""
+    F, res = _field(spec), 1
     while len(b) > 1:
-        c = _Modulus(_make(m.spec, b)).divmod(a)[1]
+        c = _Modulus(_make(spec, b)).divmod(a)[1]
         if (len(a) - 1) * (len(b) - 1) % 2:
             res = F.mul(res, F.minus_one)
         a, b, res = b, c, F.mul(res, F.pow(b[-1], len(a) - len(c)))

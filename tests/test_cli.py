@@ -94,6 +94,50 @@ def test_classnum_part_plus():
     assert "h =" not in res.stdout
 
 
+def test_classnum_part_minus_text_and_json():
+    """--part minus nulls h_plus and h: text leaves both lines out, JSON
+    writes them as null."""
+    argv = ("classnum", "--q", "3", "--P", "T^3+2*T+2", "--G", "T^3+T+2",
+            "--l", "2", "--verify", "charsum", "--part", "minus")
+    res = run_cli(*argv)
+    assert res.returncode == 0
+    assert res.stdout == (
+        "q = 3, d = 3, P = T^3+2*T+2, G = T^3+T+2, e = 3, r = 13\n"
+        "l = 2, m = 1, n = 2\n"
+        "h_minus = 7\n"
+        "methods = digits+charsum\n"
+        "agree = true\n"
+    )
+    res = run_cli(*argv, "--format", "json")
+    assert res.returncode == 0
+    assert json.loads(res.stdout) == {
+        "q": 3, "d": 3, "P": "T^3+2*T+2", "G": "T^3+T+2", "e": 3, "r": 13,
+        "l": 2, "m": 1, "n": 2, "h_plus": None, "h_minus": 7, "h": None,
+        "methods": ["digits", "charsum"], "agree": True,
+    }
+
+
+def test_expand_prime_above_64_bits():
+    """Over F_p with p = 2^80 - 65, p - 1 fits no array item: the walk's
+    coordinates come out as a list (_packing) and each column of its map
+    is summed on ints (_linear_map)."""
+    p = 2**80 - 65
+    assert polyring._packing(p) == (list, None)
+    res = run_cli("expand", "--q", str(p), "--num", "1", "--den", "T^2+T",
+                  "--G", "T+1", "--terms", "3")
+    assert res.returncode == 0
+    assert res.stdout == (
+        f"base G = T+1 over F_{p}\n"
+        "numerator = 1\n"
+        "denominator = T^2+T\n"
+        "H_0 = 0\n"
+        "H_1 = 0\n"
+        "H_2 = 1\n"
+        "H_3 = 1\n"
+        "period = none\n"
+    )
+
+
 def test_classnum_default_base_is_canonical():
     res = run_cli("classnum", "--q", "3", "--P", "T^2+1", "--l", "8",
                   "--format", "json")

@@ -18,8 +18,6 @@ from carlitzdigits.cycint import (
     _norm_plan,
     _prime,
     _reduce,
-    _resultant_mod,
-    _trim_int,
     _units,
     cyclotomic_poly,
     exponent_sum,
@@ -29,7 +27,7 @@ from carlitzdigits.cycint import (
 )
 from carlitzdigits.ffq import FieldSpec
 from carlitzdigits.numutil import divisors, is_prime, prime_factors
-from carlitzdigits.polyring import is_irreducible, monic_polys
+from carlitzdigits.polyring import _resultant, _trimmed, is_irreducible, monic_polys
 
 
 def euler_phi(n):
@@ -533,6 +531,7 @@ def test_resultant_edge_cases():
     assert int_poly_resultant((5,), (7,)) == 1
     assert int_poly_resultant((3,), (1, 2, 1)) == 9
     assert int_poly_resultant((1, 2, 1), (3,)) == 9
+    assert int_poly_resultant(iter((-1, 1, 0)), (c for c in (-2, 1))) == -1
 
 
 def test_resultant_matches_sylvester_bareiss():
@@ -649,11 +648,12 @@ def _folded(t, v):
 
 
 def test_transform_matches_euclid_every_order():
-    """norm, by the transform, against the retained Euclid: for every
+    """norm, by the transform, against polyring's Euclid: for every
     t <= 256, _modular_resultant(Phi_t, b) under norm's own bound, on
     signed digit-like entries (-7..7) and, for t <= 40, entries up to 2^64
     in size; and for every t <= 256 each of the first two primes' residues
-    (_norm_mod) against _resultant_mod on entries up to 2^64 in size.
+    (_norm_mod) against _resultant over F_p on entries up to 2^64 in size
+    (Phi_t is monic, so Res(Phi_t, b) mod p is that of b mod p trimmed).
     Chirped, the entries are residues spread over [0, p), so the slots of
     the convolution come near their bound t * (p - 1)^2."""
     rng = random.Random(29)
@@ -663,13 +663,15 @@ def test_transform_matches_euclid_every_order():
         for bits in (3, 64) if t <= 40 else (3,):
             b = [rng.randint(-(2**bits) + 1, 2**bits - 1) for _ in range(t)]
             bound_sq = -(-(t * sum(c * c for c in b)) ** deg // deg**deg)
-            want = _modular_resultant(phi, _trim_int(b), bound_sq) if any(b) else 0
+            want = _modular_resultant(phi, _trimmed(b), bound_sq) if any(b) else 0
             assert norm(t, b) == want, t
         b = [rng.randint(-(2**64), 2**64) for _ in range(t)]
         b[-1] = b[-1] or 1
         for k in (0, 1):
             plan = _norm_plan(t, k)
-            assert _norm_mod(b, _units(t), plan) == _resultant_mod(phi, b, plan.p), (t, k)
+            p = plan.p
+            euclid = _resultant(FieldSpec(p), [c % p for c in phi], _trimmed([c % p for c in b]))
+            assert _norm_mod(b, _units(t), plan) == euclid, (t, k)
         assert norm(t, [0] * rng.randint(1, 2 * t)) == 0
 
 

@@ -4,6 +4,7 @@ from itertools import islice
 
 import pytest
 
+from carlitzdigits import digits
 from carlitzdigits.digits import (
     DigitExpansion,
     digit_closed_form,
@@ -308,6 +309,23 @@ def test_json_roundtrip():
         blob = json.dumps(exp.to_json_dict())
         back = DigitExpansion.from_json_dict(spec, json.loads(blob))
         assert back == exp
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a refused request did work")
+
+
+def test_digit_count_checked_before_the_period(monkeypatch):
+    """n < 1 is refused before digit_stream computes the period: over F_2
+    the order of T mod T^127+T+1 needs rho on 2^127 - 1, which took seconds
+    and ran out of its budget (ResourceLimitError) before the count was
+    checked."""
+    spec = FieldSpec.from_order(2)
+    monkeypatch.setattr(digits, "_order_mod", _no_work)
+    M = parse_poly(spec, "T^127+T+1")
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="need at least one digit"):
+            digit_expand(Poly.one(spec), M, gen(spec), n)
 
 
 def test_error_paths():
